@@ -15,7 +15,7 @@ Injection points
 Call sites across the stack invoke :func:`maybe_inject` with a point name:
 
 ======================  ====================================================
-``engine.execute``      entry of :meth:`LabelingEngine._execute` (per item)
+``engine.execute``      entry of :func:`repro.service.engine.compute` (per item)
 ``cache.get``           :meth:`ResultCache.get` — ``corrupt`` faults flip a
                         stored entry so the integrity checksum must catch it
 ``pipeline.merge``      :func:`repro.core.pipeline.label_corpus` before the

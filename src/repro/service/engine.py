@@ -1,24 +1,32 @@
-"""The long-lived labeling engine: validation, caching, batch fan-out.
+"""The long-lived labeling engine: one request path for every executor.
 
 One :class:`LabelingEngine` wraps the naming pipeline
-(:func:`repro.core.pipeline.label_corpus`) as a service-shaped component:
+(:func:`repro.core.pipeline.label_corpus`) as a service: a request names a
+registered domain (``{"domain": "airline", "seed": 0}``) or carries a full
+corpus document (the ``save_corpus`` shape), plus optional naming options,
+a lexicon overlay and a lint flag; the response is a JSON-ready dict with
+the labeled tree, per-cluster labels and the Definition-8 classification.
 
-* **requests in, JSON out** — a request names either a registered domain
-  (``{"domain": "airline", "seed": 0}``) or carries a full corpus document
-  (the ``save_corpus`` shape), plus optional naming options, a lexicon
-  overlay, and a lint flag; the response is a JSON-ready dict with the
-  labeled tree, per-cluster labels and the Definition-8 classification;
-* **result caching** — responses are cached in a thread-safe LRU keyed by
-  the corpus fingerprint (:mod:`repro.service.fingerprint`); the pipeline
-  is deterministic, so entries never go stale;
-* **batch execution** — :func:`execute_batch` fans any list of thunks over
-  a ``ThreadPoolExecutor`` with per-item timeout and structured
-  :class:`BatchOutcome` results: one bad corpus degrades to an error entry
-  and never kills the batch.  ``repro table6 --jobs N`` and
-  :func:`repro.experiment.run_all_domains` ride the same executor.
+Single requests and both batch executors take the same steps, each written
+once: **parse** (:meth:`LabelingRequest.from_payload`, in the calling
+process) → **key** (the corpus fingerprint, :mod:`repro.service.fingerprint`;
+the pipeline is deterministic, so entries never go stale) → **lookup**
+(:meth:`LabelingEngine._lookup`: memory LRU, then disk with promotion, then
+one deep copy) → **dedupe** (a repeated fingerprint is served from the entry
+its first occurrence stored) → **compute** (:func:`compute`: pipeline plus
+strict-mode oracles) → **store** (:meth:`LabelingEngine._store`: memory and
+disk).  Inline and thread work runs lookup → compute → store inside the
+per-fingerprint breaker, fault scope and retry policy, and dedupes through
+the cache (two thread items racing on one fingerprint may both compute);
+the process backend runs lookup, an explicit dedupe and store in the parent
+and only ``compute`` in pool workers.  Overlay-free requests share the
+engine's one comparator across all threads (its memos are append-only and
+thread-safe).
 
-The engine holds no request state between calls and all shared state (the
-cache, counters) is lock-guarded, so one engine instance safely serves the
+:func:`execute_batch` fans thunks over threads or processes with a per-item
+timeout and structured :class:`BatchOutcome` results: one bad corpus
+degrades to an error entry and never kills the batch.  All shared engine
+state is lock-guarded, so one engine safely serves the
 ``ThreadingHTTPServer`` in :mod:`repro.service.server`.
 """
 
@@ -26,8 +34,10 @@ from __future__ import annotations
 
 import contextvars
 import copy
+import itertools
 import json
 import logging
+import math
 import threading
 import time
 from collections.abc import Callable, Sequence
@@ -35,11 +45,11 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
+from functools import partial
 
 from ..core.pipeline import NamingOptions, label_corpus
 from ..obs.tracer import Span, current_span, current_trace
 from ..obs.tracer import event as obs_event
-from ..obs.tracer import is_active as obs_is_active
 from ..obs.tracer import span as obs_span
 from ..core.semantics import SemanticComparator
 from ..perf import aggregate_stats
@@ -68,7 +78,9 @@ __all__ = [
     "LabelingEngine",
     "LabelingRequest",
     "RequestError",
+    "compute",
     "execute_batch",
+    "parse_timeout",
 ]
 
 log = logging.getLogger(__name__)
@@ -76,6 +88,24 @@ log = logging.getLogger(__name__)
 
 class RequestError(ValueError):
     """A request that cannot be executed (maps to HTTP 400)."""
+
+
+def parse_timeout(value) -> float | None:
+    """Validate a ``timeout`` field: ``None``, or positive finite seconds.
+
+    The one check behind ``POST /label`` (via
+    :meth:`LabelingRequest.from_payload`) and ``POST /batch``; anything
+    else raises :class:`RequestError`.
+    """
+    if value is None:
+        return None
+    try:
+        seconds = float(value)
+    except (TypeError, ValueError):
+        raise RequestError("'timeout' must be a number of seconds") from None
+    if not (math.isfinite(seconds) and seconds > 0):
+        raise RequestError("'timeout' must be a positive, finite number of seconds")
+    return seconds
 
 
 @dataclass
@@ -119,14 +149,7 @@ class LabelingRequest:
             except (ValueError, TypeError) as exc:
                 raise RequestError(f"invalid lexicon overlay: {exc}") from None
 
-        timeout = payload.get("timeout")
-        if timeout is not None:
-            try:
-                timeout = float(timeout)
-            except (TypeError, ValueError):
-                raise RequestError("'timeout' must be a number of seconds") from None
-            if timeout <= 0:
-                raise RequestError("'timeout' must be positive")
+        timeout = parse_timeout(payload.get("timeout"))
 
         domain = None
         if has_domain:
@@ -192,85 +215,49 @@ class BatchOutcome:
     detail: dict | None = None
     exception: BaseException | None = None
 
+    @classmethod
+    def failure(cls, exc: BaseException, elapsed_ms: float = 0.0) -> "BatchOutcome":
+        """Classify ``exc`` into an error outcome (the one classifier)."""
+        error = f"{type(exc).__name__}: {exc}"
+        error_type, detail = "internal", None
+        if isinstance(exc, RequestError):
+            error, error_type = str(exc), "invalid_request"
+        elif isinstance(exc, CircuitOpenError):
+            error, error_type = str(exc), "circuit_open"
+            detail = {"retry_after": round(exc.retry_after, 3)}
+        elif isinstance(exc, TransientFault):
+            error_type = "transient"
+            detail = {"resilience": {
+                "attempts": getattr(exc, "retry_attempts", 1),
+                "faults": list(getattr(exc, "fault_events", [])),
+            }}
+        return cls(ok=False, error=error, error_type=error_type,
+                   elapsed_ms=elapsed_ms, detail=detail, exception=exc)
+
+    def __getstate__(self) -> dict:
+        # Exception objects are not reliably picklable: only the classified
+        # error crosses a process boundary.
+        return {**self.__dict__, "exception": None}
+
 
 def _run_timed(task: Callable[[], object]) -> BatchOutcome:
     start = time.perf_counter()
     try:
         value = task()
-    except RequestError as exc:
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return BatchOutcome(
-            ok=False, error=str(exc), error_type="invalid_request",
-            elapsed_ms=elapsed, exception=exc,
-        )
-    except CircuitOpenError as exc:
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return BatchOutcome(
-            ok=False,
-            error=str(exc),
-            error_type="circuit_open",
-            elapsed_ms=elapsed,
-            detail={"retry_after": round(exc.retry_after, 3)},
-            exception=exc,
-        )
-    except TransientFault as exc:
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return BatchOutcome(
-            ok=False,
-            error=f"{type(exc).__name__}: {exc}",
-            error_type="transient",
-            elapsed_ms=elapsed,
-            detail={
-                "resilience": {
-                    "attempts": getattr(exc, "retry_attempts", 1),
-                    "faults": list(getattr(exc, "fault_events", [])),
-                }
-            },
-            exception=exc,
-        )
     except Exception as exc:  # noqa: BLE001 — isolation is the contract
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return BatchOutcome(
-            ok=False,
-            error=f"{type(exc).__name__}: {exc}",
-            error_type="internal",
-            elapsed_ms=elapsed,
-            exception=exc,
-        )
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return BatchOutcome(ok=True, value=value, elapsed_ms=elapsed)
-
-
-def _run_timed_chunk(tasks: Sequence[Callable[[], object]]) -> list[BatchOutcome]:
-    """Worker-side body for the process backend: run a chunk of tasks.
-
-    Same classification as :func:`_run_timed`, but ``exception`` is dropped
-    from every outcome — exception objects are not reliably picklable and
-    the parent only needs the classified ``error``/``error_type``/``detail``.
-    """
-    outcomes = []
-    for task in tasks:
-        outcome = _run_timed(task)
-        outcome.exception = None
-        outcomes.append(outcome)
-    return outcomes
-
-
-def _timeout_outcome(timeout: float | None) -> BatchOutcome:
+        return BatchOutcome.failure(exc, (time.perf_counter() - start) * 1000.0)
     return BatchOutcome(
-        ok=False,
-        error=f"timed out after {timeout:g}s",
-        error_type="timeout",
-        elapsed_ms=(timeout or 0.0) * 1000.0,
+        ok=True, value=value, elapsed_ms=(time.perf_counter() - start) * 1000.0
     )
 
 
-def _chunk_tasks(tasks: Sequence, chunksize: int) -> list[tuple[int, list]]:
-    """Split ``tasks`` into ``(start_index, chunk)`` pairs of ``chunksize``."""
-    return [
-        (start, list(tasks[start : start + chunksize]))
-        for start in range(0, len(tasks), chunksize)
-    ]
+def _run_timed_chunk(tasks: Sequence[Callable[[], object]]) -> list[BatchOutcome]:
+    return [_run_timed(task) for task in tasks]
+
+
+def _default_chunksize(count: int, jobs: int, timeout: float | None) -> int:
+    """About four chunks per worker; one item per chunk under a timeout."""
+    return 1 if timeout is not None else max(1, count // (jobs * 4))
 
 
 def execute_batch(
@@ -311,57 +298,44 @@ def execute_batch(
 
     executor = validate_executor(executor)
     jobs = normalize_jobs(jobs)
-    if executor == "thread" or jobs == 1:
-        if jobs == 1 and timeout is None:
-            return [_run_timed(task) for task in tasks]
-
-        outcomes: list[BatchOutcome] = []
-        with ThreadPoolExecutor(
-            max_workers=jobs, thread_name_prefix="repro-batch"
-        ) as pool:
-            futures = [pool.submit(_run_timed, task) for task in tasks]
-            for future in futures:
-                try:
-                    outcomes.append(future.result(timeout=timeout))
-                except FutureTimeoutError:
-                    future.cancel()
-                    outcomes.append(_timeout_outcome(timeout))
-        return outcomes
-
-    if chunksize is None:
-        chunksize = 1 if timeout is not None else max(1, len(tasks) // (jobs * 4))
-    chunks = _chunk_tasks(tasks, max(1, int(chunksize)))
-    slots: list[BatchOutcome | None] = [None] * len(tasks)
-    try:
-        with ProcessPoolExecutor(
+    if jobs == 1 and timeout is None:
+        return _run_timed_chunk(tasks)
+    if executor == "thread" or jobs == 1 or not tasks:
+        pool = ThreadPoolExecutor(max_workers=jobs, thread_name_prefix="repro-batch")
+        chunksize = 1
+    else:
+        pool = ProcessPoolExecutor(
             max_workers=jobs,
             initializer=initializer,
             initargs=initargs,
             mp_context=mp_context,
-        ) as pool:
-            submitted = [
-                (start, chunk, pool.submit(_run_timed_chunk, chunk))
-                for start, chunk in chunks
-            ]
-            for start, chunk, future in submitted:
+        )
+        if chunksize is None:
+            chunksize = _default_chunksize(len(tasks), jobs, timeout)
+        chunksize = max(1, int(chunksize))
+    chunks = [tasks[i : i + chunksize] for i in range(0, len(tasks), chunksize)]
+    outcomes: list[BatchOutcome] = []
+    try:
+        with pool:
+            futures = [pool.submit(_run_timed_chunk, chunk) for chunk in chunks]
+            for chunk, future in zip(chunks, futures):
                 try:
-                    results = future.result(timeout=timeout)
+                    outcomes += future.result(timeout=timeout)
                 except FutureTimeoutError:
                     future.cancel()
-                    results = [_timeout_outcome(timeout) for _ in chunk]
-                except BrokenProcessPool:
-                    raise
-                except BaseException as exc:  # noqa: BLE001 — isolation
-                    results = [
+                    outcomes += [
                         BatchOutcome(
                             ok=False,
-                            error=f"{type(exc).__name__}: {exc}",
-                            error_type="internal",
+                            error=f"timed out after {timeout:g}s",
+                            error_type="timeout",
+                            elapsed_ms=timeout * 1000.0,
                         )
                         for _ in chunk
                     ]
-                for offset, outcome in enumerate(results[: len(chunk)]):
-                    slots[start + offset] = outcome
+                except BrokenProcessPool:
+                    raise
+                except Exception as exc:  # noqa: BLE001 — isolation
+                    outcomes += [BatchOutcome.failure(exc) for _ in chunk]
     except BrokenProcessPool as exc:
         # Worker bootstrap failed (e.g. unpicklable initializer state under
         # a spawn start method).  The tasks themselves are plain callables,
@@ -372,13 +346,7 @@ def execute_batch(
             len(tasks),
         )
         return execute_batch(tasks, jobs=jobs, timeout=timeout, executor="thread")
-    return [
-        outcome
-        if outcome is not None
-        else BatchOutcome(ok=False, error="worker produced no result",
-                          error_type="internal")
-        for outcome in slots
-    ]
+    return outcomes
 
 
 def _lint_findings_to_dicts(findings) -> list[dict]:
@@ -391,6 +359,150 @@ def _lint_findings_to_dicts(findings) -> list[dict]:
         }
         for finding in findings
     ]
+
+
+def compute(
+    request: LabelingRequest, comparator: SemanticComparator, verify: str = "off"
+) -> dict:
+    """Label one parsed request: the fresh, JSON-ready response.
+
+    The compute step of every executor (pool workers call it through
+    :class:`~repro.service.parallel.PayloadTask`).  With ``verify="strict"``
+    the paper-invariant oracles (:mod:`repro.testing.oracles`) re-check the
+    labeling and their report rides along under ``"_oracle"`` for
+    :meth:`LabelingEngine._store` to tally, from any process.
+    """
+    start = time.perf_counter()
+    maybe_inject("engine.execute", key=request.fingerprint)
+    with obs_span(
+        "pipeline",
+        interfaces=len(request.interfaces),
+        clusters=len(request.mapping),
+    ):
+        root, result = label_corpus(
+            request.interfaces,
+            request.mapping,
+            comparator=comparator,
+            options=request.options,
+            domain=request.domain,
+        )
+    report = None
+    if verify == "strict":
+        from ..testing.oracles import verify_labeling
+
+        with obs_span("verify.oracles") as sp:
+            report = verify_labeling(root, result, comparator)
+            if sp is not None:
+                sp.tags["checks"] = report.checks
+                sp.tags["violations"] = len(report.violations)
+    elapsed_ms = (time.perf_counter() - start) * 1000.0
+    leaves = list(root.leaves())
+    internal = [n for n in root.internal_nodes() if n is not root]
+    response = {
+        "ok": True,
+        "fingerprint": request.fingerprint,
+        "domain": request.domain,
+        "classification": result.classification.value,
+        "tree": node_to_dict(root),
+        "field_labels": dict(sorted(result.field_labels.items())),
+        "node_labels": dict(sorted(result.node_labels.items())),
+        "options": options_to_dict(request.options),
+        "stats": {
+            "interfaces": len(request.interfaces),
+            "clusters": len(request.mapping),
+            "leaves": len(leaves),
+            "internal_nodes": len(internal),
+            "groups": len(result.group_results),
+            "labeled_fields": sum(
+                1 for label in result.field_labels.values() if label
+            ),
+            "elapsed_ms": round(elapsed_ms, 3),
+        },
+    }
+    if request.include_lint:
+        from ..lint import lint_interface
+
+        response["lint"] = _lint_findings_to_dicts(
+            lint_interface(root, comparator)
+        )
+    response["cached"] = False
+    if report is not None:
+        response["_oracle"] = report
+    return response
+
+
+def _parse(payload) -> LabelingRequest | Exception:
+    try:
+        return LabelingRequest.from_payload(payload)
+    except Exception as exc:  # noqa: BLE001 — the item's slot reports it
+        return exc
+
+
+def _raise(exc: BaseException):
+    raise exc
+
+
+def _attached(trace, span: Span, task: Callable[[], object]):
+    with trace.attach(span):
+        return task()
+
+
+def _fan_out(
+    tasks: Sequence[tuple[int, Callable[[], object]]],
+    jobs: int,
+    timeout: float | None,
+    executor: str = "thread",
+    **pool,
+) -> list[BatchOutcome]:
+    """:func:`execute_batch` over ``(index, task)`` pairs, traced per item.
+
+    With a trace active, one ``item[index]`` span per task is pre-created in
+    submission order (a deterministic tree shape).  A thread task runs
+    attached to its span; a process task (a
+    :class:`~repro.service.parallel.PayloadTask`) ships a worker-local tree
+    home in its response, grafted here under its span, re-based onto the
+    parent timeline.
+    """
+    runnable = [task for _, task in tasks]
+    trace, parent = current_trace(), current_span()
+    traced = trace is not None and parent is not None
+    process = executor == "process"
+    spans = []
+    chunksize = _default_chunksize(len(tasks), jobs, timeout)
+    for position, (index, task) in enumerate(tasks if traced else ()):
+        tags = {"chunk": position // chunksize} if process else None
+        item = Span(f"item[{index}]", tags)
+        item.start_s = item.end_s = trace.clock()
+        parent.children.append(item)
+        spans.append(item)
+        if process:
+            task.trace = True
+        else:
+            runnable[position] = partial(_attached, trace, item, task)
+    outcomes = execute_batch(
+        runnable, jobs=jobs, timeout=timeout, executor=executor, **pool
+    )
+    for item, outcome in zip(spans if process else (), outcomes):
+        tree = outcome.value.pop("_obs_trace", None) if outcome.ok else None
+        if tree:
+            item.children.append(Span.from_dict(tree, base_s=item.start_s))
+            item.end_s = item.children[-1].end_s
+    return outcomes
+
+
+def _entry(outcome: BatchOutcome) -> dict:
+    """One batch slot: the response, or the classified error as JSON."""
+    if outcome.ok:
+        return outcome.value
+    entry = {
+        "ok": False,
+        "error": outcome.error,
+        "error_type": outcome.error_type,
+        "elapsed_ms": round(outcome.elapsed_ms, 3),
+    }
+    if outcome.detail:
+        entry.update(outcome.detail)
+    return entry
 
 
 class LabelingEngine:
@@ -415,8 +527,9 @@ class LabelingEngine:
         paper-invariant oracles (:mod:`repro.testing.oracles`) before it is
         served or cached; a violation raises ``OracleError``;
     ``comparator``
-        a shared default comparator for overlay-free requests (instead of
-        one per worker thread) — lets test/chaos sweeps reuse warm caches.
+        the comparator every overlay-free request uses, shared across all
+        threads; built at construction when not given.  Passing one lets
+        test/chaos sweeps reuse warm caches across engines.
     """
 
     #: How many lexicon-overlay comparators to keep warm; overlays beyond
@@ -456,22 +569,18 @@ class LabelingEngine:
         self.verify = verify
         self._clock = clock
         self._breakers: dict[str, CircuitBreaker] = {}
-        self._local = threading.local()
         self._lock = threading.Lock()
         self._requests = 0
         self._errors = 0
         self._oracle_checks = 0
         self._oracle_failures = 0
         self._started = time.time()
-        # Comparator registry: every comparator this engine ever built, so
-        # stats() can aggregate their cache counters into one /metrics
-        # section.  Overlay comparators are shared across requests (and
-        # batch items) with the same overlay, keyed by its canonical JSON.
-        self._comparators: list[SemanticComparator] = []
+        self.comparator = (
+            comparator if comparator is not None else SemanticComparator()
+        )
+        # Overlay comparators are shared across requests (and batch items)
+        # with the same overlay, keyed by its canonical JSON.
         self._overlay_comparators: dict[str, SemanticComparator] = {}
-        self._default_comparator = comparator
-        if comparator is not None:
-            self._comparators.append(comparator)
         self._computations = 0
         # The persistent warm-start layer: a DiskCache instance, or a
         # directory path to open one under this engine's config fingerprint.
@@ -533,15 +642,13 @@ class LabelingEngine:
             jobs=1,
             timeout=request.timeout,
         )[0]
-        if outcome.ok:
-            return outcome.value
         if outcome.error_type == "timeout":
             raise TimeoutError(outcome.error)
-        if outcome.exception is not None:
+        if not outcome.ok:
             # Preserve the original type (CircuitOpenError, TransientFault,
             # OracleError, ...) so the HTTP layer maps it faithfully.
             raise outcome.exception
-        raise RuntimeError(outcome.error)
+        return outcome.value
 
     def _label_request(self, request: LabelingRequest) -> dict:
         """One item, with the full resilience stack around the pipeline.
@@ -553,30 +660,38 @@ class LabelingEngine:
         """
         with self._lock:
             self._requests += 1
-        traced = obs_is_active()
         breaker = self._breaker_for(request.fingerprint)
         if breaker is not None:
-            allowed = self._breaker_op(breaker, breaker.allow, traced)
+            allowed = self._breaker_op(breaker, breaker.allow)
             if not allowed:
                 obs_event("breaker.rejected", state=breaker.state)
                 raise CircuitOpenError(request.fingerprint, breaker.retry_after())
-        attempt_fn, retry_sleep = self._attempt_fn(request, traced)
+        numbers = itertools.count(1)
+
+        def attempt() -> dict:
+            with obs_span("engine.attempt", attempt=next(numbers)):
+                return self._label_once(request)
+
+        def sleep(delay: float) -> None:
+            obs_event("retry.backoff", delay_ms=round(delay * 1000.0, 3))
+            time.sleep(delay)
+
         with fault_scope(self.fault_plan, request.fingerprint) as scope:
             try:
                 response, attempts = self.retry.call(
-                    attempt_fn, key=request.fingerprint, sleep=retry_sleep
+                    attempt, key=request.fingerprint, sleep=sleep
                 )
             except Exception as exc:
                 with self._lock:
                     self._errors += 1
                 if breaker is not None and not isinstance(exc, RequestError):
-                    self._breaker_op(breaker, breaker.record_failure, traced)
+                    self._breaker_op(breaker, breaker.record_failure)
                 if scope is not None and scope.events:
                     exc.fault_events = [e.to_dict() for e in scope.events]
                 raise
             events = list(scope.events) if scope is not None else []
         if breaker is not None:
-            self._breaker_op(breaker, breaker.record_success, traced)
+            self._breaker_op(breaker, breaker.record_success)
         if attempts > 1 or events:
             response["resilience"] = {
                 "attempts": attempts,
@@ -585,10 +700,8 @@ class LabelingEngine:
         return response
 
     @staticmethod
-    def _breaker_op(breaker: CircuitBreaker, op: Callable, traced: bool):
+    def _breaker_op(breaker: CircuitBreaker, op: Callable):
         """Run one breaker operation; trace state transitions as span events."""
-        if not traced:
-            return op()
         before = breaker.state
         result = op()
         after = breaker.state
@@ -596,64 +709,68 @@ class LabelingEngine:
             obs_event("breaker.transition", **{"from": before, "to": after})
         return result
 
-    def _attempt_fn(self, request: LabelingRequest, traced: bool):
-        """The retry body and sleep hook, span-wrapped when tracing is on."""
-        if not traced:
-            return (lambda: self._label_once(request)), time.sleep
-
-        counter = {"n": 0}
-
-        def attempt():
-            counter["n"] += 1
-            with obs_span("engine.attempt", attempt=counter["n"]):
-                return self._label_once(request)
-
-        def sleep(delay: float) -> None:
-            obs_event("retry.backoff", delay_ms=round(delay * 1000.0, 3))
-            time.sleep(delay)
-
-        return attempt, sleep
-
     def _label_once(self, request: LabelingRequest) -> dict:
-        """Cache lookup + pipeline run — the unit the retry policy repeats."""
+        """Lookup, else compute and store — the unit the retry policy repeats."""
+        response = self._lookup(request)
+        if response is None:
+            with self._lock:
+                self._computations += 1
+            response = compute(request, self._comparator_for(request), self.verify)
+            self._store(request, response)
+        return response
+
+    def _lookup(self, request: LabelingRequest) -> dict | None:
+        """Serve ``request`` from the cache tiers, or ``None`` on a miss.
+
+        Memory first, then disk — a disk hit is promoted into the memory LRU.
+        The entry is deep-copied here and nowhere else, so callers may
+        mutate what they get; lint is computed per request on top.
+        """
         spec = maybe_inject("cache.get", key=request.fingerprint)
         if spec is not None and spec.kind == "corrupt":
             self.cache.corrupt(request.fingerprint)
         with obs_span("cache.lookup") as sp:
-            cached = self.cache.get(request.fingerprint)
-            outcome = "memory" if cached is not None else "miss"
-            if cached is None:
-                cached = self._disk_lookup(request.fingerprint)
-                if cached is not None:
-                    outcome = "disk"
+            entry, outcome = self.cache.get(request.fingerprint), "memory"
+            if entry is None and self.disk is not None:
+                entry, outcome = self.disk.get(request.fingerprint), "disk"
+                if entry is not None:
+                    self.cache.put(request.fingerprint, entry)
+            if entry is None:
+                outcome = "miss"
             if sp is not None:
                 sp.tags["outcome"] = outcome
-        if cached is not None:
-            response = copy.deepcopy(cached)
-            response["cached"] = True
-            if request.include_lint:
-                response["lint"] = self._lint_tree(response["tree"], request)
-            return response
-        response = self._execute(request)
-        # Lint is keyed by the request, not the corpus content, so the
-        # cached entry stores only the fingerprint-determined part; the
-        # same goes for retry/fault provenance (attached by the caller).
-        stored = copy.deepcopy(response)
-        stored.pop("lint", None)
+        if entry is None:
+            return None
+        response = copy.deepcopy(entry)
+        response["cached"] = True
+        if request.include_lint:
+            from ..lint import lint_node_dict
+
+            response["lint"] = _lint_findings_to_dicts(
+                lint_node_dict(response["tree"], self._comparator_for(request))
+            )
+        return response
+
+    def _store(self, request: LabelingRequest, response: dict) -> None:
+        """Put a fresh :func:`compute` response into memory and disk.
+
+        A strict-mode oracle report is popped and tallied first; a labeling
+        that violates an oracle raises ``OracleError`` and is never stored.
+        The stored entry leaves out the request-specific keys (lint, the
+        ``cached`` flag); retry provenance is attached only after this.
+        """
+        report = response.pop("_oracle", None)
+        if report is not None:
+            with self._lock:
+                self._oracle_checks += report.checks
+                self._oracle_failures += len(report.violations)
+            report.raise_if_failed()
+        stored = copy.deepcopy(
+            {k: v for k, v in response.items() if k not in ("cached", "lint")}
+        )
         self.cache.put(request.fingerprint, stored)
         if self.disk is not None:
             self.disk.put(request.fingerprint, stored)
-        response["cached"] = False
-        return response
-
-    def _disk_lookup(self, fingerprint: str):
-        """Consult the persistent layer; promote a hit into the memory LRU."""
-        if self.disk is None:
-            return None
-        value = self.disk.get(fingerprint)
-        if value is not None:
-            self.cache.put(fingerprint, copy.deepcopy(value))
-        return value
 
     def _breaker_for(self, fingerprint: str) -> CircuitBreaker | None:
         if self.breaker_policy is None:
@@ -672,78 +789,8 @@ class LabelingEngine:
                 self._breakers[fingerprint] = breaker
         return breaker
 
-    def _execute(self, request: LabelingRequest) -> dict:
-        start = time.perf_counter()
-        with self._lock:
-            self._computations += 1
-        comparator = self._comparator_for(request)
-        maybe_inject("engine.execute", key=request.fingerprint)
-        with obs_span(
-            "pipeline",
-            interfaces=len(request.interfaces),
-            clusters=len(request.mapping),
-        ):
-            root, result = label_corpus(
-                request.interfaces,
-                request.mapping,
-                comparator=comparator,
-                options=request.options,
-                domain=request.domain,
-            )
-        if self.verify == "strict":
-            from ..testing.oracles import verify_labeling
-
-            with obs_span("verify.oracles") as sp:
-                report = verify_labeling(root, result, comparator)
-                if sp is not None:
-                    sp.tags["checks"] = report.checks
-                    sp.tags["violations"] = len(report.violations)
-            with self._lock:
-                self._oracle_checks += report.checks
-                self._oracle_failures += len(report.violations)
-            report.raise_if_failed()
-        elapsed_ms = (time.perf_counter() - start) * 1000.0
-        leaves = list(root.leaves())
-        internal = [n for n in root.internal_nodes() if n is not root]
-        response = {
-            "ok": True,
-            "fingerprint": request.fingerprint,
-            "domain": request.domain,
-            "classification": result.classification.value,
-            "tree": node_to_dict(root),
-            "field_labels": dict(sorted(result.field_labels.items())),
-            "node_labels": dict(sorted(result.node_labels.items())),
-            "options": options_to_dict(request.options),
-            "stats": {
-                "interfaces": len(request.interfaces),
-                "clusters": len(request.mapping),
-                "leaves": len(leaves),
-                "internal_nodes": len(internal),
-                "groups": len(result.group_results),
-                "labeled_fields": sum(
-                    1 for label in result.field_labels.values() if label
-                ),
-                "elapsed_ms": round(elapsed_ms, 3),
-            },
-        }
-        if request.include_lint:
-            from ..lint import lint_interface
-
-            response["lint"] = _lint_findings_to_dicts(
-                lint_interface(root, comparator)
-            )
-        return response
-
-    def _lint_tree(self, tree: dict, request: LabelingRequest) -> list[dict]:
-        """Lint a serialized tree (a cached response) for this request."""
-        from ..lint import lint_node_dict
-
-        return _lint_findings_to_dicts(
-            lint_node_dict(tree, self._comparator_for(request))
-        )
-
     def _comparator_for(self, request: LabelingRequest) -> SemanticComparator:
-        """A comparator for this request: shared per overlay, else per-thread.
+        """A comparator for this request: shared per overlay, else the default.
 
         Requests (and batch items) carrying the same lexicon overlay share
         one comparator — and therefore its label/relation/group caches —
@@ -773,30 +820,10 @@ class LabelingEngine:
                 if existing is not None:  # lost a build race: share the winner
                     return existing
                 while len(self._overlay_comparators) >= self.OVERLAY_COMPARATORS:
-                    evicted_key = next(iter(self._overlay_comparators))
-                    evicted = self._overlay_comparators.pop(evicted_key)
-                    self._comparators.remove(evicted)
+                    del self._overlay_comparators[next(iter(self._overlay_comparators))]
                 self._overlay_comparators[key] = comparator
-                self._comparators.append(comparator)
             return comparator
-        return self.default_comparator()
-
-    def default_comparator(self) -> SemanticComparator:
-        """The comparator overlay-free requests use.
-
-        The engine-wide instance when one was passed at construction,
-        otherwise one per worker thread (comparator memos are cheap to
-        build but their caches are worth keeping hot per thread).
-        """
-        if self._default_comparator is not None:
-            return self._default_comparator
-        comparator = getattr(self._local, "comparator", None)
-        if comparator is None:
-            comparator = SemanticComparator()
-            self._local.comparator = comparator
-            with self._lock:
-                self._comparators.append(comparator)
-        return comparator
+        return self.comparator
 
     # ------------------------------------------------------------------
     # Batches.
@@ -831,104 +858,47 @@ class LabelingEngine:
         with obs_span(
             "engine.batch", items=len(payloads), jobs=jobs, executor=executor
         ):
+            requests = [_parse(payload) for payload in payloads]
             if executor == "process" and jobs > 1 and self.fault_plan is None:
-                return self._label_batch_process(payloads, jobs, timeout)
-            trace = current_trace()
-            parent = current_span()
-            if trace is not None and parent is not None:
-                # Fan-out tracing: pre-create one span per item in submission
-                # order (deterministic tree shape), and have each worker
-                # thread attach its own scope rooted at its item's span.
-                tasks = []
-                for index, payload in enumerate(payloads):
-                    item_span = Span(f"item[{index}]")
-                    item_span.start_s = item_span.end_s = trace.clock()
-                    parent.children.append(item_span)
-                    tasks.append(self._traced_task(trace, item_span, payload))
-            else:
-                tasks = [
-                    (
-                        lambda p=payload: self._label_request(
-                            LabelingRequest.from_payload(p)
-                        )
-                    )
-                    for payload in payloads
-                ]
-            responses: list[dict] = []
-            for outcome in execute_batch(tasks, jobs=jobs, timeout=timeout):
-                if outcome.ok:
-                    responses.append(outcome.value)
-                else:
-                    responses.append(self._outcome_entry(outcome))
-            return responses
-
-    def _traced_task(self, trace, item_span: Span, payload) -> Callable[[], dict]:
-        def run() -> dict:
-            with trace.attach(item_span):
-                return self._label_request(LabelingRequest.from_payload(payload))
-
-        return run
-
-    @staticmethod
-    def _outcome_entry(outcome: BatchOutcome) -> dict:
-        entry = {
-            "ok": False,
-            "error": outcome.error,
-            "error_type": outcome.error_type,
-            "elapsed_ms": round(outcome.elapsed_ms, 3),
-        }
-        if outcome.detail:
-            entry.update(outcome.detail)
-        return entry
+                return self._label_batch_process(requests, jobs, timeout)
+            # An invalid payload still gets its slot (and item span); its
+            # task re-raises the parse error for the shared classifier.
+            tasks = [
+                (
+                    index,
+                    partial(self._label_request, request)
+                    if isinstance(request, LabelingRequest)
+                    else partial(_raise, request),
+                )
+                for index, request in enumerate(requests)
+            ]
+            return [_entry(outcome) for outcome in _fan_out(tasks, jobs, timeout)]
 
     def _label_batch_process(
         self,
-        payloads: Sequence,
+        requests: Sequence[LabelingRequest | Exception],
         jobs: int,
         timeout: float | None,
     ) -> list[dict]:
-        """The process backend: parse + cache in the parent, compute in workers.
+        """The process backend: lookup, dedupe and store here; compute in workers.
 
-        Payloads are validated in the parent (invalid ones degrade to error
-        entries without ever touching the pool), deduplicated by corpus
-        fingerprint, and answered from the parent's result cache where
-        possible.  Only cache misses ship to workers — as raw payload dicts
-        (always picklable), re-parsed next to the data by the worker's warm
-        engine (:func:`repro.service.parallel.init_worker` built it once,
-        around the compiled lexicon that arrived with the initializer).
-        Results flow back as JSON-ready dicts and are stored in the parent
-        cache exactly as a thread-backend computation would have been.
-
-        The per-item resilience stack (retry, per-fingerprint breakers) runs
-        inside each worker's engine; the parent's breakers are not consulted
-        — the process backend is for fault-free bulk work, which is why an
-        active ``fault_plan`` forces the thread fallback in
-        :meth:`label_batch`.
+        Cache misses ship to the pool once per fingerprint, as parsed
+        requests, and come home to :meth:`_store`; repeats are then looked
+        up.  Breakers and retry are not consulted: this backend is for
+        fault-free bulk work, which is why an active ``fault_plan`` forces
+        the thread fallback in :meth:`label_batch`.
         """
         from ..lexicon.compiled import default_compiled
         from .parallel import PayloadTask, init_worker
 
-        entries: list[dict | None] = [None] * len(payloads)
-        requests: dict[int, LabelingRequest] = {}
+        entries: list[dict | None] = [None] * len(requests)
         pending: dict[str, list[int]] = {}
-        for index, payload in enumerate(payloads):
-            try:
-                request = LabelingRequest.from_payload(payload)
-            except RequestError as exc:
-                entries[index] = {
-                    "ok": False,
-                    "error": str(exc),
-                    "error_type": "invalid_request",
-                    "elapsed_ms": 0.0,
-                }
+        for index, request in enumerate(requests):
+            if not isinstance(request, LabelingRequest):
+                entries[index] = _entry(BatchOutcome.failure(request))
                 continue
             with self._lock:
                 self._requests += 1
-            requests[index] = request
-            cached = self._cached_response(request)
-            if cached is not None:
-                entries[index] = cached
-                continue
             # Dedupe by fingerprint only when the cache could have served
             # the repeats — with caching disabled the thread backend
             # recomputes every duplicate, and this path must match it.
@@ -937,99 +907,40 @@ class LabelingEngine:
                 if self.cache.capacity > 0
                 else f"{request.fingerprint}#{index}"
             )
-            pending.setdefault(key, []).append(index)
+            if key in pending:
+                pending[key].append(index)
+                continue
+            entries[index] = self._lookup(request)
+            if entries[index] is None:
+                pending[key] = [index]
 
-        if pending:
-            order = list(pending.items())
-            trace = current_trace()
-            parent = current_span()
-            task_spans: list[Span] | None = None
-            if trace is not None and parent is not None:
-                # Mirror execute_batch's default chunking so each item span
-                # carries the chunk it actually shipped in.
-                chunksize = (
-                    1 if timeout is not None else max(1, len(order) // (jobs * 4))
-                )
-                task_spans = []
-                for position, (_key, indices) in enumerate(order):
-                    sp = Span(f"item[{indices[0]}]", {"chunk": position // chunksize})
-                    sp.start_s = sp.end_s = trace.clock()
-                    parent.children.append(sp)
-                    task_spans.append(sp)
-            tasks = [
-                PayloadTask(payloads[indices[0]], trace=task_spans is not None)
-                for _, indices in order
-            ]
-            outcomes = execute_batch(
-                tasks,
-                jobs=jobs,
-                timeout=timeout,
-                executor="process",
-                initializer=init_worker,
-                initargs=(default_compiled(),),
-            )
-            for position, ((_key, indices), outcome) in enumerate(
-                zip(order, outcomes)
-            ):
-                if outcome.ok:
-                    with self._lock:
-                        self._computations += 1  # computed in a worker process
-                    response = outcome.value
-                    worker_tree = (
-                        response.pop("_obs_trace", None)
-                        if isinstance(response, dict)
-                        else None
-                    )
-                    if task_spans is not None and worker_tree:
-                        # Graft the worker-process span tree under this
-                        # item's span, re-based onto the parent timeline.
-                        sp = task_spans[position]
-                        grafted = Span.from_dict(worker_tree, base_s=sp.start_s)
-                        sp.children.append(grafted)
-                        sp.end_s = grafted.end_s
-                    stored = copy.deepcopy(response)
-                    for volatile in ("cached", "lint", "resilience", "_obs_trace"):
-                        stored.pop(volatile, None)
-                    self._store_response(
-                        requests[indices[0]].fingerprint, stored, requests[indices[0]]
-                    )
-                    entries[indices[0]] = response
-                    for duplicate in indices[1:]:
-                        repeat = copy.deepcopy(stored)
-                        repeat["cached"] = True
-                        if requests[duplicate].include_lint:
-                            repeat["lint"] = self._lint_tree(
-                                repeat["tree"], requests[duplicate]
-                            )
-                        entries[duplicate] = repeat
-                else:
-                    with self._lock:
-                        self._errors += len(indices)
-                    for index in indices:
-                        entries[index] = self._outcome_entry(outcome)
-
-        return [entry for entry in entries if entry is not None]
-
-    def _cached_response(self, request: LabelingRequest) -> dict | None:
-        """A cache hit shaped exactly like the thread path's hit, or ``None``."""
-        cached = self.cache.get(request.fingerprint)
-        if cached is None:
-            cached = self._disk_lookup(request.fingerprint)
-        if cached is None:
-            return None
-        response = copy.deepcopy(cached)
-        response["cached"] = True
-        if request.include_lint:
-            response["lint"] = self._lint_tree(response["tree"], request)
-        return response
-
-    def _store_response(
-        self, fingerprint: str, stored: dict, request: LabelingRequest
-    ) -> None:
-        """Store an already-sanitized response in every cache layer."""
-        self.cache.put(fingerprint, stored)
-        if self.disk is not None:
-            self.disk.put(fingerprint, stored)
+        groups = list(pending.values())
+        outcomes = _fan_out(
+            [(indices[0], PayloadTask(requests[indices[0]])) for indices in groups],
+            jobs,
+            timeout,
+            executor="process",
+            initializer=init_worker,
+            initargs=(default_compiled(), self.verify),
+        )
+        for indices, outcome in zip(groups, outcomes):
+            if outcome.ok:
+                with self._lock:
+                    self._computations += 1
+                try:
+                    self._store(requests[indices[0]], outcome.value)
+                except Exception as exc:  # noqa: BLE001 — isolation
+                    outcome = BatchOutcome.failure(exc, outcome.elapsed_ms)
+            if not outcome.ok:
+                with self._lock:
+                    self._errors += len(indices)
+                for index in indices:
+                    entries[index] = _entry(outcome)
+                continue
+            entries[indices[0]] = outcome.value
+            for duplicate in indices[1:]:
+                entries[duplicate] = self._lookup(requests[duplicate])
+        return entries
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle.
@@ -1040,14 +951,14 @@ class LabelingEngine:
         with self._lock:
             requests, errors = self._requests, self._errors
             computations = self._computations
-            comparators = list(self._comparators)
-            overlays = len(self._overlay_comparators)
+            overlays = list(self._overlay_comparators.values())
             breakers = list(self._breakers.values())
             oracle_checks = self._oracle_checks
             oracle_failures = self._oracle_failures
+        comparators = [self.comparator, *overlays]
         semantics = aggregate_stats([c.cache_stats() for c in comparators])
         semantics["comparators"] = len(comparators)
-        semantics["overlay_comparators"] = overlays
+        semantics["overlay_comparators"] = len(overlays)
         breaker_stats = [b.stats() for b in breakers]
         resilience = {
             "retry": {"max_attempts": self.retry.max_attempts},

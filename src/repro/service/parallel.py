@@ -9,11 +9,12 @@ worker processes:
 
 * :func:`init_worker` — the pool initializer.  It receives one
   :class:`~repro.lexicon.compiled.CompiledLexicon` (pickled once per
-  worker, never per task) and builds the worker's long-lived comparator
-  and cache-less engine.  Every task dispatched to that worker reuses them.
-* :class:`PayloadTask` — one labeling payload as a picklable callable; its
-  result is the engine's JSON-ready response dict, so nothing exotic rides
-  the return pickle.
+  worker, never per task) and the engine's verify mode, and builds the
+  worker's long-lived comparator.  Every task dispatched to that worker
+  reuses it.
+* :class:`PayloadTask` — one parsed labeling request as a picklable
+  callable that runs :func:`repro.service.engine.compute`; its result is
+  the JSON-ready response dict, so nothing exotic rides the return pickle.
 * :func:`default_jobs` — the documented CPU-derived default the ``batch``,
   ``serve`` and ``chaos`` CLI subcommands share.
 
@@ -33,7 +34,6 @@ __all__ = [
     "init_worker",
     "normalize_jobs",
     "worker_comparator",
-    "worker_engine",
 ]
 
 #: The executor kinds the batch backend accepts.
@@ -95,24 +95,19 @@ def validate_executor(executor: str) -> str:
 _WORKER: dict = {}
 
 
-def init_worker(compiled) -> None:
-    """Pool initializer: build the worker's comparator + engine once.
+def init_worker(compiled, verify: str = "off") -> None:
+    """Pool initializer: build the worker's comparator once.
 
     ``compiled`` is the parent's :class:`CompiledLexicon` — immutable and
-    cheaply pickled, it arrives exactly once per worker.  The engine is
-    cache-less (the parent process owns result caching) and breaker-less
-    (the process backend only runs fault-free work; resilient traffic
-    falls back to the thread backend).
+    cheaply pickled, it arrives exactly once per worker — and ``verify`` is
+    the parent engine's mode, so strict engines verify in workers too.
+    Caching, breakers and retry stay in the parent.
     """
     from ..core.label import LabelAnalyzer
     from ..core.semantics import SemanticComparator
-    from .engine import LabelingEngine
 
-    comparator = SemanticComparator(LabelAnalyzer(compiled))
-    _WORKER["comparator"] = comparator
-    _WORKER["engine"] = LabelingEngine(
-        cache_size=0, breaker=None, comparator=comparator
-    )
+    _WORKER["comparator"] = SemanticComparator(LabelAnalyzer(compiled))
+    _WORKER["verify"] = verify
 
 
 def worker_comparator():
@@ -120,25 +115,13 @@ def worker_comparator():
     return _WORKER.get("comparator")
 
 
-def worker_engine():
-    """The warm per-worker engine, building a default one if the pool was
-    created without an initializer (defensive; normal pools always init)."""
-    engine = _WORKER.get("engine")
-    if engine is None:
-        from ..lexicon.compiled import default_compiled
-
-        init_worker(default_compiled())
-        engine = _WORKER["engine"]
-    return engine
-
-
 class PayloadTask:
-    """One labeling payload as a picklable zero-argument callable.
+    """One labeling request as a picklable zero-argument callable.
 
-    Calling it inside a worker routes the payload through the worker's
-    warm engine; the return value is the engine's JSON-ready response
-    dict.  Errors propagate as exceptions for the caller's
-    :class:`~repro.service.engine.BatchOutcome` classification.
+    ``payload`` is a parsed :class:`~repro.service.engine.LabelingRequest`
+    (what the engine ships) or a raw payload dict.  Calling the task runs
+    :func:`~repro.service.engine.compute` with the worker's comparator and
+    verify mode (defaults when the pool has no :func:`init_worker`).
     """
 
     __slots__ = ("payload", "trace")
@@ -148,14 +131,18 @@ class PayloadTask:
         self.trace = trace
 
     def __call__(self) -> dict:
-        # Mirror the thread backend's task body (parse, then the resilience
-        # wrapper) so both executors classify errors identically.
-        from .engine import LabelingRequest
+        from .engine import LabelingRequest, compute
 
-        engine = worker_engine()
-        request = LabelingRequest.from_payload(self.payload)
+        if not _WORKER:
+            from ..lexicon.compiled import default_compiled
+
+            init_worker(default_compiled())
+        request = self.payload
+        if not isinstance(request, LabelingRequest):
+            request = LabelingRequest.from_payload(request)
+        comparator, verify = _WORKER["comparator"], _WORKER["verify"]
         if not self.trace:
-            return engine._label_request(request)
+            return compute(request, comparator, verify)
         # The parent asked for spans: build a standalone worker-local trace
         # and ship its tree home inside the response (the parent pops the
         # key and grafts the tree under this item's span).
@@ -164,9 +151,8 @@ class PayloadTask:
         trace = Trace(name="worker")
         trace.root.tags["pid"] = os.getpid()
         with trace.scope():
-            response = engine._label_request(request)
-        if isinstance(response, dict):
-            response["_obs_trace"] = trace.root.to_dict(trace.root.start_s)
+            response = compute(request, comparator, verify)
+        response["_obs_trace"] = trace.root.to_dict(trace.root.start_s)
         return response
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -48,15 +48,15 @@ from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..obs import Trace, TraceLog, TraceStore, new_request_id
-from ..resilience import (
-    AdmissionController,
-    CircuitOpenError,
-    OverloadedError,
-    TransientFault,
-)
-from .engine import LabelingEngine, RequestError
+from ..resilience import AdmissionController, CircuitOpenError, OverloadedError
+from .engine import BatchOutcome, LabelingEngine, RequestError, parse_timeout
 
 __all__ = ["LabelingServer", "MetricsRegistry", "PayloadTooLargeError"]
+
+#: HTTP status for each engine error type of :meth:`BatchOutcome.failure`.
+_ERROR_STATUS = {
+    "invalid_request": 400, "circuit_open": 503, "transient": 503, "internal": 500,
+}
 
 
 class PayloadTooLargeError(Exception):
@@ -215,10 +215,6 @@ class _Handler(BaseHTTPRequestHandler):
 
         try:
             status, payload = fn()
-        except RequestError as exc:
-            status, payload = 400, {
-                "ok": False, "error": str(exc), "error_type": "invalid_request",
-            }
         except PayloadTooLargeError as exc:
             status, payload = 413, {
                 "ok": False, "error": str(exc), "error_type": "payload_too_large",
@@ -237,32 +233,19 @@ class _Handler(BaseHTTPRequestHandler):
                 "retry_after": round(exc.retry_after, 3),
             }
             headers = {"Retry-After": f"{exc.retry_after:.3f}"}
-        except CircuitOpenError as exc:
-            status, payload = 503, {
-                "ok": False,
-                "error": str(exc),
-                "error_type": "circuit_open",
-                "retry_after": round(exc.retry_after, 3),
-            }
-            headers = {"Retry-After": f"{exc.retry_after:.3f}"}
-        except TransientFault as exc:
-            status, payload = 503, {
-                "ok": False,
-                "error": str(exc),
-                "error_type": "transient",
-            }
-            resilience = getattr(exc, "fault_events", None)
-            if resilience:
-                payload["resilience"] = {
-                    "attempts": getattr(exc, "retry_attempts", 1),
-                    "faults": list(resilience),
-                }
         except Exception as exc:  # noqa: BLE001 - the server must answer
-            status, payload = 500, {
+            # Engine errors: the batch classifier names the type (and its
+            # retry_after / resilience detail); the type picks the status.
+            outcome = BatchOutcome.failure(exc)
+            status = _ERROR_STATUS[outcome.error_type]
+            payload = {
                 "ok": False,
-                "error": f"{type(exc).__name__}: {exc}",
-                "error_type": "internal",
+                "error": outcome.error,
+                "error_type": outcome.error_type,
+                **(outcome.detail or {}),
             }
+            if isinstance(exc, CircuitOpenError):
+                headers = {"Retry-After": f"{exc.retry_after:.3f}"}
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         if request_id is not None:
             if isinstance(payload, dict):
@@ -345,14 +328,11 @@ class _Handler(BaseHTTPRequestHandler):
         ):
             raise RequestError("batch payload must carry a 'requests' array")
         jobs = payload.get("jobs")
-        if jobs is not None and (isinstance(jobs, bool) or not isinstance(jobs, int)):
-            raise RequestError("'jobs' must be an integer")
-        timeout = payload.get("timeout")
-        if timeout is not None:
-            try:
-                timeout = float(timeout)
-            except (TypeError, ValueError):
-                raise RequestError("'timeout' must be a number of seconds") from None
+        if jobs is not None and (
+            isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0
+        ):
+            raise RequestError("'jobs' must be a non-negative integer")
+        timeout = parse_timeout(payload.get("timeout"))
         with self.server.admission.admit():
             results = self.server.engine.label_batch(
                 payload["requests"], jobs=jobs, timeout=timeout

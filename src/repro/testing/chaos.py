@@ -142,7 +142,7 @@ def run_chaos_sweep(
                 if check_trees:
                     violations: list[OracleViolation] = check_tree_dict(
                         response["tree"],
-                        comparator or baseline_engine.default_comparator(),
+                        comparator or baseline_engine.comparator,
                     )
                     for violation in violations:
                         anomaly(plan, index, "oracle", str(violation))

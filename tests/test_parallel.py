@@ -148,6 +148,17 @@ def test_label_batch_process_matches_thread():
     assert thread_engine.stats()["requests"] == process_engine.stats()["requests"]
 
 
+def test_strict_verification_runs_on_the_process_path():
+    payloads = [{"domain": "auto", "seed": 5}, {"domain": "book", "seed": 5}]
+    checks = {}
+    for executor in ("thread", "process"):
+        engine = LabelingEngine(verify="strict", breaker=None)
+        results = engine.label_batch(payloads, jobs=2, executor=executor)
+        assert all(r["ok"] for r in results)
+        checks[executor] = engine.stats()["resilience"]["oracle"]["checks"]
+    assert checks["process"] == checks["thread"] > 0
+
+
 def test_label_batch_process_default_executor_knob():
     engine = LabelingEngine(breaker=None, jobs=2, executor="process")
     assert engine.stats()["default_executor"] == "process"

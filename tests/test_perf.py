@@ -26,7 +26,7 @@ from repro.core.semantics import LabelRelation, SemanticComparator
 from repro.core.solutions import name_group
 from repro.datasets.registry import load_domain
 from repro.lexicon.data import build_default_wordnet
-from repro.perf import CacheCounter, PerfRegistry, Timer, aggregate_stats
+from repro.perf import CacheCounter, aggregate_stats
 from repro.schema.groups import partition_clusters
 from repro.service.engine import LabelingEngine, LabelingRequest
 
@@ -51,31 +51,6 @@ def test_cache_counter_rates_and_reset():
     }
     counter.reset()
     assert counter.snapshot()["hits"] == 0
-
-
-def test_timer_accumulates():
-    timer = Timer("stage")
-    timer.add(0.25)
-    timer.add(0.75)
-    snap = timer.snapshot()
-    assert snap["calls"] == 2
-    assert snap["total_ms"] == pytest.approx(1000.0)
-    assert snap["mean_ms"] == pytest.approx(500.0)
-    assert snap["max_ms"] == pytest.approx(750.0)
-    with timer.time():
-        pass
-    assert timer.calls == 3
-
-
-def test_registry_shares_by_name():
-    registry = PerfRegistry()
-    assert registry.counter("a") is registry.counter("a")
-    assert registry.timer("t") is registry.timer("t")
-    registry.counter("a").hit()
-    registry.reset()
-    snap = registry.snapshot()
-    assert snap["counters"]["a"]["hits"] == 0
-    assert "t" in snap["timers"]
 
 
 def test_cache_counter_exact_under_concurrent_hammer():
@@ -106,34 +81,6 @@ def test_cache_counter_exact_under_concurrent_hammer():
     assert snap["misses"] == workers * rounds
     assert snap["evictions"] == 2 * workers * rounds
     assert snap["hit_rate"] == 0.5
-
-
-def test_perf_registry_exact_under_concurrent_hammer():
-    """Shared registry: counter AND timer totals stay exact from 8 threads."""
-    import threading
-
-    registry = PerfRegistry()
-    rounds = 2000
-    workers = 8
-
-    def hammer():
-        counter = registry.counter("shared")
-        timer = registry.timer("shared")
-        for __ in range(rounds):
-            counter.hit()
-            timer.add(0.001)
-
-    threads = [threading.Thread(target=hammer) for __ in range(workers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    snap = registry.snapshot()
-    assert snap["counters"]["shared"]["hits"] == workers * rounds
-    assert snap["timers"]["shared"]["calls"] == workers * rounds
-    assert snap["timers"]["shared"]["total_ms"] == pytest.approx(
-        workers * rounds * 1.0, rel=1e-6
-    )
 
 
 def test_cache_counter_pickles_without_its_lock():
@@ -393,6 +340,64 @@ def test_engine_overlay_comparators_are_bounded():
         )
         engine._comparator_for(request)
     assert len(engine._overlay_comparators) == engine.OVERLAY_COMPARATORS
+
+
+def test_engine_keeps_one_default_comparator_across_threads():
+    import threading
+
+    engine = LabelingEngine(cache_size=0)
+    domains = ["airline", "auto", "book", "job", "realestate", "carrental",
+               "hotels"]
+    for i in range(20):
+        thread = threading.Thread(
+            target=engine.label,
+            args=({"domain": domains[i % 7], "seed": i // 7},),
+        )
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    stats = engine.stats()
+    assert stats["computations"] == 20
+    assert stats["semantics"]["comparators"] == 1
+
+
+def test_shared_default_comparator_under_concurrent_threads():
+    """Threads racing on the one default comparator get the sequential
+    answers: a lost or torn memo update would change a labeling."""
+    import sys
+    import threading
+
+    from repro.testing import canonical_response
+
+    payloads = [{"domain": d, "seed": s}
+                for d in ("airline", "auto", "book") for s in (0, 1)]
+    expected = [canonical_response(LabelingEngine(cache_size=0).label(p))
+                for p in payloads]
+    engine = LabelingEngine(cache_size=0)
+    results: dict = {}
+
+    def work(offset):
+        for step in range(len(payloads)):
+            index = (offset + step) % len(payloads)
+            results[offset, index] = canonical_response(
+                engine.label(payloads[index])
+            )
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(n,)) for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(results) == 6 * len(payloads)
+    for (_offset, index), response in results.items():
+        assert response == expected[index]
+    assert engine.stats()["semantics"]["comparators"] == 1
 
 
 def test_engine_stats_expose_semantics_caches():

@@ -205,6 +205,11 @@ class TestRequestValidation:
         with pytest.raises(RequestError, match="timeout"):
             LabelingRequest.from_payload({"domain": "job", "timeout": -1})
 
+    @pytest.mark.parametrize("timeout", [0, "nan", float("inf")])
+    def test_non_positive_or_non_finite_timeout(self, timeout):
+        with pytest.raises(RequestError, match="timeout"):
+            LabelingRequest.from_payload({"domain": "job", "timeout": timeout})
+
     def test_bad_lexicon(self):
         with pytest.raises(RequestError, match="lexicon"):
             LabelingRequest.from_payload(
@@ -320,6 +325,24 @@ class TestHTTPService:
         assert payload["ok"] is False
         oks = [r.get("ok") for r in payload["results"]]
         assert oks == [True, False]
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"jobs": -1},
+            {"jobs": "2"},
+            {"timeout": 0},
+            {"timeout": -5},
+            {"timeout": "nan"},
+        ],
+    )
+    def test_batch_rejects_bad_jobs_and_timeout(self, client, fields):
+        with pytest.raises(ServiceError) as excinfo:
+            client.request(
+                "POST", "/batch", {"requests": [{"domain": "job"}], **fields}
+            )
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error_type"] == "invalid_request"
 
     def test_metrics_shape(self, client):
         client.healthz()
