@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 __all__ = ["CacheStats", "LRUCache", "ResultCache"]
 
+_MISSING = object()
+
 
 @dataclass(frozen=True)
 class CacheStats:
@@ -77,16 +79,23 @@ class LRUCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
+        self._corruptions = 0
 
     def get(self, key: str):
         """The cached value for ``key`` (refreshed as most recent), or ``None``."""
         with self._lock:
-            if key not in self._entries:
+            entry = self._entries.get(key, _MISSING)
+            value = entry if entry is _MISSING else self._open(key, entry)
+            if value is _MISSING:
                 self._misses += 1
                 return None
             self._hits += 1
             self._entries.move_to_end(key)
-            return self._entries[key]
+            return value
+
+    def _open(self, key: str, entry):
+        """The value a stored entry holds, or ``_MISSING`` (under the lock)."""
+        return entry
 
     def put(self, key: str, value) -> None:
         """Store ``value`` under ``key``, evicting LRU entries over capacity."""
@@ -121,6 +130,7 @@ class LRUCache:
                 evictions=self._evictions,
                 size=len(self._entries),
                 capacity=self.capacity,
+                corruptions=self._corruptions,
             )
 
 
@@ -147,28 +157,16 @@ class ResultCache(LRUCache):
     which use it to prove the read path catches exactly this.
     """
 
-    def __init__(self, capacity: int = 128) -> None:
-        super().__init__(capacity=capacity)
-        self._corruptions = 0
-
-    def get(self, key: str):
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            value, crc = entry
-            if _checksum(value) != crc:
-                # Integrity failure: drop the entry, report a miss — the
-                # caller recomputes and the deterministic pipeline restores
-                # the exact result the corrupted entry used to hold.
-                del self._entries[key]
-                self._corruptions += 1
-                self._misses += 1
-                return None
-            self._hits += 1
-            self._entries.move_to_end(key)
+    def _open(self, key: str, entry):
+        value, crc = entry
+        if _checksum(value) == crc:
             return value
+        # Integrity failure: drop the entry, report a miss — the caller
+        # recomputes and the deterministic pipeline restores the exact
+        # result the corrupted entry used to hold.
+        del self._entries[key]
+        self._corruptions += 1
+        return _MISSING
 
     def put(self, key: str, value) -> None:
         super().put(key, (value, _checksum(value)))
@@ -197,14 +195,3 @@ class ResultCache(LRUCache):
                 tampered = ("corrupted", tampered)
             self._entries[key] = (tampered, crc)
             return True
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-                capacity=self.capacity,
-                corruptions=self._corruptions,
-            )

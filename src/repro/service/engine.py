@@ -58,6 +58,7 @@ from ..resilience import (
     CircuitBreaker,
     CircuitOpenError,
     FaultPlan,
+    OverloadedError,
     RetryPolicy,
     TransientFault,
     fault_scope,
@@ -88,6 +89,8 @@ log = logging.getLogger(__name__)
 
 class RequestError(ValueError):
     """A request that cannot be executed (maps to HTTP 400)."""
+
+    error_type = "invalid_request"
 
 
 def parse_timeout(value) -> float | None:
@@ -218,19 +221,24 @@ class BatchOutcome:
     @classmethod
     def failure(cls, exc: BaseException, elapsed_ms: float = 0.0) -> "BatchOutcome":
         """Classify ``exc`` into an error outcome (the one classifier)."""
-        error = f"{type(exc).__name__}: {exc}"
-        error_type, detail = "internal", None
+        error, error_type, detail = str(exc), "internal", None
         if isinstance(exc, RequestError):
-            error, error_type = str(exc), "invalid_request"
-        elif isinstance(exc, CircuitOpenError):
-            error, error_type = str(exc), "circuit_open"
+            error_type = exc.error_type
+        elif isinstance(exc, TimeoutError):
+            error_type = "timeout"
+        elif isinstance(exc, (CircuitOpenError, OverloadedError)):
+            error_type = (
+                "overloaded" if isinstance(exc, OverloadedError) else "circuit_open"
+            )
             detail = {"retry_after": round(exc.retry_after, 3)}
-        elif isinstance(exc, TransientFault):
-            error_type = "transient"
-            detail = {"resilience": {
-                "attempts": getattr(exc, "retry_attempts", 1),
-                "faults": list(getattr(exc, "fault_events", [])),
-            }}
+        else:
+            error = f"{type(exc).__name__}: {exc}"
+            if isinstance(exc, TransientFault):
+                error_type = "transient"
+                detail = {"resilience": {
+                    "attempts": getattr(exc, "retry_attempts", 1),
+                    "faults": list(getattr(exc, "fault_events", [])),
+                }}
         return cls(ok=False, error=error, error_type=error_type,
                    elapsed_ms=elapsed_ms, detail=detail, exception=exc)
 
@@ -323,14 +331,9 @@ def execute_batch(
                     outcomes += future.result(timeout=timeout)
                 except FutureTimeoutError:
                     future.cancel()
+                    expired = TimeoutError(f"timed out after {timeout:g}s")
                     outcomes += [
-                        BatchOutcome(
-                            ok=False,
-                            error=f"timed out after {timeout:g}s",
-                            error_type="timeout",
-                            elapsed_ms=timeout * 1000.0,
-                        )
-                        for _ in chunk
+                        BatchOutcome.failure(expired, timeout * 1000.0) for _ in chunk
                     ]
                 except BrokenProcessPool:
                     raise
@@ -429,6 +432,49 @@ def compute(
     if report is not None:
         response["_oracle"] = report
     return response
+
+
+#: How many lexicon-overlay comparators to keep warm; overlays beyond this
+#: evict the least recently used one (its caches go with it).
+OVERLAY_COMPARATORS = 8
+
+
+def comparator_for(
+    request: LabelingRequest,
+    default: SemanticComparator,
+    overlays: dict[str, SemanticComparator],
+    lock,
+    limit: int = OVERLAY_COMPARATORS,
+) -> SemanticComparator:
+    """The comparator for ``request``: ``default``, or one shared per overlay.
+
+    Requests (and batch items) carrying the same lexicon overlay share one
+    comparator from ``overlays`` (an LRU of at most ``limit``, keyed by the
+    overlay's canonical JSON, guarded by ``lock``) — and therefore its
+    label/relation/group caches.  The engine and every pool worker choose
+    through here, so an item gets the same lexicon on every executor.  The
+    comparator's memos are safe under concurrent use (append-only maps of
+    deterministic values), so one instance can serve parallel workers.
+    """
+    if request.lexicon is None:
+        return default
+    key = json.dumps(
+        request.lexicon, sort_keys=True, separators=(",", ":"), default=str
+    )
+    with lock:
+        comparator = overlays.pop(key, None)
+        if comparator is not None:
+            overlays[key] = comparator  # refresh its LRU position
+            return comparator
+    from ..core.label import LabelAnalyzer
+    from ..lexicon.io import wordnet_from_dict
+
+    comparator = SemanticComparator(LabelAnalyzer(wordnet_from_dict(request.lexicon)))
+    with lock:
+        while key not in overlays and len(overlays) >= limit:
+            del overlays[next(iter(overlays))]
+        # A lost build race shares the winner.
+        return overlays.setdefault(key, comparator)
 
 
 def _parse(payload) -> LabelingRequest | Exception:
@@ -532,9 +578,8 @@ class LabelingEngine:
         test/chaos sweeps reuse warm caches across engines.
     """
 
-    #: How many lexicon-overlay comparators to keep warm; overlays beyond
-    #: this evict the least recently used one (its caches go with it).
-    OVERLAY_COMPARATORS = 8
+    #: Bound on the overlay comparator LRU (see :func:`comparator_for`).
+    OVERLAY_COMPARATORS = OVERLAY_COMPARATORS
 
     #: Response schema version, part of :meth:`engine_fingerprint` — bump on
     #: any change to the response dict's shape or semantics.
@@ -642,8 +687,6 @@ class LabelingEngine:
             jobs=1,
             timeout=request.timeout,
         )[0]
-        if outcome.error_type == "timeout":
-            raise TimeoutError(outcome.error)
         if not outcome.ok:
             # Preserve the original type (CircuitOpenError, TransientFault,
             # OracleError, ...) so the HTTP layer maps it faithfully.
@@ -723,8 +766,6 @@ class LabelingEngine:
         """Serve ``request`` from the cache tiers, or ``None`` on a miss.
 
         Memory first, then disk — a disk hit is promoted into the memory LRU.
-        The entry is deep-copied here and nowhere else, so callers may
-        mutate what they get; lint is computed per request on top.
         """
         spec = maybe_inject("cache.get", key=request.fingerprint)
         if spec is not None and spec.kind == "corrupt":
@@ -739,8 +780,14 @@ class LabelingEngine:
                 outcome = "miss"
             if sp is not None:
                 sp.tags["outcome"] = outcome
-        if entry is None:
-            return None
+        return None if entry is None else self._hit(request, entry)
+
+    def _hit(self, request: LabelingRequest, entry: dict) -> dict:
+        """A cached ``entry`` shaped as ``request``'s hit response.
+
+        The entry is deep-copied here and nowhere else, so callers may
+        mutate what they get; lint is computed per request on top.
+        """
         response = copy.deepcopy(entry)
         response["cached"] = True
         if request.include_lint:
@@ -751,13 +798,14 @@ class LabelingEngine:
             )
         return response
 
-    def _store(self, request: LabelingRequest, response: dict) -> None:
+    def _store(self, request: LabelingRequest, response: dict) -> dict:
         """Put a fresh :func:`compute` response into memory and disk.
 
         A strict-mode oracle report is popped and tallied first; a labeling
         that violates an oracle raises ``OracleError`` and is never stored.
         The stored entry leaves out the request-specific keys (lint, the
         ``cached`` flag); retry provenance is attached only after this.
+        Returns the stored entry.
         """
         report = response.pop("_oracle", None)
         if report is not None:
@@ -771,6 +819,7 @@ class LabelingEngine:
         self.cache.put(request.fingerprint, stored)
         if self.disk is not None:
             self.disk.put(request.fingerprint, stored)
+        return stored
 
     def _breaker_for(self, fingerprint: str) -> CircuitBreaker | None:
         if self.breaker_policy is None:
@@ -790,40 +839,10 @@ class LabelingEngine:
         return breaker
 
     def _comparator_for(self, request: LabelingRequest) -> SemanticComparator:
-        """A comparator for this request: shared per overlay, else the default.
-
-        Requests (and batch items) carrying the same lexicon overlay share
-        one comparator — and therefore its label/relation/group caches —
-        instead of rebuilding the lexicon and re-deriving every comparison
-        per item.  The comparator's memos are safe under concurrent use
-        (append-only maps of deterministic values), so one instance can
-        serve parallel batch workers.
-        """
-        if request.lexicon is not None:
-            key = json.dumps(
-                request.lexicon, sort_keys=True, separators=(",", ":"), default=str
-            )
-            with self._lock:
-                comparator = self._overlay_comparators.get(key)
-                if comparator is not None:
-                    # Refresh LRU position.
-                    self._overlay_comparators[key] = self._overlay_comparators.pop(key)
-                    return comparator
-            from ..core.label import LabelAnalyzer
-            from ..lexicon.io import wordnet_from_dict
-
-            comparator = SemanticComparator(
-                LabelAnalyzer(wordnet_from_dict(request.lexicon))
-            )
-            with self._lock:
-                existing = self._overlay_comparators.get(key)
-                if existing is not None:  # lost a build race: share the winner
-                    return existing
-                while len(self._overlay_comparators) >= self.OVERLAY_COMPARATORS:
-                    del self._overlay_comparators[next(iter(self._overlay_comparators))]
-                self._overlay_comparators[key] = comparator
-            return comparator
-        return self.comparator
+        return comparator_for(
+            request, self.comparator, self._overlay_comparators, self._lock,
+            self.OVERLAY_COMPARATORS,
+        )
 
     # ------------------------------------------------------------------
     # Batches.
@@ -883,8 +902,8 @@ class LabelingEngine:
         """The process backend: lookup, dedupe and store here; compute in workers.
 
         Cache misses ship to the pool once per fingerprint, as parsed
-        requests, and come home to :meth:`_store`; repeats are then looked
-        up.  Breakers and retry are not consulted: this backend is for
+        requests with the engine's verify mode, and come home to
+        :meth:`_store`; repeats are shaped from the stored entry.  Breakers and retry are not consulted: this backend is for
         fault-free bulk work, which is why an active ``fault_plan`` forces
         the thread fallback in :meth:`label_batch`.
         """
@@ -916,19 +935,22 @@ class LabelingEngine:
 
         groups = list(pending.values())
         outcomes = _fan_out(
-            [(indices[0], PayloadTask(requests[indices[0]])) for indices in groups],
+            [
+                (indices[0], PayloadTask(requests[indices[0]], self.verify))
+                for indices in groups
+            ],
             jobs,
             timeout,
             executor="process",
             initializer=init_worker,
-            initargs=(default_compiled(), self.verify),
+            initargs=(default_compiled(),),
         )
         for indices, outcome in zip(groups, outcomes):
             if outcome.ok:
                 with self._lock:
                     self._computations += 1
                 try:
-                    self._store(requests[indices[0]], outcome.value)
+                    stored = self._store(requests[indices[0]], outcome.value)
                 except Exception as exc:  # noqa: BLE001 — isolation
                     outcome = BatchOutcome.failure(exc, outcome.elapsed_ms)
             if not outcome.ok:
@@ -939,7 +961,7 @@ class LabelingEngine:
                 continue
             entries[indices[0]] = outcome.value
             for duplicate in indices[1:]:
-                entries[duplicate] = self._lookup(requests[duplicate])
+                entries[duplicate] = self._hit(requests[duplicate], stored)
         return entries
 
     # ------------------------------------------------------------------

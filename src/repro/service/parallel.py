@@ -9,12 +9,14 @@ worker processes:
 
 * :func:`init_worker` — the pool initializer.  It receives one
   :class:`~repro.lexicon.compiled.CompiledLexicon` (pickled once per
-  worker, never per task) and the engine's verify mode, and builds the
-  worker's long-lived comparator.  Every task dispatched to that worker
-  reuses it.
-* :class:`PayloadTask` — one parsed labeling request as a picklable
-  callable that runs :func:`repro.service.engine.compute`; its result is
-  the JSON-ready response dict, so nothing exotic rides the return pickle.
+  worker, never per task) and builds the worker's long-lived default
+  comparator.  Every task dispatched to that worker reuses it.
+* :class:`PayloadTask` — one parsed labeling request and the engine's
+  verify mode as a picklable callable that runs
+  :func:`repro.service.engine.compute`, with the comparator chosen by
+  :func:`repro.service.engine.comparator_for` (the default, or a per-worker
+  overlay comparator); its result is the JSON-ready response dict, so
+  nothing exotic rides the return pickle.
 * :func:`default_jobs` — the documented CPU-derived default the ``batch``,
   ``serve`` and ``chaos`` CLI subcommands share.
 
@@ -26,6 +28,7 @@ initializer, and globals are how that state survives across tasks.
 from __future__ import annotations
 
 import os
+import threading
 
 __all__ = [
     "EXECUTORS",
@@ -93,21 +96,22 @@ def validate_executor(executor: str) -> str:
 # ----------------------------------------------------------------------
 
 _WORKER: dict = {}
+#: The worker's lexicon-overlay comparators (an LRU, see ``comparator_for``).
+_OVERLAYS: dict = {}
+_OVERLAYS_LOCK = threading.Lock()
 
 
-def init_worker(compiled, verify: str = "off") -> None:
-    """Pool initializer: build the worker's comparator once.
+def init_worker(compiled) -> None:
+    """Pool initializer: build the worker's default comparator once.
 
     ``compiled`` is the parent's :class:`CompiledLexicon` — immutable and
-    cheaply pickled, it arrives exactly once per worker — and ``verify`` is
-    the parent engine's mode, so strict engines verify in workers too.
-    Caching, breakers and retry stay in the parent.
+    cheaply pickled, it arrives exactly once per worker.  Caching, breakers
+    and retry stay in the parent.
     """
     from ..core.label import LabelAnalyzer
     from ..core.semantics import SemanticComparator
 
     _WORKER["comparator"] = SemanticComparator(LabelAnalyzer(compiled))
-    _WORKER["verify"] = verify
 
 
 def worker_comparator():
@@ -119,19 +123,23 @@ class PayloadTask:
     """One labeling request as a picklable zero-argument callable.
 
     ``payload`` is a parsed :class:`~repro.service.engine.LabelingRequest`
-    (what the engine ships) or a raw payload dict.  Calling the task runs
-    :func:`~repro.service.engine.compute` with the worker's comparator and
-    verify mode (defaults when the pool has no :func:`init_worker`).
+    (what the engine ships) or a raw payload dict; ``verify`` is the
+    engine's mode, carried per task so it holds on any thread or process
+    that runs the task.  Calling the task runs
+    :func:`~repro.service.engine.compute` with the request's comparator,
+    built on the default lexicon when the pool has no :func:`init_worker`
+    (e.g. the thread fallback after a broken pool).
     """
 
-    __slots__ = ("payload", "trace")
+    __slots__ = ("payload", "verify", "trace")
 
-    def __init__(self, payload, trace: bool = False) -> None:
+    def __init__(self, payload, verify: str = "off", trace: bool = False) -> None:
         self.payload = payload
+        self.verify = verify
         self.trace = trace
 
     def __call__(self) -> dict:
-        from .engine import LabelingRequest, compute
+        from .engine import LabelingRequest, comparator_for, compute
 
         if not _WORKER:
             from ..lexicon.compiled import default_compiled
@@ -140,9 +148,11 @@ class PayloadTask:
         request = self.payload
         if not isinstance(request, LabelingRequest):
             request = LabelingRequest.from_payload(request)
-        comparator, verify = _WORKER["comparator"], _WORKER["verify"]
+        comparator = comparator_for(
+            request, _WORKER["comparator"], _OVERLAYS, _OVERLAYS_LOCK
+        )
         if not self.trace:
-            return compute(request, comparator, verify)
+            return compute(request, comparator, self.verify)
         # The parent asked for spans: build a standalone worker-local trace
         # and ship its tree home inside the response (the parent pops the
         # key and grafts the tree under this item's span).
@@ -151,7 +161,7 @@ class PayloadTask:
         trace = Trace(name="worker")
         trace.root.tags["pid"] = os.getpid()
         with trace.scope():
-            response = compute(request, comparator, verify)
+            response = compute(request, comparator, self.verify)
         response["_obs_trace"] = trace.root.to_dict(trace.root.start_s)
         return response
 

@@ -48,19 +48,22 @@ from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..obs import Trace, TraceLog, TraceStore, new_request_id
-from ..resilience import AdmissionController, CircuitOpenError, OverloadedError
+from ..resilience import AdmissionController
 from .engine import BatchOutcome, LabelingEngine, RequestError, parse_timeout
 
 __all__ = ["LabelingServer", "MetricsRegistry", "PayloadTooLargeError"]
 
-#: HTTP status for each engine error type of :meth:`BatchOutcome.failure`.
+#: HTTP status for each error type of :meth:`BatchOutcome.failure`.
 _ERROR_STATUS = {
-    "invalid_request": 400, "circuit_open": 503, "transient": 503, "internal": 500,
+    "invalid_request": 400, "payload_too_large": 413, "overloaded": 429,
+    "internal": 500, "circuit_open": 503, "transient": 503, "timeout": 504,
 }
 
 
-class PayloadTooLargeError(Exception):
+class PayloadTooLargeError(RequestError):
     """A declared request body too large to read (maps to HTTP 413)."""
+
+    error_type = "payload_too_large"
 
     def __init__(self, declared: int, limit: int) -> None:
         super().__init__(
@@ -215,27 +218,11 @@ class _Handler(BaseHTTPRequestHandler):
 
         try:
             status, payload = fn()
-        except PayloadTooLargeError as exc:
-            status, payload = 413, {
-                "ok": False, "error": str(exc), "error_type": "payload_too_large",
-            }
-        except TimeoutError as exc:
-            status, payload = 504, {
-                "ok": False, "error": str(exc), "error_type": "timeout",
-            }
-        except OverloadedError as exc:
-            # Load shed: the admission queue is full.  429 + Retry-After is
-            # the structured backpressure clients key their backoff on.
-            status, payload = 429, {
-                "ok": False,
-                "error": str(exc),
-                "error_type": "overloaded",
-                "retry_after": round(exc.retry_after, 3),
-            }
-            headers = {"Retry-After": f"{exc.retry_after:.3f}"}
         except Exception as exc:  # noqa: BLE001 - the server must answer
-            # Engine errors: the batch classifier names the type (and its
-            # retry_after / resilience detail); the type picks the status.
+            # The batch classifier names the type (and its retry_after /
+            # resilience detail); the type picks the status.  A shed (429)
+            # or open breaker (503) also states Retry-After as a header,
+            # the structured backpressure clients key their backoff on.
             outcome = BatchOutcome.failure(exc)
             status = _ERROR_STATUS[outcome.error_type]
             payload = {
@@ -244,7 +231,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "error_type": outcome.error_type,
                 **(outcome.detail or {}),
             }
-            if isinstance(exc, CircuitOpenError):
+            if "retry_after" in payload:
                 headers = {"Retry-After": f"{exc.retry_after:.3f}"}
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         if request_id is not None:
@@ -280,10 +267,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path.startswith("/trace/"):
             self._handle("/trace", self._get_trace)
         else:
-            self._handle(self.path, lambda: (404, {
-                "ok": False, "error": f"no such endpoint {self.path!r}",
-                "error_type": "not_found",
-            }))
+            self._handle(self.path, self._not_found)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
         request_id = (
@@ -295,10 +279,13 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path == "/batch":
             self._handle("/batch", self._post_batch, request_id=request_id)
         else:
-            self._handle(self.path, lambda: (404, {
-                "ok": False, "error": f"no such endpoint {self.path!r}",
-                "error_type": "not_found",
-            }))
+            self._handle(self.path, self._not_found)
+
+    def _not_found(self):
+        return 404, {
+            "ok": False, "error": f"no such endpoint {self.path!r}",
+            "error_type": "not_found",
+        }
 
     def _get_trace(self):
         request_id = self.path[len("/trace/"):]
@@ -399,14 +386,6 @@ class LabelingServer:
         self._thread: threading.Thread | None = None
         self._loop_entered = False
         self._stopped = False
-
-    @property
-    def admission(self) -> AdmissionController:
-        return self._httpd.admission
-
-    @property
-    def traces(self) -> TraceStore:
-        return self._httpd.traces
 
     @property
     def trace_log(self) -> TraceLog | None:

@@ -159,6 +159,70 @@ def test_strict_verification_runs_on_the_process_path():
     assert checks["process"] == checks["thread"] > 0
 
 
+def test_process_batch_uses_the_request_lexicon_overlay():
+    # The overlay merges two labels of this corpus into one synset, which
+    # changes its labeling: a worker on the default lexicon would differ.
+    overlay = {"synsets": [["keywords", "manufacturer"]]}
+    payloads = [
+        {"domain": "auto", "seed": 5, "lexicon": overlay, "lint": True},
+        {"domain": "book", "seed": 5},
+    ]
+    plain = LabelingEngine(breaker=None).label({"domain": "auto", "seed": 5})
+    single = LabelingEngine(breaker=None).label(payloads[0])
+    assert single["field_labels"] != plain["field_labels"]
+    thread = LabelingEngine(breaker=None).label_batch(payloads, jobs=2)
+    process_engine = LabelingEngine(breaker=None)
+    process = process_engine.label_batch(payloads, jobs=2, executor="process")
+    for expected, got in zip(thread, process):
+        assert _strip_timing(expected) == _strip_timing(got)
+    assert _strip_timing(process[0]) == _strip_timing(single)
+    # What the process path stored is the overlay answer too.
+    assert _strip_timing(process_engine.label(payloads[0])) == _strip_timing(
+        {**single, "cached": True}
+    )
+
+
+def test_strict_verification_survives_a_broken_pool(monkeypatch):
+    # The pool dies on start-up, so the tasks rerun on parent threads with
+    # no worker initializer: the verify mode must come with each task.
+    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.service import parallel
+
+    class BrokenPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **{**kwargs, "initializer": os._exit,
+                                       "initargs": (13,)})
+
+    monkeypatch.setattr("repro.service.engine.ProcessPoolExecutor", BrokenPool)
+    monkeypatch.setattr(parallel, "_WORKER", {})
+    payloads = [{"domain": "auto", "seed": 5}, {"domain": "book", "seed": 5}]
+    thread = LabelingEngine(verify="strict", breaker=None)
+    thread.label_batch(payloads, jobs=2)
+    engine = LabelingEngine(verify="strict", breaker=None)
+    results = engine.label_batch(payloads, jobs=2, executor="process")
+    assert all(r["ok"] for r in results)
+    checks = engine.stats()["resilience"]["oracle"]["checks"]
+    assert checks == thread.stats()["resilience"]["oracle"]["checks"] > 0
+
+
+def test_process_batch_duplicates_come_from_the_stored_entry():
+    # A concurrent request may evict an entry between the put and a later
+    # get; a duplicate must still be answered, from what was just stored.
+    from repro.service.cache import ResultCache
+
+    class ForgetfulCache(ResultCache):
+        def get(self, key):
+            return None
+
+    engine = LabelingEngine(breaker=None)
+    engine.cache = ForgetfulCache(capacity=4)
+    payload = {"domain": "airline", "seed": 0}
+    results = engine.label_batch([payload, payload], jobs=2, executor="process")
+    assert results[0]["cached"] is False and results[1]["cached"] is True
+    assert _strip_timing({**results[0], "cached": True}) == _strip_timing(results[1])
+
+
 def test_label_batch_process_default_executor_knob():
     engine = LabelingEngine(breaker=None, jobs=2, executor="process")
     assert engine.stats()["default_executor"] == "process"
