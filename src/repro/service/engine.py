@@ -9,19 +9,22 @@ the labeled tree, per-cluster labels and the Definition-8 classification.
 
 Single requests and both batch executors take the same steps, each written
 once: **parse** (:meth:`LabelingRequest.from_payload`, in the calling
-process) → **key** (the corpus fingerprint, :mod:`repro.service.fingerprint`;
-the pipeline is deterministic, so entries never go stale) → **lookup**
-(:meth:`LabelingEngine._lookup`: memory LRU, then disk with promotion, then
-one deep copy) → **dedupe** (a repeated fingerprint is served from the entry
-its first occurrence stored) → **compute** (:func:`compute`: pipeline plus
-strict-mode oracles) → **store** (:meth:`LabelingEngine._store`: memory and
-disk).  Inline and thread work runs lookup → compute → store inside the
-per-fingerprint breaker, fault scope and retry policy, and dedupes through
-the cache (two thread items racing on one fingerprint may both compute);
-the process backend runs lookup, an explicit dedupe and store in the parent
-and only ``compute`` in pool workers.  Overlay-free requests share the
-engine's one comparator across all threads (its memos are append-only and
-thread-safe).
+process; every check runs on every request) → **key** (the corpus
+fingerprint, :mod:`repro.service.fingerprint`; the pipeline is
+deterministic, so entries never go stale — a request-key memo maps a valid
+payload seen before to its fingerprint, and only a memo miss builds and
+hashes the corpus) → **lookup** (:meth:`LabelingEngine._lookup`: memory
+LRU, then disk with promotion, then one deep copy) → **dedupe** (a repeated
+fingerprint is served from the entry its first occurrence stored) →
+**compute** (:func:`compute`: pipeline plus strict-mode oracles; builds the
+corpus if the memo skipped it) → **store** (:meth:`LabelingEngine._store`:
+memory and disk).  Inline and thread work runs lookup → compute → store
+inside the per-fingerprint breaker, fault scope and retry policy, and
+dedupes through the cache (two thread items racing on one fingerprint may
+both compute); the process backend runs lookup, an explicit dedupe and
+store in the parent and only ``compute`` in pool workers.  Overlay-free
+requests share the engine's one comparator across all threads (its memos
+are append-only and thread-safe).
 
 :func:`execute_batch` fans thunks over threads or processes with a per-item
 timeout and structured :class:`BatchOutcome` results: one bad corpus
@@ -34,6 +37,7 @@ from __future__ import annotations
 
 import contextvars
 import copy
+import hashlib
 import itertools
 import json
 import logging
@@ -71,8 +75,13 @@ from ..schema.serialize import (
     mapping_from_dict,
     node_to_dict,
 )
-from .cache import ResultCache
-from .fingerprint import corpus_fingerprint, options_from_dict, options_to_dict
+from .cache import LRUCache, ResultCache
+from .fingerprint import (
+    canonical_json,
+    corpus_fingerprint,
+    options_from_dict,
+    options_to_dict,
+)
 
 __all__ = [
     "BatchOutcome",
@@ -111,22 +120,94 @@ def parse_timeout(value) -> float | None:
     return seconds
 
 
+def _build_corpus(source: dict) -> tuple[list[QueryInterface], Mapping]:
+    """Materialize a validated source: a registered domain or a corpus document."""
+    if "domain" in source:
+        from ..datasets.registry import load_domain
+
+        dataset = load_domain(source["domain"], seed=source["seed"])
+        return dataset.interfaces, dataset.mapping
+    corpus = source["corpus"]
+    try:
+        interfaces = [interface_from_dict(d) for d in corpus["interfaces"]]
+        return interfaces, mapping_from_dict(corpus["mapping"], interfaces)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise RequestError(f"malformed corpus: {exc}") from None
+
+
+def _request_key(
+    source: dict, options: NamingOptions, lexicon: dict | None
+) -> str | None:
+    """The memo key of a validated request, or ``None`` if it has no JSON form.
+
+    Everything the fingerprint depends on, read straight off the payload:
+    ``{domain, seed}`` (or the sha256 of the canonical corpus document), the
+    canonical options and the raw lexicon overlay.  ``lint`` and ``timeout``
+    do not change the labeling and are left out.
+    """
+    try:
+        if "corpus" in source:
+            corpus = canonical_json(source["corpus"]).encode("utf-8")
+            source = {"corpus": hashlib.sha256(corpus).hexdigest()}
+        return canonical_json(
+            {"source": source, "options": options_to_dict(options), "lexicon": lexicon}
+        )
+    except (TypeError, ValueError):  # not JSON (a library caller's objects)
+        return None
+
+
 @dataclass
 class LabelingRequest:
-    """One validated unit of work for the engine."""
+    """One validated unit of work for the engine.
 
-    interfaces: list[QueryInterface]
-    mapping: Mapping
+    ``interfaces`` and ``mapping`` are built from ``source`` on first access,
+    at most once per request object (which has one owner at a time: the
+    thread labeling it, or the pool worker it was pickled to).  A request
+    whose fingerprint came from the request-key memo therefore never builds
+    its corpus unless it is computed.
+    """
+
     options: NamingOptions
+    #: ``{"domain": d, "seed": s}`` or ``{"corpus": <document>}``.
+    source: dict = field(repr=False)
     lexicon: dict | None = None
     domain: str | None = None
     include_lint: bool = False
     timeout: float | None = None
     fingerprint: str = field(default="", repr=False)
+    _corpus: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def interfaces(self) -> list[QueryInterface]:
+        return self._materialized()[0]
+
+    @property
+    def mapping(self) -> Mapping:
+        return self._materialized()[1]
+
+    def _materialized(self) -> tuple[list[QueryInterface], Mapping]:
+        if self._corpus is None:
+            self._corpus = _build_corpus(self.source)
+        return self._corpus
+
+    def __getstate__(self) -> dict:
+        # A built corpus supersedes its source: pickle only one of them.
+        if self._corpus is None:
+            return self.__dict__
+        return {**self.__dict__, "source": {}}
 
     @classmethod
-    def from_payload(cls, payload) -> "LabelingRequest":
-        """Parse + validate an untrusted JSON payload (raises :class:`RequestError`)."""
+    def from_payload(
+        cls, payload, keys: LRUCache | None = None
+    ) -> "LabelingRequest":
+        """Parse + validate an untrusted JSON payload (raises :class:`RequestError`).
+
+        ``keys`` is the engine's request-key memo (an
+        :class:`~repro.service.cache.LRUCache` of request key → fingerprint).
+        Every check but the corpus parse runs on every call; a memo hit then
+        skips building and fingerprinting the corpus.  Only a payload that
+        passed every check is memoized, so a hit cannot admit an invalid one.
+        """
         if not isinstance(payload, dict):
             raise RequestError("request payload must be a JSON object")
         has_corpus = "corpus" in payload
@@ -156,7 +237,7 @@ class LabelingRequest:
 
         domain = None
         if has_domain:
-            from ..datasets.registry import DOMAINS, load_domain
+            from ..datasets.registry import DOMAINS
 
             domain = payload["domain"]
             if domain not in DOMAINS:
@@ -165,8 +246,7 @@ class LabelingRequest:
             seed = payload.get("seed", 0)
             if not isinstance(seed, int) or isinstance(seed, bool):
                 raise RequestError("'seed' must be an integer")
-            dataset = load_domain(domain, seed=seed)
-            interfaces, mapping = dataset.interfaces, dataset.mapping
+            source = {"domain": domain, "seed": seed}
         else:
             corpus = payload["corpus"]
             if not isinstance(corpus, dict):
@@ -175,29 +255,29 @@ class LabelingRequest:
                 raise RequestError("'corpus.interfaces' must be a non-empty array")
             if not isinstance(corpus.get("mapping"), dict):
                 raise RequestError("'corpus.mapping' must be an object")
-            try:
-                interfaces = [
-                    interface_from_dict(d) for d in corpus["interfaces"]
-                ]
-                mapping = mapping_from_dict(corpus["mapping"], interfaces)
-            except (KeyError, TypeError, ValueError, AttributeError) as exc:
-                raise RequestError(f"malformed corpus: {exc}") from None
+            source = {"corpus": corpus}
 
-        # Fingerprint before the 1:m reduction mutates the trees: the key
-        # must describe the *input*, which is what a repeat request carries.
-        digest = corpus_fingerprint(
-            interfaces, mapping, options=options, lexicon=lexicon
-        )
-        return cls(
-            interfaces=interfaces,
-            mapping=mapping,
+        request = cls(
             options=options,
+            source=source,
             lexicon=lexicon,
             domain=domain,
             include_lint=bool(payload.get("lint", False)),
             timeout=timeout,
-            fingerprint=digest,
         )
+        key = None if keys is None else _request_key(source, options, lexicon)
+        fingerprint = None if key is None else keys.get(key)
+        if fingerprint is None:
+            # Fingerprint before the 1:m reduction mutates the trees: the
+            # key must describe the *input*, which is what a repeat carries.
+            fingerprint = corpus_fingerprint(
+                request.interfaces, request.mapping, options=options,
+                lexicon=lexicon,
+            )
+            if key is not None:
+                keys.put(key, fingerprint)
+        request.fingerprint = fingerprint
+        return request
 
 
 @dataclass
@@ -300,7 +380,8 @@ def execute_batch(
     classified error crosses the pipe), and a pool whose workers fail to
     bootstrap (``BrokenProcessPool``) falls back to the thread backend with
     a logged warning rather than failing the batch.  ``mp_context`` selects
-    the multiprocessing start method (tests exercise ``spawn``).
+    the multiprocessing start method (tests exercise ``spawn``).  Either
+    pool starts at most ``len(tasks)`` workers, whatever ``jobs`` asks for.
     """
     from .parallel import normalize_jobs, validate_executor
 
@@ -308,12 +389,14 @@ def execute_batch(
     jobs = normalize_jobs(jobs)
     if jobs == 1 and timeout is None:
         return _run_timed_chunk(tasks)
+    # Never start more workers than there are tasks.
+    workers = max(1, min(jobs, len(tasks)))
     if executor == "thread" or jobs == 1 or not tasks:
-        pool = ThreadPoolExecutor(max_workers=jobs, thread_name_prefix="repro-batch")
+        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-batch")
         chunksize = 1
     else:
         pool = ProcessPoolExecutor(
-            max_workers=jobs,
+            max_workers=workers,
             initializer=initializer,
             initargs=initargs,
             mp_context=mp_context,
@@ -477,9 +560,9 @@ def comparator_for(
         return overlays.setdefault(key, comparator)
 
 
-def _parse(payload) -> LabelingRequest | Exception:
+def _parse(payload, keys: LRUCache) -> LabelingRequest | Exception:
     try:
-        return LabelingRequest.from_payload(payload)
+        return LabelingRequest.from_payload(payload, keys)
     except Exception as exc:  # noqa: BLE001 — the item's slot reports it
         return exc
 
@@ -606,6 +689,8 @@ class LabelingEngine:
         if verify not in ("off", "strict"):
             raise ValueError("verify must be 'off' or 'strict'")
         self.cache = ResultCache(capacity=cache_size)
+        # Request key -> corpus fingerprint (see LabelingRequest.from_payload).
+        self._request_keys = LRUCache(capacity=cache_size)
         self.default_jobs = normalize_jobs(jobs)
         self.default_executor = validate_executor(executor)
         self.fault_plan = fault_plan
@@ -644,8 +729,6 @@ class LabelingEngine:
         (compiled-lexicon fingerprint).  Bump ``RESPONSE_FORMAT`` whenever
         the response shape changes so stale disk entries self-invalidate.
         """
-        import hashlib
-
         from ..lexicon.compiled import default_compiled
 
         material = json.dumps(
@@ -674,7 +757,7 @@ class LabelingEngine:
         request = (
             payload
             if isinstance(payload, LabelingRequest)
-            else LabelingRequest.from_payload(payload)
+            else LabelingRequest.from_payload(payload, self._request_keys)
         )
         if request.timeout is None:
             return self._label_request(request)
@@ -860,8 +943,9 @@ class LabelingEngine:
         Invalid or failing items degrade to ``{"ok": false, ...}`` entries
         in their slot — a poisoned corpus never takes the batch down.
 
-        ``executor="process"`` routes computation through a warm
-        ``ProcessPoolExecutor`` (see :meth:`_label_batch_process`); the
+        ``executor="process"`` routes cache misses through a
+        ``ProcessPoolExecutor`` built for this batch, with at most one
+        worker per miss (see :meth:`_label_batch_process`); the
         engine falls back to the thread backend whenever the process one
         cannot apply — ``jobs <= 1`` (nothing to parallelize) or an active
         ``fault_plan`` (fault injection mutates shared state the workers
@@ -877,7 +961,7 @@ class LabelingEngine:
         with obs_span(
             "engine.batch", items=len(payloads), jobs=jobs, executor=executor
         ):
-            requests = [_parse(payload) for payload in payloads]
+            requests = [_parse(payload, self._request_keys) for payload in payloads]
             if executor == "process" and jobs > 1 and self.fault_plan is None:
                 return self._label_batch_process(requests, jobs, timeout)
             # An invalid payload still gets its slot (and item span); its
@@ -903,7 +987,9 @@ class LabelingEngine:
 
         Cache misses ship to the pool once per fingerprint, as parsed
         requests with the engine's verify mode, and come home to
-        :meth:`_store`; repeats are shaped from the stored entry.  Breakers and retry are not consulted: this backend is for
+        :meth:`_store`; repeats are shaped from the stored entry.
+
+        Breakers and retry are not consulted: this backend is for
         fault-free bulk work, which is why an active ``fault_plan`` forces
         the thread fallback in :meth:`label_batch`.
         """
@@ -1003,6 +1089,7 @@ class LabelingEngine:
             "default_jobs": self.default_jobs,
             "default_executor": self.default_executor,
             "cache": self.cache.stats().to_dict(),
+            "request_keys": self._request_keys.stats().to_dict(),
             "semantics": semantics,
             "resilience": resilience,
         }

@@ -223,6 +223,27 @@ def test_process_batch_duplicates_come_from_the_stored_entry():
     assert _strip_timing({**results[0], "cached": True}) == _strip_timing(results[1])
 
 
+def test_pool_size_is_bounded_by_the_batch(monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr("repro.service.engine.ProcessPoolExecutor", RecordingPool)
+    engine = LabelingEngine(breaker=None)
+    results = engine.label_batch(
+        [{"domain": "airline", "seed": 3}, {"domain": "book", "seed": 3}],
+        jobs=64,
+        executor="process",
+    )
+    assert all(r["ok"] for r in results)
+    assert sizes == [2]
+
+
 def test_label_batch_process_default_executor_knob():
     engine = LabelingEngine(breaker=None, jobs=2, executor="process")
     assert engine.stats()["default_executor"] == "process"

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from repro.datasets.registry import load_domain
+from repro.datasets.registry import DOMAINS, load_domain
 from repro.schema.serialize import corpus_to_dict
 from repro.service.cache import LRUCache
 from repro.service.client import ServiceClient, ServiceError
@@ -217,6 +217,125 @@ class TestRequestValidation:
             )
 
 
+def _labels(response: dict) -> dict:
+    """A response without the fields that may differ between equal answers."""
+    stripped = {k: v for k, v in response.items() if k != "cached"}
+    stripped["stats"] = {
+        k: v for k, v in response["stats"].items() if k != "elapsed_ms"
+    }
+    return stripped
+
+
+class TestRequestKeyMemo:
+    """The request key -> fingerprint memo that lets a hit skip the corpus."""
+
+    @pytest.fixture(scope="class")
+    def job_engine(self):
+        engine = LabelingEngine()
+        engine.label({"domain": "job"})
+        return engine
+
+    def test_memo_hit_equals_cold_and_cacheless_responses(self):
+        engine = LabelingEngine(breaker=None)
+        cacheless = LabelingEngine(cache_size=0, breaker=None)
+        payloads = [{"domain": d, "seed": s} for d in DOMAINS for s in (0, 1)]
+        cold = [engine.label(payload) for payload in payloads]
+        for payload, first in zip(payloads, cold):
+            before = engine.stats()["request_keys"]["hits"]
+            hit = engine.label(payload)
+            assert engine.stats()["request_keys"]["hits"] == before + 1
+            assert hit["cached"] is True and first["cached"] is False
+            assert {**hit, "cached": False} == first
+            assert _labels(hit) == _labels(cacheless.label(payload))
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"domain": "job", "seed": "zero"},
+            {"domain": "job", "seed": True},
+            {"domain": "job", "options": {"max_level": "psychic"}},
+            {"domain": "job", "lexicon": {"hypernyms": [["only-one"]]}},
+            {"domain": "job", "lexicon": ["not", "an", "object"]},
+            {"domain": "job", "timeout": -1},
+            {"domain": "job", "corpus": {}},
+        ],
+    )
+    def test_invalid_payloads_are_rejected_after_a_valid_one(
+        self, job_engine, payload
+    ):
+        with pytest.raises(RequestError):
+            job_engine.label(payload)
+        assert job_engine.stats()["request_keys"]["size"] == 1
+
+    def test_malformed_corpus_is_never_memoized(self):
+        engine = LabelingEngine()
+        malformed = {"corpus": {"interfaces": [{"oops": True}], "mapping": {}}}
+        for _ in range(2):
+            with pytest.raises(RequestError, match="malformed corpus"):
+                engine.label(malformed)
+        stats = engine.stats()["request_keys"]
+        assert (stats["size"], stats["hits"]) == (0, 0)
+
+    def test_corpus_payload_hit_matches_its_miss(self):
+        engine = LabelingEngine()
+        dataset = load_domain("auto", seed=1)
+        payload = {"corpus": corpus_to_dict(dataset.interfaces, dataset.mapping)}
+        cold = engine.label(payload)
+        hit = engine.label(json.loads(json.dumps(payload)))
+        assert engine.stats()["request_keys"]["hits"] == 1
+        assert {**hit, "cached": False} == cold
+
+    def test_default_seed_shares_one_entry(self):
+        engine = LabelingEngine()
+        engine.label({"domain": "job"})
+        response = engine.label({"domain": "job", "seed": 0})
+        assert response["cached"] is True
+        stats = engine.stats()["request_keys"]
+        assert (stats["size"], stats["hits"], stats["misses"]) == (1, 1, 1)
+
+    def test_lint_and_timeout_share_the_entry(self):
+        engine = LabelingEngine()
+        engine.label({"domain": "auto"})
+        engine.label({"domain": "auto", "lint": True, "timeout": 30})
+        assert engine.stats()["request_keys"]["hits"] == 1
+
+    @pytest.mark.parametrize("path", ["inline", "process"])
+    def test_memo_hit_after_eviction_recomputes(self, path):
+        # A memo hit whose result another request evicted before its lookup
+        # (two requests racing on a full cache) builds its corpus and
+        # recomputes; through the process pool it is pickled unbuilt.
+        engine = LabelingEngine(cache_size=1, breaker=None)
+        first = engine.label({"domain": "airline"})
+        request = LabelingRequest.from_payload(
+            {"domain": "airline"}, engine._request_keys
+        )
+        assert request._corpus is None
+        engine.label({"domain": "book"})  # evicts airline from both LRUs
+        if path == "process":
+            (again,) = engine._label_batch_process([request], jobs=2, timeout=None)
+            assert request._corpus is None  # only the worker built it
+        else:
+            again = engine.label(request)
+        assert again["cached"] is False
+        assert engine.stats()["computations"] == 3
+        assert _labels(again) == _labels(first)
+
+    def test_repeat_hits_never_build_the_corpus(self, monkeypatch):
+        import repro.datasets.registry as registry
+
+        engine = LabelingEngine()
+        engine.label({"domain": "hotels", "seed": 1})
+        calls = []
+        real = registry.load_domain
+        monkeypatch.setattr(
+            registry, "load_domain",
+            lambda *a, **k: calls.append(a) or real(*a, **k),
+        )
+        for _ in range(50):
+            assert engine.label({"domain": "hotels", "seed": 1})["cached"]
+        assert calls == []
+
+
 class TestMetricsRegistry:
     def test_percentiles_from_ring_buffer(self):
         registry = MetricsRegistry(window=100)
@@ -343,6 +462,12 @@ class TestHTTPService:
             )
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error_type"] == "invalid_request"
+
+    def test_batch_jobs_beyond_the_item_count(self, client):
+        payload = client.request(
+            "POST", "/batch", {"requests": [{"domain": "book"}], "jobs": 10000}
+        )
+        assert payload["count"] == 1 and payload["results"][0]["ok"]
 
     def test_metrics_shape(self, client):
         client.healthz()
