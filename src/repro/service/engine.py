@@ -12,19 +12,19 @@ once: **parse** (:meth:`LabelingRequest.from_payload`, in the calling
 process; every check runs on every request) → **key** (the corpus
 fingerprint, :mod:`repro.service.fingerprint`; the pipeline is
 deterministic, so entries never go stale — a request-key memo maps a valid
-payload seen before to its fingerprint, and only a memo miss builds and
-hashes the corpus) → **lookup** (:meth:`LabelingEngine._lookup`: memory
-LRU, then disk with promotion, then one deep copy) → **dedupe** (a repeated
-fingerprint is served from the entry its first occurrence stored) →
-**compute** (:func:`compute`: pipeline plus strict-mode oracles; builds the
-corpus if the memo skipped it) → **store** (:meth:`LabelingEngine._store`:
-memory and disk).  Inline and thread work runs lookup → compute → store
-inside the per-fingerprint breaker, fault scope and retry policy, and
-dedupes through the cache (two thread items racing on one fingerprint may
-both compute); the process backend runs lookup, an explicit dedupe and
-store in the parent and only ``compute`` in pool workers.  Overlay-free
-requests share the engine's one comparator across all threads (its memos
-are append-only and thread-safe).
+``{domain, seed}`` payload seen before to its fingerprint, and only a memo
+miss builds and hashes the corpus) → **lookup**
+(:meth:`LabelingEngine._lookup`: memory LRU, then disk with promotion, then
+one deep copy) → **dedupe** (a repeated fingerprint is served from the
+entry its first occurrence stored) → **compute** (:func:`compute`: pipeline
+plus strict-mode oracles; builds the corpus if the memo skipped it) →
+**store** (:meth:`LabelingEngine._store`: memory and disk).  Inline and
+thread work runs lookup → compute → store inside the per-fingerprint
+breaker, fault scope and retry policy, and dedupes through the cache (two
+thread items racing on one fingerprint may both compute); the process
+backend runs lookup, an explicit dedupe and store in the parent and only
+``compute`` in pool workers.  Overlay-free requests share the engine's one
+comparator across all threads (its memos are append-only and thread-safe).
 
 :func:`execute_batch` fans thunks over threads or processes with a per-item
 timeout and structured :class:`BatchOutcome` results: one bad corpus
@@ -77,6 +77,7 @@ from ..schema.serialize import (
 )
 from .cache import LRUCache, ResultCache
 from .fingerprint import (
+    _canonical_lexicon,
     canonical_json,
     corpus_fingerprint,
     options_from_dict,
@@ -138,22 +139,24 @@ def _build_corpus(source: dict) -> tuple[list[QueryInterface], Mapping]:
 def _request_key(
     source: dict, options: NamingOptions, lexicon: dict | None
 ) -> str | None:
-    """The memo key of a validated request, or ``None`` if it has no JSON form.
+    """The memo key of a validated request, or ``None`` if it is not memoized.
 
-    Everything the fingerprint depends on, read straight off the payload:
-    ``{domain, seed}`` (or the sha256 of the canonical corpus document), the
-    canonical options and the raw lexicon overlay.  ``lint`` and ``timeout``
-    do not change the labeling and are left out.
+    Only ``{domain, seed}`` requests are memoized: their key reads
+    everything the fingerprint depends on straight off the payload — the
+    source, the canonical options and the lexicon overlay in the canonical
+    form the fingerprint hashes.  ``lint`` and ``timeout`` do not change the
+    labeling and are left out.  A ``corpus`` document is parsed and
+    fingerprinted on every request.
     """
-    try:
-        if "corpus" in source:
-            corpus = canonical_json(source["corpus"]).encode("utf-8")
-            source = {"corpus": hashlib.sha256(corpus).hexdigest()}
-        return canonical_json(
-            {"source": source, "options": options_to_dict(options), "lexicon": lexicon}
-        )
-    except (TypeError, ValueError):  # not JSON (a library caller's objects)
+    if "domain" not in source:
         return None
+    return canonical_json(
+        {
+            "source": source,
+            "options": options_to_dict(options),
+            "lexicon": _canonical_lexicon(lexicon),
+        }
+    )
 
 
 @dataclass
@@ -204,9 +207,10 @@ class LabelingRequest:
 
         ``keys`` is the engine's request-key memo (an
         :class:`~repro.service.cache.LRUCache` of request key → fingerprint).
-        Every check but the corpus parse runs on every call; a memo hit then
-        skips building and fingerprinting the corpus.  Only a payload that
-        passed every check is memoized, so a hit cannot admit an invalid one.
+        Every check runs on every call; a memo hit then skips building and
+        fingerprinting the domain's corpus.  Only a ``{domain, seed}``
+        payload that passed every check is memoized, so a hit cannot admit an
+        invalid one; a ``corpus`` payload is always parsed and fingerprinted.
         """
         if not isinstance(payload, dict):
             raise RequestError("request payload must be a JSON object")

@@ -267,21 +267,29 @@ class TestRequestKeyMemo:
             job_engine.label(payload)
         assert job_engine.stats()["request_keys"]["size"] == 1
 
-    def test_malformed_corpus_is_never_memoized(self):
+    def test_corpus_payloads_are_never_memoized(self):
         engine = LabelingEngine()
         malformed = {"corpus": {"interfaces": [{"oops": True}], "mapping": {}}}
         for _ in range(2):
             with pytest.raises(RequestError, match="malformed corpus"):
                 engine.label(malformed)
-        stats = engine.stats()["request_keys"]
-        assert (stats["size"], stats["hits"]) == (0, 0)
-
-    def test_corpus_payload_hit_matches_its_miss(self):
-        engine = LabelingEngine()
         dataset = load_domain("auto", seed=1)
         payload = {"corpus": corpus_to_dict(dataset.interfaces, dataset.mapping)}
         cold = engine.label(payload)
         hit = engine.label(json.loads(json.dumps(payload)))
+        assert {**hit, "cached": False} == cold
+        stats = engine.stats()["request_keys"]
+        assert (stats["size"], stats["hits"], stats["misses"]) == (0, 0, 0)
+
+    def test_overlay_key_is_the_fingerprinted_form(self):
+        # Synsets given as sets (a library caller's overlay) key the memo
+        # by the canonical form the fingerprint hashes.
+        engine = LabelingEngine()
+        overlay = {"synsets": [["keywords", "manufacturer"]]}
+        cold = engine.label({"domain": "auto", "lexicon": overlay})
+        hit = engine.label(
+            {"domain": "auto", "lexicon": {"synsets": [{"manufacturer", "keywords"}]}}
+        )
         assert engine.stats()["request_keys"]["hits"] == 1
         assert {**hit, "cached": False} == cold
 
