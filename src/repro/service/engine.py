@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import contextvars
 import copy
-import hashlib
 import itertools
 import json
 import logging
@@ -733,6 +732,8 @@ class LabelingEngine:
         (compiled-lexicon fingerprint).  Bump ``RESPONSE_FORMAT`` whenever
         the response shape changes so stale disk entries self-invalidate.
         """
+        import hashlib
+
         from ..lexicon.compiled import default_compiled
 
         material = json.dumps(
