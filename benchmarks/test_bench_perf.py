@@ -48,10 +48,7 @@ def test_perf_report():
         f"{totals['speedup']:.1f}x",
     ])
     caches = report["caches"]
-    for cache_name in (
-        "labels", "relations", "predicates", "group_results",
-        "consistency_pairs",
-    ):
+    for cache_name in ("labels", "relations", "predicates", "group_results"):
         snap = caches[cache_name]
         rows.append([
             f"cache: {cache_name}",

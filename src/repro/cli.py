@@ -537,10 +537,7 @@ def _cmd_profile(args) -> int:
     )
     print(f"warm labelings/s: {totals['warm_labelings_per_s']}")
     print("\ncache hit rates (one shared comparator):")
-    for cache_name in (
-        "labels", "relations", "predicates", "group_results",
-        "consistency_pairs",
-    ):
+    for cache_name in ("labels", "relations", "predicates", "group_results"):
         stats = report["caches"][cache_name]
         print(
             f"  {cache_name:<18} {stats['hit_rate']:>7.1%}  "

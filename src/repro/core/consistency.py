@@ -15,31 +15,42 @@ Implements:
   some partition covers all its clusters; :func:`solutions_of_partition`
   realizes the constructive direction (closure first, spanning-tree merge as
   the linear-time fallback the paper describes in Section 4.2.1).
+
+The closure, the partition graph and the spanning-tree merge all run on
+:class:`CompiledRows`: the rows of one projection at one level, each
+encoded as per-column label ids, with every Definition-2 label decision
+made once up front into per-column bitmasks of consistent rows.
+:func:`tuples_consistent` and :func:`combine` are the same definitions
+over :class:`GroupTuple` objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple
 
-from ..perf import CacheCounter
 from .group_relation import GroupRelation, GroupTuple
 from .semantics import LabelRelation, SemanticComparator
 
 __all__ = [
     "ConsistencyLevel",
-    "ConsistencyPairCache",
+    "Closure",
+    "CompiledRows",
     "Partition",
+    "TupleSolutions",
     "tuples_consistent",
     "combine",
     "combine_closure",
     "find_partitions",
     "covering_partitions",
+    "partition_solutions",
     "solutions_of_partition",
 ]
 
-#: Safety bound on the Combine* closure; far above anything the evaluation
-#: corpus produces, present so adversarial inputs cannot blow up memory.
+#: Bound on the Combine* closure, so adversarial inputs cannot blow up
+#: memory.  Reaching it is reported, never silent: the closure flags it and
+#: :class:`~repro.core.solutions.GroupNamingResult` carries ``truncated``.
 CLOSURE_LIMIT = 4096
 
 
@@ -49,31 +60,6 @@ class ConsistencyLevel(IntEnum):
     STRING = 1
     EQUALITY = 2
     SYNONYMY = 3
-
-
-class ConsistencyPairCache:
-    """Per-run memo for Definition-2 row-pair decisions.
-
-    The naming algorithm re-asks the same row pairs many times per group:
-    ``find_partitions`` runs once per ladder level, ``combine_closure``
-    pairs every derived tuple against the originals, and the spanning-tree
-    fallback re-walks the component.  One cache instance scopes one
-    ``name_group`` run, so a tuple pair is compared at most once per group
-    per run — and a long-lived relation stays uncached across runs, which
-    keeps the memo small and makes invalidation trivial (drop the object).
-
-    The key includes the level, the column restriction, and both rows'
-    cluster/label tuples; consistency is symmetric, so both orders are
-    stored.  Hits and misses roll up into ``counter`` (the comparator's
-    ``pair_counter`` when created by ``name_group``), surfacing in
-    ``cache_stats()`` under ``consistency_pairs``.
-    """
-
-    __slots__ = ("entries", "counter")
-
-    def __init__(self, counter: CacheCounter | None = None) -> None:
-        self.entries: dict = {}
-        self.counter = counter if counter is not None else CacheCounter("pairs")
 
 
 def _labels_consistent(
@@ -103,36 +89,9 @@ def tuples_consistent(
     level: ConsistencyLevel,
     comparator: SemanticComparator,
     clusters: tuple[str, ...] | None = None,
-    cache: ConsistencyPairCache | None = None,
 ) -> bool:
     """Definition 2: rows ``s`` and ``t`` are consistent at ``level`` when
-    some cluster (of ``clusters``, default all) carries witnessing labels.
-
-    With a ``cache`` (scoped to one naming run by ``name_group``), each
-    distinct row pair is decided once per level and column restriction.
-    """
-    if cache is not None:
-        key = (level, clusters, s.clusters, s.labels, t.clusters, t.labels)
-        cached = cache.entries.get(key)
-        if cached is not None:
-            cache.counter.hit()
-            return cached
-        cache.counter.miss()
-    result = _tuples_consistent_uncached(s, t, level, comparator, clusters)
-    if cache is not None:
-        cache.entries[key] = result
-        # Consistency is symmetric in s and t: store the mirror entry too.
-        cache.entries[(level, clusters, t.clusters, t.labels, s.clusters, s.labels)] = result
-    return result
-
-
-def _tuples_consistent_uncached(
-    s: GroupTuple,
-    t: GroupTuple,
-    level: ConsistencyLevel,
-    comparator: SemanticComparator,
-    clusters: tuple[str, ...] | None,
-) -> bool:
+    some cluster (of ``clusters``, default all) carries witnessing labels."""
     columns = clusters if clusters is not None else s.clusters
     for cluster in columns:
         a = s.label_for(cluster)
@@ -155,6 +114,220 @@ def combine(r: GroupTuple, s: GroupTuple) -> GroupTuple:
     return GroupTuple(
         interface=f"{r.interface}+{s.interface}", labels=merged, clusters=r.clusters
     )
+
+
+class CompiledRows:
+    """The rows of one projection at one level, compiled for Definitions 2-3.
+
+    Each column numbers its distinct labels 1, 2, ... in order of first
+    appearance (0 is null), and a tuple is one int holding each column's
+    label id in that column's own bit field.  Then ``Combine(r, s)`` is
+    ``r | (s & ~nn(r))``, where ``nn(r)`` sets all bits of ``r``'s non-null
+    fields, and two tuples are equal exactly when their ints are.
+
+    ``masks[c][a]`` is the bitmask of rows (bit ``i`` for ``tuples[i]``,
+    duplicates included) whose column-``c`` label is consistent at
+    ``level`` with label id ``a``, decided once per label pair by
+    :func:`_labels_consistent` with the tuple's label first and the row's
+    second.  The rows consistent with a tuple are the OR of its non-null
+    columns' masks — :func:`tuples_consistent` with every label comparison
+    already made.
+    """
+
+    __slots__ = ("tuples", "clusters", "keys", "nns", "full", "_columns")
+
+    def __init__(
+        self,
+        tuples: list[GroupTuple],
+        level: ConsistencyLevel,
+        comparator: SemanticComparator,
+    ) -> None:
+        self.tuples = tuples
+        self.clusters = tuples[0].clusters if tuples else ()
+        if any(t.clusters != self.clusters for t in tuples):
+            raise ValueError("Combine requires tuples over the same clusters")
+        self.keys = [0] * len(tuples)
+        self.nns = [0] * len(tuples)
+        self.full = 0
+        #: Per column: (shift, field mask, masks by label id, labels by id).
+        self._columns: list[tuple[int, int, list[int], list[str | None]]] = []
+        shift = 0
+        for c in range(len(self.clusters)):
+            ids: dict[str, int] = {}
+            rows_with: list[int] = [0]
+            row_ids = []
+            for i, t in enumerate(tuples):
+                label = t.labels[c]
+                if label is None:
+                    row_ids.append(0)
+                    continue
+                a = ids.setdefault(label, len(ids) + 1)
+                if a == len(rows_with):
+                    rows_with.append(0)
+                rows_with[a] |= 1 << i
+                row_ids.append(a)
+            labels: list[str | None] = [None, *ids]
+            masks = [0] * len(labels)
+            for a in range(1, len(labels)):
+                for b in range(1, len(labels)):
+                    if _labels_consistent(labels[a], labels[b], level, comparator):
+                        masks[a] |= rows_with[b]
+            field = (1 << max(len(ids), 1).bit_length()) - 1
+            for i, a in enumerate(row_ids):
+                if a:
+                    self.keys[i] |= a << shift
+                    self.nns[i] |= field << shift
+            self.full |= field << shift
+            self._columns.append((shift, field, masks, labels))
+            shift += field.bit_length()
+
+    def consistent_rows(self, key: int) -> int:
+        """Bitmask of the rows consistent with the tuple ``key``."""
+        rows = 0
+        for shift, field, masks, __ in self._columns:
+            rows |= masks[(key >> shift) & field]
+        return rows
+
+    def labels_of(self, key: int) -> tuple[str | None, ...]:
+        return tuple(
+            labels[(key >> shift) & field]
+            for shift, field, __, labels in self._columns
+        )
+
+    # ------------------------------------------------------------------
+    # Combine* (Definition 3) and the spanning-tree merge (Sec. 4.2.1).
+    # ------------------------------------------------------------------
+
+    def closure(self, limit: int = CLOSURE_LIMIT) -> "Closure":
+        """Combine*: every tuple derivable by combining consistent pairs.
+
+        Tuples are deduplicated by value, first one kept.  Each frontier
+        tuple is paired with the original rows in input order (duplicates
+        included), trying ``Combine(tuple, row)`` then ``Combine(row,
+        tuple)``; this reaches every spanning-tree combination of a
+        connected component while keeping the frontier small.  The walk
+        stops once ``limit`` tuples exist.
+        """
+        keys, nns = self.keys, self.nns
+        closure = Closure(self)
+        found, found_nns, links = closure.keys, closure.nns, closure.links
+        seen: dict[int, int] = {}
+        for i, key in enumerate(keys):
+            if key not in seen:
+                seen[key] = len(found)
+                found.append(key)
+                found_nns.append(nns[i])
+                links.append((-1, i, True))
+
+        frontier = list(range(len(found)))
+        while frontier and len(found) < limit:
+            next_frontier: list[int] = []
+            for node in frontier:
+                current, current_nn = found[node], found_nns[node]
+                rows = self.consistent_rows(current)
+                while rows:
+                    low = rows & -rows
+                    rows ^= low
+                    i = low.bit_length() - 1
+                    row, row_nn = keys[i], nns[i]
+                    merged_nn = current_nn | row_nn
+                    for merged, current_first in (
+                        (current | (row & ~current_nn), True),
+                        (row | (current & ~row_nn), False),
+                    ):
+                        if merged in seen:
+                            continue
+                        seen[merged] = len(found)
+                        next_frontier.append(len(found))
+                        found.append(merged)
+                        found_nns.append(merged_nn)
+                        links.append((node, i, current_first))
+                        if len(found) >= limit:
+                            closure.truncated = True
+                            return closure
+            frontier = next_frontier
+        # Only reachable at the limit when the deduplicated rows alone
+        # already fill it, and the walk never starts.
+        closure.truncated = len(found) >= limit
+        return closure
+
+    def spanning_tree_merge(self) -> GroupTuple:
+        """Linear-time solution: Combine along a spanning tree of the rows.
+
+        "If the time to retrieve a consistent solution is an issue then one
+        can always be found in linear time by applying the Combine operator
+        along a spanning tree of the connected component." (Section 4.2.1)
+        Each step combines in the first remaining row consistent with the
+        merge so far; when merged labels mask the witnessing ones, the
+        first remaining row is forced in (the component is connected).
+        """
+        remaining = list(range(1, len(self.tuples)))
+        key, nn = self.keys[0], self.nns[0]
+        names = [self.tuples[0].interface]
+        while remaining:
+            rows = self.consistent_rows(key)
+            pick = next(
+                (pos for pos, i in enumerate(remaining) if rows >> i & 1), 0
+            )
+            i = remaining.pop(pick)
+            key |= self.keys[i] & ~nn
+            nn |= self.nns[i]
+            names.append(self.tuples[i].interface)
+        return GroupTuple("+".join(names), self.labels_of(key), self.clusters)
+
+
+class Closure:
+    """The tuples :meth:`CompiledRows.closure` derived, in discovery order.
+
+    Tuple ``n`` is ``keys[n]``; ``links[n]`` is ``(parent, row, first)``:
+    ``parent`` is -1 for an original row (``row`` indexes it), else the
+    tuple was ``Combine(parent, row)`` when ``first`` holds and
+    ``Combine(row, parent)`` otherwise.  Interface names are built from the
+    links only for the tuples a caller asks for.
+    """
+
+    __slots__ = ("rows", "keys", "nns", "links", "truncated", "_names")
+
+    def __init__(self, rows: CompiledRows) -> None:
+        self.rows = rows
+        self.keys: list[int] = []
+        self.nns: list[int] = []
+        self.links: list[tuple[int, int, bool]] = []
+        self.truncated = False
+        self._names: dict[int, str] = {}
+
+    def name(self, node: int) -> str:
+        """The interface name ``combine`` would have given tuple ``node``."""
+        chain = []
+        while node not in self._names:
+            parent, row, __ = self.links[node]
+            if parent < 0:
+                self._names[node] = self.rows.tuples[row].interface
+                break
+            chain.append(node)
+            node = parent
+        name = self._names[node]
+        for node in reversed(chain):
+            __, row, current_first = self.links[node]
+            other = self.rows.tuples[row].interface
+            name = f"{name}+{other}" if current_first else f"{other}+{name}"
+            self._names[node] = name
+        return name
+
+    def tuple_at(self, node: int) -> GroupTuple:
+        parent, row, __ = self.links[node]
+        if parent < 0:
+            return self.rows.tuples[row]
+        return GroupTuple(
+            self.name(node), self.rows.labels_of(self.keys[node]), self.rows.clusters
+        )
+
+    def tuples(self) -> list[GroupTuple]:
+        return [self.tuple_at(n) for n in range(len(self.keys))]
+
+    def complete_tuples(self) -> list[GroupTuple]:
+        full = self.rows.full
+        return [self.tuple_at(n) for n, nn in enumerate(self.nns) if nn == full]
 
 
 @dataclass
@@ -187,16 +360,17 @@ def find_partitions(
     level: ConsistencyLevel,
     comparator: SemanticComparator,
     clusters: tuple[str, ...] | None = None,
-    cache: ConsistencyPairCache | None = None,
 ) -> list[Partition]:
     """All maximal partitions of the relation's rows at ``level``.
 
     Connected components of the undirected graph whose vertices are rows and
     whose edges join consistent rows (restricted to ``clusters`` when given).
+    Components come in order of their first row, rows in relation order.
     """
     rows = list(relation.tuples)
-    n = len(rows)
-    parent = list(range(n))
+    projected = rows if clusters is None else [t.project(clusters) for t in rows]
+    compiled = CompiledRows(projected, level, comparator)
+    parent = list(range(len(rows)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -204,15 +378,14 @@ def find_partitions(
             i = parent[i]
         return i
 
-    def union(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if tuples_consistent(rows[i], rows[j], level, comparator, clusters, cache):
-                union(i, j)
+    for i, key in enumerate(compiled.keys):
+        later = compiled.consistent_rows(key) >> (i + 1)
+        while later:
+            low = later & -later
+            later ^= low
+            ri, rj = find(i), find(i + low.bit_length())
+            if ri != rj:
+                parent[rj] = ri
 
     components: dict[int, list[GroupTuple]] = {}
     for i, row in enumerate(rows):
@@ -224,14 +397,13 @@ def covering_partitions(
     relation: GroupRelation,
     level: ConsistencyLevel,
     comparator: SemanticComparator,
-    cache: ConsistencyPairCache | None = None,
 ) -> tuple[list[Partition], list[Partition]]:
     """(all partitions, those covering every cluster of the group).
 
     The second component being non-empty is exactly Proposition 1's
     condition for a consistent naming solution to exist at ``level``.
     """
-    partitions = find_partitions(relation, level, comparator, cache=cache)
+    partitions = find_partitions(relation, level, comparator)
     covering = [p for p in partitions if p.covers(relation.clusters)]
     return partitions, covering
 
@@ -241,68 +413,49 @@ def combine_closure(
     level: ConsistencyLevel,
     comparator: SemanticComparator,
     limit: int = CLOSURE_LIMIT,
-    cache: ConsistencyPairCache | None = None,
 ) -> list[GroupTuple]:
     """Combine* (Definition 3 generalized): all tuples derivable by
     repeatedly combining consistent pairs, duplicates (by label values)
-    ignored.
-
-    The closure pairs every derived tuple against the *original* rows, which
-    reaches every spanning-tree combination of a connected component while
-    keeping the frontier small.
-    """
-    seen: dict[tuple[str | None, ...], GroupTuple] = {}
-    order: list[GroupTuple] = []
-    for t in tuples:
-        if t.key() not in seen:
-            seen[t.key()] = t
-            order.append(t)
-
-    frontier = list(order)
-    while frontier and len(order) < limit:
-        next_frontier: list[GroupTuple] = []
-        for current in frontier:
-            for original in tuples:
-                if not tuples_consistent(current, original, level, comparator, cache=cache):
-                    continue
-                for merged in (combine(current, original), combine(original, current)):
-                    if merged.key() not in seen:
-                        seen[merged.key()] = merged
-                        order.append(merged)
-                        next_frontier.append(merged)
-                        if len(order) >= limit:
-                            return order
-        frontier = next_frontier
-    return order
+    ignored, at most ``limit`` of them (see :meth:`CompiledRows.closure`)."""
+    return CompiledRows(tuples, level, comparator).closure(limit).tuples()
 
 
-def _spanning_tree_merge(
+class TupleSolutions(NamedTuple):
+    """A partition's tuple-solutions, and whether Combine* hit its limit."""
+
+    tuples: list[GroupTuple]
+    truncated: bool
+
+
+def partition_solutions(
     partition: Partition,
+    clusters: tuple[str, ...],
     comparator: SemanticComparator,
-    cache: ConsistencyPairCache | None = None,
-) -> GroupTuple:
-    """Linear-time solution: Combine along a spanning tree of the component.
+    limit: int = CLOSURE_LIMIT,
+) -> TupleSolutions:
+    """Tuple-solutions (Definition 4) for ``clusters`` from ``partition``.
 
-    "If the time to retrieve a consistent solution is an issue then one can
-    always be found in linear time by applying the Combine operator along a
-    spanning tree of the connected component." (Section 4.2.1)
+    Every complete tuple (no nulls over ``clusters``) in the Combine*
+    closure; when the closure yields none but the partition covers the
+    clusters, the spanning-tree merge, so Proposition 1's constructive
+    direction always holds.
     """
-    remaining = list(partition.tuples)
-    merged = remaining.pop(0)
-    while remaining:
-        # Pick a neighbor consistent with some already-merged original row —
-        # the component is connected, so one always exists.
-        for candidate in remaining:
-            if tuples_consistent(merged, candidate, partition.level, comparator, cache=cache):
-                merged = combine(merged, candidate)
-                remaining.remove(candidate)
-                break
-        else:
-            # Merged labels may mask the witnessing ones; force the union —
-            # the component being connected guarantees the paper's semantics.
-            candidate = remaining.pop(0)
-            merged = combine(merged, candidate)
-    return merged
+    projected = [t.project(clusters) for t in partition.tuples]
+    projected = [t for t in projected if t.non_null_count() > 0]
+    if not projected:
+        return TupleSolutions([], False)
+    compiled = CompiledRows(projected, partition.level, comparator)
+    closure = compiled.closure(limit)
+    complete = closure.complete_tuples()
+    if complete:
+        return TupleSolutions(complete, closure.truncated)
+    covered = 0
+    for nn in compiled.nns:
+        covered |= nn
+    if covered == compiled.full:
+        # Covering all clusters, the forced merge is always complete.
+        return TupleSolutions([compiled.spanning_tree_merge()], closure.truncated)
+    return TupleSolutions([], closure.truncated)
 
 
 def solutions_of_partition(
@@ -310,30 +463,6 @@ def solutions_of_partition(
     clusters: tuple[str, ...],
     comparator: SemanticComparator,
     limit: int = CLOSURE_LIMIT,
-    cache: ConsistencyPairCache | None = None,
 ) -> list[GroupTuple]:
-    """Tuple-solutions (Definition 4) for ``clusters`` from ``partition``.
-
-    Returns every complete tuple (no nulls over ``clusters``) in the
-    Combine* closure; when the closure yields none but the partition covers
-    the clusters, falls back to the spanning-tree merge so Proposition 1's
-    constructive direction always holds.
-    """
-    projected = [t.project(clusters) for t in partition.tuples]
-    projected = [t for t in projected if t.non_null_count() > 0]
-    if not projected:
-        return []
-    closure = combine_closure(projected, partition.level, comparator, limit, cache)
-    complete = [t for t in closure if t.is_complete()]
-    if complete:
-        return complete
-    covered: set[str] = set()
-    for t in projected:
-        covered.update(t.non_null_clusters())
-    if frozenset(clusters) <= covered:
-        merged = _spanning_tree_merge(
-            Partition(tuples=projected, level=partition.level), comparator, cache
-        )
-        if merged.is_complete():
-            return [merged]
-    return []
+    """The tuples of :func:`partition_solutions`."""
+    return partition_solutions(partition, clusters, comparator, limit).tuples

@@ -108,6 +108,8 @@ def label_integrated_interface(
                     sp.tags["consistent"] = group_result.consistent
                     if group_result.level is not None:
                         sp.tags["level"] = group_result.level.name
+                    if group_result.truncated:
+                        sp.tags["truncated"] = True
 
     # Phase 1b: isolated clusters via the RAN variant.
     with obs_span("isolated_clusters", count=len(partition.isolated)):

@@ -95,8 +95,6 @@ class SemanticComparator:
         self.relation_counter = CacheCounter("relations")
         self.predicate_counter = CacheCounter("predicates")
         self.group_counter = CacheCounter("group_results")
-        #: Aggregates the per-run consistency pair caches (Definition 2).
-        self.pair_counter = CacheCounter("consistency_pairs")
 
     # ------------------------------------------------------------------
     # Coercion and cache plumbing.
@@ -320,7 +318,7 @@ class SemanticComparator:
         """JSON-ready stats for every cache this comparator reaches.
 
         The hierarchy mirrors the computation: label analyses feed pairwise
-        relations, which feed tuple-pair consistency decisions; WordNet
+        relations, which feed the compiled consistency masks; WordNet
         memos sit under all of them.  Surfaced through ``GET /metrics``
         and ``repro profile``.
         """
@@ -338,6 +336,5 @@ class SemanticComparator:
                 **self.group_counter.snapshot(),
                 "size": len(self._group_cache),
             },
-            "consistency_pairs": self.pair_counter.snapshot(),
             "wordnet": self.wordnet.cache_stats(),
         }

@@ -24,10 +24,9 @@ from dataclasses import dataclass, field
 from ..schema.groups import Group
 from .consistency import (
     ConsistencyLevel,
-    ConsistencyPairCache,
     Partition,
     find_partitions,
-    solutions_of_partition,
+    partition_solutions,
 )
 from .group_relation import GroupRelation, GroupTuple
 from .label import LabelAnalyzer
@@ -69,13 +68,19 @@ class GroupSolution:
 
 @dataclass
 class GroupNamingResult:
-    """Outcome of naming one group: its relation, all solution pairs, flags."""
+    """Outcome of naming one group: its relation, all solution pairs, flags.
+
+    ``truncated`` is set when some Combine* closure of the run stopped at
+    :data:`~repro.core.consistency.CLOSURE_LIMIT`, so the solutions may
+    miss tuples the full closure holds.
+    """
 
     group: Group
     relation: GroupRelation
     solutions: list[GroupSolution] = field(default_factory=list)
     consistent: bool = False
     level: ConsistencyLevel | None = None
+    truncated: bool = False
 
     @property
     def best(self) -> GroupSolution | None:
@@ -144,23 +149,22 @@ def _labelable_clusters(relation: GroupRelation) -> tuple[str, ...]:
 
 
 def _solutions_at_level(
-    relation: GroupRelation,
+    result: GroupNamingResult,
     labelable: tuple[str, ...],
     level: ConsistencyLevel,
     comparator: SemanticComparator,
     analyzer: LabelAnalyzer,
-    cache: ConsistencyPairCache | None = None,
 ) -> list[GroupSolution]:
     """All ranked solutions from covering partitions at ``level`` (or [])."""
-    partitions = find_partitions(relation, level, comparator, cache=cache)
+    relation = result.relation
+    partitions = find_partitions(relation, level, comparator)
     covering = [p for p in partitions if p.covers(labelable)]
     solutions: list[GroupSolution] = []
     for partition in covering:
-        tuple_solutions = solutions_of_partition(
-            partition, labelable, comparator, cache=cache
-        )
+        tuple_solutions = partition_solutions(partition, labelable, comparator)
+        result.truncated |= tuple_solutions.truncated
         for t, expr, freq, is_cand in rank_tuple_solutions(
-            tuple_solutions, relation, analyzer
+            tuple_solutions.tuples, relation, analyzer
         ):
             labels: dict[str, str | None] = {c: None for c in relation.clusters}
             labels.update(zip(labelable, t.labels))
@@ -181,23 +185,22 @@ def _solutions_at_level(
 
 def _best_partition_solution(
     partition: Partition,
-    relation: GroupRelation,
+    result: GroupNamingResult,
     comparator: SemanticComparator,
     analyzer: LabelAnalyzer,
-    cache: ConsistencyPairCache | None = None,
 ) -> GroupTuple | None:
     """Best tuple-solution of ``partition`` over the clusters it covers."""
+    relation = result.relation
     covered = tuple(
         c for c in relation.clusters if c in partition.covered_clusters
     )
     if not covered:
         return None
-    tuple_solutions = solutions_of_partition(
-        partition, covered, comparator, cache=cache
-    )
-    if not tuple_solutions:
+    tuple_solutions = partition_solutions(partition, covered, comparator)
+    result.truncated |= tuple_solutions.truncated
+    if not tuple_solutions.tuples:
         return None
-    ranked = rank_tuple_solutions(tuple_solutions, relation, analyzer)
+    ranked = rank_tuple_solutions(tuple_solutions.tuples, relation, analyzer)
     best = ranked[0][0]
     # Re-expand to the full cluster tuple with nulls outside the coverage.
     labels = tuple(
@@ -207,20 +210,16 @@ def _best_partition_solution(
 
 
 def _partially_consistent(
-    relation: GroupRelation,
+    result: GroupNamingResult,
     comparator: SemanticComparator,
     analyzer: LabelAnalyzer,
-    cache: ConsistencyPairCache | None = None,
 ) -> GroupSolution:
     """Greedy concatenation of per-partition solutions (Section 4.2.2)."""
-    partitions = find_partitions(
-        relation, ConsistencyLevel.SYNONYMY, comparator, cache=cache
-    )
+    relation = result.relation
+    partitions = find_partitions(relation, ConsistencyLevel.SYNONYMY, comparator)
     per_partition: list[GroupTuple] = []
     for partition in partitions:
-        best = _best_partition_solution(
-            partition, relation, comparator, analyzer, cache
-        )
+        best = _best_partition_solution(partition, result, comparator, analyzer)
         if best is not None:
             per_partition.append(best)
     per_partition.sort(
@@ -295,6 +294,7 @@ def _copy_group_result(result: GroupNamingResult) -> GroupNamingResult:
         solutions=solutions,
         consistent=result.consistent,
         level=result.level,
+        truncated=result.truncated,
     )
 
 
@@ -346,11 +346,6 @@ def _name_group_uncached(
     analyzer: LabelAnalyzer,
     max_level: ConsistencyLevel,
 ) -> GroupNamingResult:
-    # One pair cache per naming run: every Definition-2 row-pair decision in
-    # this group — across ladder levels, closure rounds and the partial
-    # fallback — is made at most once.  Hit/miss counts roll up into the
-    # comparator's ``consistency_pairs`` stats.
-    cache = ConsistencyPairCache(counter=comparator.pair_counter)
     result = GroupNamingResult(group=relation.group, relation=relation)
 
     if not relation.tuples:
@@ -371,7 +366,7 @@ def _name_group_uncached(
             if level > max_level:
                 break
             solutions = _solutions_at_level(
-                relation, labelable, level, comparator, analyzer, cache
+                result, labelable, level, comparator, analyzer
             )
             if solutions:
                 result.solutions = solutions
@@ -379,8 +374,6 @@ def _name_group_uncached(
                 result.level = level
                 return result
 
-    result.solutions = [
-        _partially_consistent(relation, comparator, analyzer, cache)
-    ]
+    result.solutions = [_partially_consistent(result, comparator, analyzer)]
     result.consistent = False
     return result

@@ -6,8 +6,7 @@ synonymy/hypernymy chain for every tuple pair at every consistency level.
 The memoization layer that amortizes that work lives next to each hot path
 (:class:`repro.core.label.LabelAnalyzer`,
 :class:`repro.core.semantics.SemanticComparator`,
-:class:`repro.lexicon.wordnet.MiniWordNet`,
-:class:`repro.core.consistency.ConsistencyPairCache`); this module provides
+:class:`repro.lexicon.wordnet.MiniWordNet`); this module provides
 the *observability* for it:
 
 * :class:`CacheCounter` — hit/miss/eviction counts with a derived hit rate;

@@ -505,6 +505,9 @@ def compute(
             "labeled_fields": sum(
                 1 for label in result.field_labels.values() if label
             ),
+            "truncated_groups": sorted(
+                name for name, res in result.group_results.items() if res.truncated
+            ),
             "elapsed_ms": round(elapsed_ms, 3),
         },
     }
@@ -669,7 +672,7 @@ class LabelingEngine:
 
     #: Response schema version, part of :meth:`engine_fingerprint` — bump on
     #: any change to the response dict's shape or semantics.
-    RESPONSE_FORMAT = 1
+    RESPONSE_FORMAT = 2
 
     #: Bound on distinct per-fingerprint breakers kept live.
     MAX_BREAKERS = 512
@@ -707,6 +710,7 @@ class LabelingEngine:
         self._errors = 0
         self._oracle_checks = 0
         self._oracle_failures = 0
+        self._truncated_closures = 0
         self._started = time.time()
         self.comparator = (
             comparator if comparator is not None else SemanticComparator()
@@ -891,6 +895,8 @@ class LabelingEngine:
 
         A strict-mode oracle report is popped and tallied first; a labeling
         that violates an oracle raises ``OracleError`` and is never stored.
+        A stored response's truncated groups add to
+        ``naming.truncated_closures``.
         The stored entry leaves out the request-specific keys (lint, the
         ``cached`` flag); retry provenance is attached only after this.
         Returns the stored entry.
@@ -901,6 +907,8 @@ class LabelingEngine:
                 self._oracle_checks += report.checks
                 self._oracle_failures += len(report.violations)
             report.raise_if_failed()
+        with self._lock:
+            self._truncated_closures += len(response["stats"]["truncated_groups"])
         stored = copy.deepcopy(
             {k: v for k, v in response.items() if k not in ("cached", "lint")}
         )
@@ -1068,6 +1076,7 @@ class LabelingEngine:
             breakers = list(self._breakers.values())
             oracle_checks = self._oracle_checks
             oracle_failures = self._oracle_failures
+            truncated_closures = self._truncated_closures
         comparators = [self.comparator, *overlays]
         semantics = aggregate_stats([c.cache_stats() for c in comparators])
         semantics["comparators"] = len(comparators)
@@ -1095,6 +1104,7 @@ class LabelingEngine:
             "default_executor": self.default_executor,
             "cache": self.cache.stats().to_dict(),
             "request_keys": self._request_keys.stats().to_dict(),
+            "naming": {"truncated_closures": truncated_closures},
             "semantics": semantics,
             "resilience": resilience,
         }

@@ -3,19 +3,25 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.consistency import (
+    CLOSURE_LIMIT,
+    CompiledRows,
     ConsistencyLevel,
+    Partition,
     combine,
     combine_closure,
     covering_partitions,
     find_partitions,
+    partition_solutions,
     solutions_of_partition,
     tuples_consistent,
 )
 from repro.core.group_relation import GroupRelation, GroupTuple
+from repro.datasets.registry import DOMAINS, load_domain
+from repro.schema.groups import partition_clusters
 
 from .conftest import regular_group
 
@@ -75,11 +81,13 @@ class TestCombine:
         # Non-null components of r win; s fills r's nulls.
         assert merged.labels == ("A", "B", "C")
 
-    def test_requires_same_clusters(self):
+    def test_requires_same_clusters(self, comparator):
         r = row("r", "A", None, "C")
         s = GroupTuple("s", ("A",), ("cX",))
         with pytest.raises(ValueError):
             combine(r, s)
+        with pytest.raises(ValueError):
+            combine_closure([r, s], ConsistencyLevel.STRING, comparator)
 
     def test_arity_guard(self):
         with pytest.raises(ValueError):
@@ -163,13 +171,19 @@ class TestCombineClosure:
         assert len(closure) == 1
 
     def test_limit_respected(self, comparator):
-        rows = [
-            row(f"i{k}", "X", f"b{k}", None) for k in range(6)
-        ]
+        # 6 rows sharing "X" combine into 9 more tuples, so 10 binds.
+        rows = [row(f"i{k}", "X", f"b{k}", None) for k in range(3)]
+        rows += [row(f"j{k}", "X", None, f"c{k}") for k in range(3)]
         closure = combine_closure(
             rows, ConsistencyLevel.STRING, comparator, limit=10
         )
-        assert len(closure) <= 10
+        full = reference_combine_closure(rows, ConsistencyLevel.STRING, comparator)
+        assert len(full) == 15
+        assert len(closure) == 10
+        assert _view(closure) == _view(full[:10])
+        compiled = CompiledRows(rows, ConsistencyLevel.STRING, comparator)
+        assert compiled.closure(10).truncated
+        assert not compiled.closure(16).truncated
 
     def test_inconsistent_rows_never_combined(self, comparator):
         rows = [row("a", "X", None, None), row("b", None, "Y", None)]
@@ -277,3 +291,223 @@ def test_covering_partition_iff_complete_solution(comparator, label_rows):
             solutions_of_partition(partition, relation.clusters, comparator)
         )
     assert bool(covering) == bool(complete)
+
+
+# ----------------------------------------------------------------------
+# The compiled kernel against the object-level reference.
+#
+# ``reference_*`` are the object-level implementations the kernel
+# replaced, kept verbatim: every kernel answer (keys, interface names,
+# order, partitions, the truncation flag) must equal theirs.
+# ----------------------------------------------------------------------
+
+
+def reference_find_partitions(relation, level, comparator, clusters=None):
+    rows = list(relation.tuples)
+    n = len(rows)
+    parent = list(range(n))
+
+    def find(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    def union(i: int, j: int) -> None:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if tuples_consistent(rows[i], rows[j], level, comparator, clusters):
+                union(i, j)
+
+    components: dict[int, list[GroupTuple]] = {}
+    for i, row in enumerate(rows):
+        components.setdefault(find(i), []).append(row)
+    return [Partition(tuples=members, level=level) for members in components.values()]
+
+
+def _memoized(closure):
+    """Memoize a reference closure per (rows, level, limit): the checks
+    below ask for the same slow object-level closures repeatedly."""
+    memo: dict = {}
+
+    def cached(tuples, level, comparator, limit=CLOSURE_LIMIT):
+        key = (tuple(tuples), level, limit)
+        if key not in memo:
+            memo[key] = closure(tuples, level, comparator, limit)
+        return memo[key]
+
+    cached.cache_clear = memo.clear
+    return cached
+
+
+@_memoized
+def reference_combine_closure(tuples, level, comparator, limit=CLOSURE_LIMIT):
+    seen: dict[tuple[str | None, ...], GroupTuple] = {}
+    order: list[GroupTuple] = []
+    for t in tuples:
+        if t.key() not in seen:
+            seen[t.key()] = t
+            order.append(t)
+
+    frontier = list(order)
+    while frontier and len(order) < limit:
+        next_frontier: list[GroupTuple] = []
+        for current in frontier:
+            for original in tuples:
+                if not tuples_consistent(current, original, level, comparator):
+                    continue
+                for merged in (combine(current, original), combine(original, current)):
+                    if merged.key() not in seen:
+                        seen[merged.key()] = merged
+                        order.append(merged)
+                        next_frontier.append(merged)
+                        if len(order) >= limit:
+                            return order
+        frontier = next_frontier
+    return order
+
+
+def reference_spanning_tree_merge(partition, comparator):
+    remaining = list(partition.tuples)
+    merged = remaining.pop(0)
+    while remaining:
+        for candidate in remaining:
+            if tuples_consistent(merged, candidate, partition.level, comparator):
+                merged = combine(merged, candidate)
+                remaining.remove(candidate)
+                break
+        else:
+            candidate = remaining.pop(0)
+            merged = combine(merged, candidate)
+    return merged
+
+
+def reference_solutions_of_partition(partition, clusters, comparator, limit=CLOSURE_LIMIT):
+    projected = [t.project(clusters) for t in partition.tuples]
+    projected = [t for t in projected if t.non_null_count() > 0]
+    if not projected:
+        return []
+    closure = reference_combine_closure(projected, partition.level, comparator, limit)
+    complete = [t for t in closure if t.is_complete()]
+    if complete:
+        return complete
+    covered: set[str] = set()
+    for t in projected:
+        covered.update(t.non_null_clusters())
+    if frozenset(clusters) <= covered:
+        merged = reference_spanning_tree_merge(
+            Partition(tuples=projected, level=partition.level), comparator
+        )
+        if merged.is_complete():
+            return [merged]
+    return []
+
+
+def reference_truncated(closure, limit):
+    """The reference stops exactly when it holds ``limit`` tuples."""
+    return len(closure) >= limit
+
+
+def _view(tuples):
+    return [(t.interface, t.key(), t.clusters) for t in tuples]
+
+
+def _partition_view(partitions):
+    return [([t.interface for t in p.tuples], p.level) for p in partitions]
+
+
+LIMITS = (1, 2, 5, 10, CLOSURE_LIMIT)
+
+
+def assert_kernel_matches_reference(relation, comparator):
+    reference_combine_closure.cache_clear()
+    rows = relation.tuples
+    for level in ConsistencyLevel:
+        compiled = CompiledRows(rows, level, comparator)
+        for limit in LIMITS:
+            expected = reference_combine_closure(rows, level, comparator, limit)
+            closure = compiled.closure(limit)
+            assert _view(closure.tuples()) == _view(expected)
+            assert _view(combine_closure(rows, level, comparator, limit)) \
+                == _view(expected)
+            assert closure.truncated == reference_truncated(expected, limit)
+
+        partitions = find_partitions(relation, level, comparator)
+        assert _partition_view(partitions) \
+            == _partition_view(reference_find_partitions(relation, level, comparator))
+        restricted = relation.clusters[1:]
+        assert _partition_view(
+            find_partitions(relation, level, comparator, restricted)
+        ) == _partition_view(
+            reference_find_partitions(relation, level, comparator, restricted)
+        )
+        for partition in partitions:
+            for clusters in (relation.clusters, relation.clusters[1:]):
+                for limit in LIMITS:
+                    got = partition_solutions(partition, clusters, comparator, limit)
+                    assert _view(got.tuples) == _view(
+                        reference_solutions_of_partition(
+                            partition, clusters, comparator, limit
+                        )
+                    )
+                    projected = [
+                        t for t in (r.project(clusters) for r in partition.tuples)
+                        if t.non_null_count() > 0
+                    ]
+                    truncated = bool(projected) and reference_truncated(
+                        reference_combine_closure(projected, level, comparator, limit),
+                        limit,
+                    )
+                    assert got.truncated == truncated
+
+
+#: Per column, labels whose pairs differ by level: string-equal up to case
+#: ("Adults"/"adults"), equal ("Preferred Airline"/"Airline Preference"),
+#: synonyms ("Area of Study"/"Field of Work"), and unrelated ones.
+VOCABULARY = (
+    ("Adults", "adults", "Adult", "Number of Adults"),
+    ("Preferred Airline", "Airline Preference", "preferred airline", "Airline"),
+    ("Area of Study", "Field of Work", "Study Area", "Class"),
+    ("Job Type", "Type of Job", "Kind of Job", "Position"),
+)
+
+
+@st.composite
+def small_relations(draw):
+    width = draw(st.integers(min_value=3, max_value=4))
+    clusters = tuple(f"c{k}" for k in range(width))
+    cells = [st.sampled_from((*VOCABULARY[c], None)) for c in range(width)]
+    label_rows = draw(st.lists(st.tuples(*cells), min_size=1, max_size=7))
+    rows = [
+        GroupTuple(f"i{k}", labels, clusters)
+        for k, labels in enumerate(label_rows)
+        if any(v is not None for v in labels)
+    ]
+    return GroupRelation(regular_group(list(clusters)), rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_relations())
+def test_kernel_matches_reference_on_random_relations(comparator, relation):
+    assert_kernel_matches_reference(relation, comparator)
+
+
+def _group_relations(domain: str, seed: int) -> list[GroupRelation]:
+    dataset = load_domain(domain, seed=seed)
+    dataset.prepare()
+    partition = partition_clusters(dataset.integrated())
+    groups = list(partition.regular)
+    if partition.root_group is not None:
+        groups.append(partition.root_group)
+    return [GroupRelation.from_mapping(g, dataset.mapping) for g in groups]
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_kernel_matches_reference_on_domain_relations(comparator, domain):
+    for seed in (0, 1, 2):
+        for relation in _group_relations(domain, seed):
+            assert_kernel_matches_reference(relation, comparator)

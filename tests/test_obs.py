@@ -302,6 +302,19 @@ class TestGoldenTrace:
     def test_trace_is_deterministic(self):
         assert _airline_trace() == _airline_trace()
 
+    def test_truncated_closure_tags_its_group_span(self):
+        """Job's root group reaches CLOSURE_LIMIT; its span says so, and
+        the spans of groups that finish their closure carry no tag."""
+        trace = Trace(request_id="job", name="label", clock=FakeClock())
+        with trace.scope():
+            LabelingEngine(cache_size=0).label({"domain": "job", "seed": 0})
+        (closure,) = trace.find("phase:combine_closure")
+        tags = {child.name: child.tags for child in closure.children}
+        assert tags["group:root"]["truncated"] is True
+        assert all(
+            "truncated" not in t for name, t in tags.items() if name != "group:root"
+        )
+
     def test_all_paper_phases_traced_with_durations(self):
         record = _airline_trace()
         names = {}

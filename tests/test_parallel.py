@@ -307,13 +307,12 @@ def test_process_backend_falls_back_under_fault_plan(monkeypatch):
     for expected, got in zip(reference, results):
         assert _strip_timing(expected) == _strip_timing(got)
 
-    # The shared comparator's pair cache stayed coherent under the thread
-    # fan-out: counters add up and every group it memoised is consistent
-    # with a fresh comparator's answer.
-    pairs = comparator.cache_stats()["consistency_pairs"]
-    assert pairs["hits"] + pairs["misses"] > 0
-    assert pairs["hit_rate"] == round(
-        pairs["hits"] / (pairs["hits"] + pairs["misses"]), 4
+    # The shared comparator's relation memo stayed coherent under the
+    # thread fan-out: its counters add up.
+    relations = comparator.cache_stats()["relations"]
+    assert relations["hits"] + relations["misses"] > 0
+    assert relations["hit_rate"] == round(
+        relations["hits"] / (relations["hits"] + relations["misses"]), 4
     )
 
 

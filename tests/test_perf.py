@@ -14,12 +14,6 @@ import random
 
 import pytest
 
-from repro.core.consistency import (
-    ConsistencyLevel,
-    ConsistencyPairCache,
-    combine_closure,
-    find_partitions,
-)
 from repro.core.group_relation import GroupRelation
 from repro.core.label import LabelAnalyzer
 from repro.core.semantics import LabelRelation, SemanticComparator
@@ -224,7 +218,7 @@ def test_derived_predicates_match_relation_ladder():
 
 
 # ----------------------------------------------------------------------
-# combine_closure / find_partitions with the pair cache on and off.
+# The group-result memo: warm answers equal cold ones, copies protect it.
 # ----------------------------------------------------------------------
 
 
@@ -236,32 +230,6 @@ def _group_relations(domain: str, seed: int) -> list[GroupRelation]:
     if partition.root_group is not None:
         groups.append(partition.root_group)
     return [GroupRelation.from_mapping(g, dataset.mapping) for g in groups]
-
-
-@pytest.mark.parametrize("domain", ["airline", "hotels", "carrental"])
-def test_pair_cache_does_not_change_closure_or_partitions(domain):
-    comparator = SemanticComparator()
-    lookups = CacheCounter("pairs")
-    for relation in _group_relations(domain, seed=0):
-        for level in ConsistencyLevel:
-            cache = ConsistencyPairCache(counter=lookups)
-            plain = combine_closure(relation.tuples, level, comparator)
-            memoed = combine_closure(
-                relation.tuples, level, comparator, cache=cache
-            )
-            assert [t.key() for t in plain] == [t.key() for t in memoed]
-            assert [t.interface for t in plain] == [t.interface for t in memoed]
-
-            parts_plain = find_partitions(relation, level, comparator)
-            parts_memo = find_partitions(relation, level, comparator, cache=cache)
-            assert [sorted(t.interface for t in p.tuples) for p in parts_plain] \
-                == [sorted(t.interface for t in p.tuples) for p in parts_memo]
-    assert lookups.lookups > 0
-
-
-# ----------------------------------------------------------------------
-# The group-result memo: warm answers equal cold ones, copies protect it.
-# ----------------------------------------------------------------------
 
 
 def _solution_view(result):

@@ -168,6 +168,21 @@ class TestEngine:
         assert responses[2]["error_type"] == "invalid_request"
 
 
+class TestTruncationReporting:
+    def test_truncated_groups_in_response_and_metrics(self):
+        engine = LabelingEngine(cache_size=8)
+        job = engine.label({"domain": "job", "seed": 0})
+        assert job["stats"]["truncated_groups"] == ["group:root"]
+        assert engine.stats()["naming"] == {"truncated_closures": 1}
+
+        hit = engine.label({"domain": "job", "seed": 0})
+        assert hit["cached"] and hit["stats"]["truncated_groups"] == ["group:root"]
+        airline = engine.label({"domain": "airline", "seed": 0})
+        assert airline["stats"]["truncated_groups"] == []
+        # Only computed responses count; hits and complete closures do not.
+        assert engine.stats()["naming"] == {"truncated_closures": 1}
+
+
 class TestRequestValidation:
     def test_needs_corpus_or_domain(self):
         with pytest.raises(RequestError, match="exactly one"):

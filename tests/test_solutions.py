@@ -6,7 +6,10 @@ import pytest
 
 from repro.core.consistency import ConsistencyLevel
 from repro.core.group_relation import GroupRelation, GroupTuple
+from repro.core.semantics import SemanticComparator
 from repro.core.solutions import name_group, rank_tuple_solutions
+from repro.datasets.registry import load_domain
+from repro.schema.groups import partition_clusters
 
 from .conftest import build_group_corpus, regular_group
 
@@ -203,3 +206,24 @@ class TestGroupNamingResultApi:
         best = name_group(relation, comparator).best
         assert best.label_for("c_adult") == "Adults"
         assert best.label_for("c_missing") is None
+
+
+class TestTruncation:
+    """A Combine* closure stopped by CLOSURE_LIMIT is reported, not silent."""
+
+    def test_job_root_group_is_truncated_and_memo_hits_keep_it(self):
+        dataset = load_domain("job", seed=0)
+        dataset.prepare()
+        partition = partition_clusters(dataset.integrated())
+        comparator = SemanticComparator()
+        root = GroupRelation.from_mapping(partition.root_group, dataset.mapping)
+        assert name_group(root, comparator).truncated
+        assert name_group(root, comparator).truncated  # group-memo hit
+        for group in partition.regular:
+            relation = GroupRelation.from_mapping(group, dataset.mapping)
+            assert not name_group(relation, comparator).truncated
+
+    def test_small_groups_are_not_truncated(self, comparator, table2_corpus):
+        __, mapping, group = table2_corpus
+        result = name_group(GroupRelation.from_mapping(group, mapping), comparator)
+        assert not result.truncated
