@@ -1,7 +1,7 @@
 """The memoization layer — cold vs warm labeling and cache hit ratios.
 
 The hot-path caches (label interning, pairwise relations, group-result
-memo, WordNet token memos) exist so repeated labeling of the same domain —
+memo) exist so repeated labeling of the same domain —
 the service's steady state — skips the quadratic Definition-1/2 work.
 This bench measures exactly that workload through
 :func:`repro.perf.profile_labeling`: every domain labeled once cold and

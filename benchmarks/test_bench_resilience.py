@@ -48,7 +48,7 @@ def test_resilience_overhead_report():
     payloads = [{"domain": name, "seed": 0} for name in sorted(DOMAINS)]
     retry = RetryPolicy(base_delay_s=0.001, max_delay_s=0.005)
 
-    # Warm the comparator once so both measurements see hot lexicon memos.
+    # Warm the comparator once so both measurements see hot memos.
     LabelingEngine(cache_size=0, comparator=comparator).label_batch(payloads)
 
     start = time.perf_counter()

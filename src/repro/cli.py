@@ -543,13 +543,6 @@ def _cmd_profile(args) -> int:
             f"  {cache_name:<18} {stats['hit_rate']:>7.1%}  "
             f"({stats['hits']} hits / {stats['misses']} misses)"
         )
-    wordnet = report["caches"]["wordnet"]
-    for cache_name in ("base_form", "relations"):
-        stats = wordnet[cache_name]
-        print(
-            f"  wordnet.{cache_name:<10} {stats['hit_rate']:>7.1%}  "
-            f"({stats['hits']} hits / {stats['misses']} misses)"
-        )
     if args.out is not None:
         print(f"\nwrote {args.out}")
     return 0

@@ -66,7 +66,7 @@ def label_integrated_interface(
     analyzer = comparator.analyzer
     log = InferenceLog(keep_events=options.keep_inference_events)
 
-    maybe_inject("pipeline.phase1", wordnet=comparator.wordnet)
+    maybe_inject("pipeline.phase1")
     with obs_span("phase:partitions") as sp:
         partition = partition_clusters(integrated_root)
         if sp is not None:
@@ -160,7 +160,7 @@ def label_integrated_interface(
         # --------------------------------------------------------------
         # Phases 2+3: assign labels top-down, narrowing group solutions.
         # --------------------------------------------------------------
-        maybe_inject("pipeline.phase3", wordnet=comparator.wordnet)
+        maybe_inject("pipeline.phase3")
         allowed: dict[str, list[GroupSolution]] = {
             name: list(res.solutions) for name, res in result.group_results.items()
         }

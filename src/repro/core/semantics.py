@@ -36,19 +36,18 @@ for homonym repair.  The comparator therefore memoises, per lifetime:
   loops, memoised separately so the LI rules (which call them directly,
   not through the ladder) hit too.
 
-Every memo is dropped when the lexicon's mutation stamp
-(:attr:`MiniWordNet.version`) moves, so a vocabulary edit mid-run is
-observed on the very next query — the same discipline the lexicon applies
-to its own memos.  Caches are bounded by :data:`RELATION_CACHE_LIMIT`
-against unbounded service vocabularies.
+The lexicon underneath is an immutable
+:class:`~repro.lexicon.compiled.CompiledLexicon`, so no memo here is ever
+invalidated.  Caches are bounded by :data:`RELATION_CACHE_LIMIT` against
+unbounded service vocabularies.
 """
 
 from __future__ import annotations
 
 from enum import IntEnum
 
+from ..lexicon.compiled import CompiledLexicon
 from ..lexicon.normalize import Token
-from ..lexicon.wordnet import MiniWordNet
 from ..perf import CacheCounter
 from .label import Label, LabelAnalyzer
 
@@ -82,7 +81,7 @@ class SemanticComparator:
 
     def __init__(self, analyzer: LabelAnalyzer | None = None) -> None:
         self.analyzer = analyzer or LabelAnalyzer()
-        self.wordnet: MiniWordNet = self.analyzer.wordnet
+        self.wordnet: CompiledLexicon = self.analyzer.wordnet
         self._relation_cache: dict = {}
         self._synonym_cache: dict = {}
         self._hypernym_cache: dict = {}
@@ -91,7 +90,6 @@ class SemanticComparator:
         #: the memoization scope; read and written by
         #: :func:`repro.core.solutions.name_group`).
         self._group_cache: dict = {}
-        self._lexicon_version = self.wordnet.version
         self.relation_counter = CacheCounter("relations")
         self.predicate_counter = CacheCounter("predicates")
         self.group_counter = CacheCounter("group_results")
@@ -117,15 +115,6 @@ class SemanticComparator:
         if type(label) is str:
             return label
         return label.key if label.key >= 0 else label
-
-    def _check_lexicon_version(self) -> None:
-        """Drop every memo if the lexicon mutated since the last query."""
-        if self.wordnet.version != self._lexicon_version:
-            self._relation_cache.clear()
-            self._synonym_cache.clear()
-            self._hypernym_cache.clear()
-            self._group_cache.clear()
-            self._lexicon_version = self.wordnet.version
 
     def _bound(self, memo: dict, counter: CacheCounter) -> None:
         if len(memo) >= RELATION_CACHE_LIMIT:
@@ -169,7 +158,6 @@ class SemanticComparator:
         return bool(la.stems) and la.stems == lb.stems
 
     def synonym(self, a: str | Label, b: str | Label) -> bool:
-        self._check_lexicon_version()
         key = (self._cache_key(a), self._cache_key(b))
         cached = self._synonym_cache.get(key)
         if cached is not None:
@@ -212,7 +200,6 @@ class SemanticComparator:
 
     def hypernym(self, a: str | Label, b: str | Label) -> bool:
         """True when ``a`` is (strictly) more general than ``b`` by Def. 1."""
-        self._check_lexicon_version()
         key = (self._cache_key(a), self._cache_key(b))
         cached = self._hypernym_cache.get(key)
         if cached is not None:
@@ -251,7 +238,6 @@ class SemanticComparator:
 
     def relation_between(self, a: str | Label, b: str | Label) -> LabelRelation:
         """The strongest Definition-1 relation holding from ``a`` to ``b``."""
-        self._check_lexicon_version()
         ka, kb = self._cache_key(a), self._cache_key(b)
         cached = self._relation_cache.get((ka, kb))
         if cached is not None:
@@ -318,9 +304,8 @@ class SemanticComparator:
         """JSON-ready stats for every cache this comparator reaches.
 
         The hierarchy mirrors the computation: label analyses feed pairwise
-        relations, which feed the compiled consistency masks; WordNet
-        memos sit under all of them.  Surfaced through ``GET /metrics``
-        and ``repro profile``.
+        relations, which feed the compiled consistency masks.  Surfaced
+        through ``GET /metrics`` and ``repro profile``.
         """
         return {
             "labels": self.analyzer.cache_stats(),
@@ -336,5 +321,4 @@ class SemanticComparator:
                 **self.group_counter.snapshot(),
                 "size": len(self._group_cache),
             },
-            "wordnet": self.wordnet.cache_stats(),
         }

@@ -311,14 +311,12 @@ def name_group(
 
     Results are memoised on the comparator keyed by the relation's content
     fingerprint: repeated labeling of the same domain (the service's steady
-    state) skips the whole ladder/closure computation.  The memo follows
-    the comparator's lexicon-version discipline and only engages when the
-    ranking analyzer is the comparator's own (a foreign analyzer could rank
-    expressiveness differently).
+    state) skips the whole ladder/closure computation.  The memo only
+    engages when the ranking analyzer is the comparator's own (a foreign
+    analyzer could rank expressiveness differently).
     """
     memo = None
     if analyzer is None or analyzer is comparator.analyzer:
-        comparator._check_lexicon_version()
         memo = comparator._group_cache
         fingerprint = _relation_fingerprint(relation, max_level)
         cached = memo.get(fingerprint)

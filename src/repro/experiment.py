@@ -120,10 +120,9 @@ class _DomainTask:
     The process executor ships tasks to worker interpreters by pickling,
     which rules out closures — this class carries the same bindings as the
     thread path's lambda.  Inside a pool worker the warm comparator built
-    by :func:`repro.service.parallel.init_worker` (around the compiled
-    lexicon) is reused; outside one, a fresh comparator is built per task,
-    exactly like the thread path.  The two lexicon backings are
-    query-equivalent, so results do not depend on which one answers.
+    by :func:`repro.service.parallel.init_worker` is reused; outside one,
+    a fresh comparator is built per task, exactly like the thread path.
+    Both answer from the same compiled default lexicon.
     """
 
     __slots__ = ("name", "seed", "options", "respondent_count")

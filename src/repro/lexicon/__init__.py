@@ -12,7 +12,7 @@ from .compiled import (
     default_compiled,
     lexicon_fingerprint,
 )
-from .data import build_default_wordnet, default_wordnet
+from .data import build_default_wordnet
 from .io import load_wordnet, save_wordnet_data, wordnet_from_dict
 from .morphology import base_form
 from .normalize import Token, content_tokens, display_form, tokenize
@@ -34,7 +34,6 @@ __all__ = [
     "base_form",
     "build_default_wordnet",
     "content_tokens",
-    "default_wordnet",
     "display_form",
     "is_stop_word",
     "load_wordnet",

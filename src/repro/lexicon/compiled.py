@@ -1,10 +1,10 @@
 """CompiledLexicon: a :class:`MiniWordNet` frozen into O(1) query tables.
 
-The dynamic lexicon answers synonymy/hypernymy with memoised graph walks —
-fine for a single process, but the memos start cold in every worker the
-process-parallel batch backend spawns, and the walk itself is the hot
-inner loop of the Definition-1 predicates.  Compilation trades the dynamic
-structure for immutable tables computed once:
+Every lexicon query the labeling stack makes goes to a compiled snapshot:
+:class:`~repro.core.label.LabelAnalyzer` compiles whatever lexicon it is
+given (a no-op for a snapshot), and the default is :func:`default_compiled`.
+The builder's graph walks are the hot inner loop of the Definition-1
+predicates; compilation trades them for immutable tables computed once:
 
 * ``lemma -> synset-id bitmask`` — synonymy is one dict lookup per lemma
   plus a bitwise AND (shared bit = shared synset);
@@ -17,17 +17,20 @@ structure for immutable tables computed once:
   land in a bounded runtime memo.
 
 A compiled lexicon is **immutable** — mutation raises
-:class:`ImmutableLexiconError` and :attr:`version` never moves, so
-downstream caches (label analyzer, semantic comparator) never invalidate.
-It is cheaply **picklable** (plain dicts of strings and ints; runtime memos
-are dropped from the pickle), which is what lets the process-pool backend
-ship one instance per worker via the pool initializer instead of rebuilding
-or re-deriving anything per task.  :attr:`fingerprint` is a SHA-256 over
-the canonical synset/edge content, used by the disk cache's engine key.
+:class:`ImmutableLexiconError` — so the caches built over it (label
+analyzer, semantic comparator) never need invalidating; editing the
+builder afterwards does not reach a snapshot already compiled from it.
+It is cheaply **picklable** (plain dicts of strings and ints; the runtime
+memo is dropped from the pickle), which is what lets the process-pool
+backend ship one instance per worker via the pool initializer instead of
+rebuilding or re-deriving anything per task.  :attr:`fingerprint` is a
+SHA-256 over the canonical synset/edge content, used by the disk cache's
+engine key.
 
-Equivalence with the dynamic lexicon is part of the contract:
-``tests/test_compiled_lexicon.py`` property-tests every query against
-:class:`MiniWordNet` over the full curated vocabulary.
+Equivalence with the builder is part of the contract:
+``tests/test_compiled_lexicon.py`` tests every query against
+:class:`MiniWordNet` over the full curated vocabulary and over random
+small lexicons.
 """
 
 from __future__ import annotations
@@ -36,10 +39,9 @@ import hashlib
 import json
 import threading
 
-from ..perf import CacheCounter
 from ..resilience.faults import maybe_inject
 from .morphology import IRREGULAR_FORMS, base_form
-from .wordnet import MEMO_LIMIT, MiniWordNet, Synset
+from .wordnet import MiniWordNet, Synset
 
 __all__ = [
     "CompiledLexicon",
@@ -48,6 +50,9 @@ __all__ = [
     "default_compiled",
     "lexicon_fingerprint",
 ]
+
+#: Bound on the out-of-vocabulary base-form memo; past it the memo is cleared.
+MEMO_LIMIT = 1 << 17
 
 
 class ImmutableLexiconError(TypeError):
@@ -72,7 +77,7 @@ def _canonical_data(wordnet: MiniWordNet) -> dict:
 
 
 def lexicon_fingerprint(wordnet) -> str:
-    """SHA-256 content fingerprint of any lexicon (dynamic or compiled)."""
+    """SHA-256 content fingerprint of any lexicon (builder or compiled)."""
     if isinstance(wordnet, CompiledLexicon):
         return wordnet.fingerprint
     canonical = json.dumps(
@@ -91,13 +96,9 @@ class CompiledLexicon:
     :func:`compile_lexicon`, never directly.
     """
 
-    #: Immutable: the stamp downstream caches watch never moves.
-    version = 0
-
     def __init__(
         self,
         synsets: tuple[frozenset[str], ...],
-        sid_ancestor_masks: tuple[int, ...],
         lemma_sids: dict[str, tuple[int, ...]],
         lemma_sid_mask: dict[str, int],
         lemma_ancestor_mask: dict[str, int],
@@ -105,44 +106,20 @@ class CompiledLexicon:
         fingerprint: str,
     ) -> None:
         self._synsets = synsets
-        self._sid_ancestor_masks = sid_ancestor_masks
         self._lemma_sids = lemma_sids
         self._lemma_sid_mask = lemma_sid_mask
         self._lemma_ancestor_mask = lemma_ancestor_mask
         self._base_map = base_map
         self.fingerprint = fingerprint
-        self._init_runtime()
-
-    def _init_runtime(self) -> None:
-        """Runtime-only state: memo for out-of-vocabulary tokens, counters."""
+        #: Runtime-only memo for out-of-vocabulary tokens (not pickled).
         self._base_cache: dict[str, str] = {}
-        self._base_counter = CacheCounter("wordnet.base_form")
-        self._relation_counter = CacheCounter("wordnet.relations")
 
     # ------------------------------------------------------------------
-    # Pickling: ship the tables, drop the runtime memo and counters.
+    # Pickling: ship the tables, drop the runtime memo.
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        return {
-            "synsets": self._synsets,
-            "sid_ancestor_masks": self._sid_ancestor_masks,
-            "lemma_sids": self._lemma_sids,
-            "lemma_sid_mask": self._lemma_sid_mask,
-            "lemma_ancestor_mask": self._lemma_ancestor_mask,
-            "base_map": self._base_map,
-            "fingerprint": self.fingerprint,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self._synsets = state["synsets"]
-        self._sid_ancestor_masks = state["sid_ancestor_masks"]
-        self._lemma_sids = state["lemma_sids"]
-        self._lemma_sid_mask = state["lemma_sid_mask"]
-        self._lemma_ancestor_mask = state["lemma_ancestor_mask"]
-        self._base_map = state["base_map"]
-        self.fingerprint = state["fingerprint"]
-        self._init_runtime()
+        return {**self.__dict__, "_base_cache": {}}
 
     # ------------------------------------------------------------------
     # Immutability.
@@ -150,8 +127,8 @@ class CompiledLexicon:
 
     def _immutable(self, operation: str):
         raise ImmutableLexiconError(
-            f"CompiledLexicon is immutable ({operation}); use thaw() to get "
-            "a mutable MiniWordNet copy"
+            f"CompiledLexicon is immutable ({operation}); edit a MiniWordNet "
+            "and compile it again"
         )
 
     def add_synset(self, lemmas):
@@ -162,21 +139,6 @@ class CompiledLexicon:
 
     def load(self, synsets, hypernym_pairs=()):
         self._immutable("load")
-
-    def thaw(self) -> MiniWordNet:
-        """A mutable :class:`MiniWordNet` answering identically.
-
-        Hypernymy is only ever queried transitively, so replaying each
-        synset's ancestor *closure* as direct edges preserves every query
-        result.
-        """
-        wordnet = MiniWordNet()
-        for lemmas in self._synsets:
-            wordnet.add_synset(lemmas)
-        for sid, ancestors in enumerate(self._sid_ancestor_masks):
-            for general in _bits_of(ancestors):
-                wordnet.add_hypernym(general, sid)
-        return wordnet
 
     # ------------------------------------------------------------------
     # Vocabulary.
@@ -190,18 +152,13 @@ class CompiledLexicon:
         """Morphy against the compiled vocabulary — precomputed for every
         known lemma and irregular form, memoised (bounded) for the rest."""
         cached = self._base_map.get(token)
+        if cached is None:
+            cached = self._base_cache.get(token)
         if cached is not None:
-            self._base_counter.hit()
             return cached
-        cached = self._base_cache.get(token)
-        if cached is not None:
-            self._base_counter.hit()
-            return cached
-        self._base_counter.miss()
         maybe_inject("lexicon.query")
         result = base_form(token, self.is_known)
         if len(self._base_cache) >= MEMO_LIMIT:
-            self._base_counter.evict(len(self._base_cache))
             self._base_cache.clear()
         self._base_cache[token] = result
         return result
@@ -230,7 +187,6 @@ class CompiledLexicon:
 
     def are_synonyms(self, a: str, b: str) -> bool:
         """True when ``a`` and ``b`` are distinct words sharing a synset."""
-        self._relation_counter.hit()
         la, lb = self.lemma_base(a), self.lemma_base(b)
         if la == lb:
             return False
@@ -242,7 +198,6 @@ class CompiledLexicon:
 
     def is_hypernym(self, general: str, specific: str) -> bool:
         """True when ``general`` is a (transitive) hypernym of ``specific``."""
-        self._relation_counter.hit()
         lg, ls = self.lemma_base(general), self.lemma_base(specific)
         if lg == ls:
             return False
@@ -256,36 +211,11 @@ class CompiledLexicon:
 
     def share_hypernym(self, a: str, b: str) -> bool:
         """True when ``a`` and ``b`` have a common (transitive) hypernym."""
-        self._relation_counter.hit()
         ancestors_a = self._lemma_ancestor_mask.get(self.lemma_base(a))
         if not ancestors_a:
             return False
         ancestors_b = self._lemma_ancestor_mask.get(self.lemma_base(b))
         return bool(ancestors_b) and bool(ancestors_a & ancestors_b)
-
-    # ------------------------------------------------------------------
-    # Introspection.
-    # ------------------------------------------------------------------
-
-    def cache_stats(self) -> dict:
-        """JSON-ready counters, shaped like :meth:`MiniWordNet.cache_stats`.
-
-        Relations report every query as a hit — compiled queries *are* the
-        precomputed table; there is nothing to miss into.
-        """
-        return {
-            "base_form": {
-                **self._base_counter.snapshot(),
-                "size": len(self._base_map) + len(self._base_cache),
-            },
-            "relations": {
-                **self._relation_counter.snapshot(),
-                "size": len(self._lemma_sid_mask),
-            },
-            "ancestors": {"size": len(self._lemma_ancestor_mask)},
-            "version": self.version,
-            "compiled": True,
-        }
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
@@ -294,19 +224,7 @@ class CompiledLexicon:
         )
 
 
-def _bits_of(mask: int) -> list[int]:
-    """Bit positions set in ``mask`` (ancestor synset ids)."""
-    out = []
-    sid = 0
-    while mask:
-        if mask & 1:
-            out.append(sid)
-        mask >>= 1
-        sid += 1
-    return out
-
-
-def compile_lexicon(wordnet: MiniWordNet) -> CompiledLexicon:
+def compile_lexicon(wordnet: MiniWordNet | CompiledLexicon) -> CompiledLexicon:
     """Freeze ``wordnet`` into a :class:`CompiledLexicon`.
 
     Precomputes, in one pass over the database:
@@ -316,8 +234,10 @@ def compile_lexicon(wordnet: MiniWordNet) -> CompiledLexicon:
       hypernym closures of the lemma's synsets (hypernymy/co-hyponymy
       table);
     * the base-form map over the full vocabulary plus the irregular-form
-      table, each entry produced by the same morphy loop the dynamic
-      lexicon runs.
+      table, each entry produced by the same morphy loop the builder
+      runs.
+
+    Compiling a :class:`CompiledLexicon` returns it unchanged.
     """
     if isinstance(wordnet, CompiledLexicon):
         return wordnet
@@ -345,7 +265,6 @@ def compile_lexicon(wordnet: MiniWordNet) -> CompiledLexicon:
 
     return CompiledLexicon(
         synsets=tuple(synsets),
-        sid_ancestor_masks=tuple(ancestor_masks),
         lemma_sids={
             lemma: tuple(sorted(sids)) for lemma, sids in lemma_sids.items()
         },

@@ -1,4 +1,4 @@
-"""MiniWordNet: the lexical-database substrate standing in for WordNet [9].
+"""MiniWordNet: the lexical-database builder standing in for WordNet [9].
 
 The naming algorithm consults WordNet for exactly three things (paper,
 Definition 1 and Section 3.1):
@@ -8,32 +8,28 @@ Definition 1 and Section 3.1):
   ancestor of a synset of *b* in the hypernymy DAG, transitively);
 * the **base form** of a token (morphy).
 
-This module provides those queries over an in-memory database of synsets and
-hypernym edges.  The curated data that seeds the default instance lives in
-:mod:`repro.lexicon.data`; tests and experiments may build their own
-instances with extra vocabulary.
+:class:`MiniWordNet` is the mutable *builder* of such a database: synsets
+and hypernym edges go in through :meth:`~MiniWordNet.add_synset`,
+:meth:`~MiniWordNet.add_hypernym` and :meth:`~MiniWordNet.load`, and
+:func:`repro.lexicon.compiled.compile_lexicon` freezes it into the
+immutable :class:`~repro.lexicon.compiled.CompiledLexicon` that answers
+every query the labeling stack makes.  The curated data that seeds the
+default instance lives in :mod:`repro.lexicon.data`; tests and experiments
+may build their own instances with extra vocabulary.
 
 Design notes
 ------------
 * A *synset* is a set of lemmas; a lemma may be a single word (``class``) or
   a collocation with spaces (``zip code``).  Lemmas are stored lowercase.
-* Hypernymy is recorded between synsets and queried transitively.  The
-  transitive closure is memoised per synset and invalidated on mutation.
+* Hypernymy is recorded between synsets and queried transitively.
+* The builder's own queries are plain graph walks with no memo: they are
+  the reference implementation the compiled tables are tested against
+  (``tests/test_compiled_lexicon.py``), and they always see the builder's
+  current contents.
 * Queries accept inflected forms: each lookup first maps the word to its
   base form with :func:`repro.lexicon.morphology.base_form`, using the
   database itself as the vocabulary check — the same loop WordNet's morphy
   performs.
-* Every query (base form, synonymy, hypernymy, co-hyponymy) is memoised at
-  the word level — the naming algorithm asks the same token pairs over and
-  over across consistency levels.  All memos follow the same invalidation
-  discipline as the ancestor closure: *any* mutation (``add_synset``,
-  ``add_hypernym``, ``load``) clears every memo and bumps :attr:`version`,
-  which downstream caches (label analyzer, semantic comparator) watch so a
-  lexicon edit mid-run is observed everywhere.
-* Memo dictionaries are bounded by :data:`MEMO_LIMIT`: service traffic can
-  feed unbounded vocabulary through ``lemma_base``, so a memo that grows
-  past the limit is dropped wholesale (an eviction, counted) rather than
-  leaking memory.
 """
 
 from __future__ import annotations
@@ -41,14 +37,9 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
-from ..perf import CacheCounter
-from ..resilience.faults import maybe_inject
 from .morphology import base_form
 
 __all__ = ["Synset", "MiniWordNet"]
-
-#: Per-memo entry bound; past it the memo is cleared (never the data).
-MEMO_LIMIT = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -67,31 +58,12 @@ class Synset:
 
 @dataclass
 class MiniWordNet:
-    """An in-memory lexical database with synonymy and hypernymy queries."""
+    """A mutable lexical database: the builder a :class:`CompiledLexicon`
+    is compiled from, and the reference its queries are tested against."""
 
     _synsets: list[Synset] = field(default_factory=list)
     _lemma_index: dict[str, set[int]] = field(default_factory=lambda: defaultdict(set))
     _hypernyms: dict[int, set[int]] = field(default_factory=lambda: defaultdict(set))
-    _ancestor_cache: dict[int, frozenset[int]] = field(default_factory=dict)
-    #: Mutation stamp: bumped by every ``add_synset``/``add_hypernym``.
-    #: Downstream caches compare it to decide when to drop their own memos.
-    version: int = 0
-    _base_cache: dict[str, str] = field(default_factory=dict, repr=False)
-    _synonym_cache: dict[tuple[str, str], bool] = field(
-        default_factory=dict, repr=False
-    )
-    _hypernym_cache: dict[tuple[str, str], bool] = field(
-        default_factory=dict, repr=False
-    )
-    _cohyponym_cache: dict[tuple[str, str], bool] = field(
-        default_factory=dict, repr=False
-    )
-    _base_counter: CacheCounter = field(
-        default_factory=lambda: CacheCounter("wordnet.base_form"), repr=False
-    )
-    _relation_counter: CacheCounter = field(
-        default_factory=lambda: CacheCounter("wordnet.relations"), repr=False
-    )
 
     # ------------------------------------------------------------------
     # Construction.
@@ -113,7 +85,6 @@ class MiniWordNet:
         self._synsets.append(Synset(sid, normalized))
         for lemma in normalized:
             self._lemma_index[lemma].add(sid)
-        self._invalidate_memos()
         return sid
 
     def add_hypernym(self, general, specific) -> None:
@@ -131,23 +102,6 @@ class MiniWordNet:
                 if gid == sid_:
                     continue
                 self._hypernyms[sid_].add(gid)
-        self._invalidate_memos()
-
-    def _invalidate_memos(self) -> None:
-        """Drop *every* memo and bump :attr:`version` (mutation happened).
-
-        A new synset changes vocabulary (morphy candidates), synonymy and
-        co-hyponymy; a new hypernym edge changes the transitive closure.
-        Rather than reasoning about which memo each mutation could touch,
-        all of them go — mutation is rare and always construction-time
-        or test-driven, queries are the hot path.
-        """
-        self.version += 1
-        self._ancestor_cache.clear()
-        self._base_cache.clear()
-        self._synonym_cache.clear()
-        self._hypernym_cache.clear()
-        self._cohyponym_cache.clear()
 
     def _resolve(self, ref) -> set[int]:
         if isinstance(ref, int):
@@ -169,23 +123,8 @@ class MiniWordNet:
         return word.lower().strip() in self._lemma_index
 
     def lemma_base(self, token: str) -> str:
-        """Morphy: base form of ``token`` validated against this vocabulary.
-
-        Memoised — the detachment-rule loop probes the vocabulary several
-        times per call and labels repeat the same tokens constantly.
-        """
-        cached = self._base_cache.get(token)
-        if cached is not None:
-            self._base_counter.hit()
-            return cached
-        self._base_counter.miss()
-        maybe_inject("lexicon.query")
-        result = base_form(token, self.is_known)
-        if len(self._base_cache) >= MEMO_LIMIT:
-            self._base_counter.evict(len(self._base_cache))
-            self._base_cache.clear()
-        self._base_cache[token] = result
-        return result
+        """Morphy: base form of ``token`` validated against this vocabulary."""
+        return base_form(token, self.is_known)
 
     def synsets_of(self, word: str) -> tuple[Synset, ...]:
         """All synsets whose lemma set contains the base form of ``word``."""
@@ -202,32 +141,8 @@ class MiniWordNet:
     # Queries used by Definition 1.
     # ------------------------------------------------------------------
 
-    def _memo_pair(
-        self, memo: dict[tuple[str, str], bool], key: tuple[str, str], value: bool,
-        symmetric: bool,
-    ) -> bool:
-        if len(memo) >= MEMO_LIMIT:
-            self._relation_counter.evict(len(memo))
-            memo.clear()
-        memo[key] = value
-        if symmetric:
-            memo[(key[1], key[0])] = value
-        return value
-
     def are_synonyms(self, a: str, b: str) -> bool:
         """True when ``a`` and ``b`` are distinct words sharing a synset."""
-        key = (a, b)
-        cached = self._synonym_cache.get(key)
-        if cached is not None:
-            self._relation_counter.hit()
-            return cached
-        self._relation_counter.miss()
-        return self._memo_pair(
-            self._synonym_cache, key, self._are_synonyms_uncached(a, b),
-            symmetric=True,
-        )
-
-    def _are_synonyms_uncached(self, a: str, b: str) -> bool:
         la, lb = self.lemma_base(a), self.lemma_base(b)
         if la == lb:
             return False
@@ -239,18 +154,6 @@ class MiniWordNet:
 
     def is_hypernym(self, general: str, specific: str) -> bool:
         """True when ``general`` is a (transitive) hypernym of ``specific``."""
-        key = (general, specific)
-        cached = self._hypernym_cache.get(key)
-        if cached is not None:
-            self._relation_counter.hit()
-            return cached
-        self._relation_counter.miss()
-        return self._memo_pair(
-            self._hypernym_cache, key,
-            self._is_hypernym_uncached(general, specific), symmetric=False,
-        )
-
-    def _is_hypernym_uncached(self, general: str, specific: str) -> bool:
         lg, ls = self.lemma_base(general), self.lemma_base(specific)
         if lg == ls:
             return False
@@ -268,18 +171,6 @@ class MiniWordNet:
         (transitive) hypernym, like *adult* and *senior* under *person*.
         The weakest of the relatedness signals; used by the interface
         linter's horizontal-coherence check."""
-        key = (a, b)
-        cached = self._cohyponym_cache.get(key)
-        if cached is not None:
-            self._relation_counter.hit()
-            return cached
-        self._relation_counter.miss()
-        return self._memo_pair(
-            self._cohyponym_cache, key, self._share_hypernym_uncached(a, b),
-            symmetric=True,
-        )
-
-    def _share_hypernym_uncached(self, a: str, b: str) -> bool:
         ids_a = self._lemma_index.get(self.lemma_base(a))
         ids_b = self._lemma_index.get(self.lemma_base(b))
         if not ids_a or not ids_b:
@@ -292,30 +183,8 @@ class MiniWordNet:
                 return True
         return False
 
-    def cache_stats(self) -> dict:
-        """JSON-ready memo counters (part of the perf cache hierarchy)."""
-        return {
-            "base_form": {
-                **self._base_counter.snapshot(),
-                "size": len(self._base_cache),
-            },
-            "relations": {
-                **self._relation_counter.snapshot(),
-                "size": (
-                    len(self._synonym_cache)
-                    + len(self._hypernym_cache)
-                    + len(self._cohyponym_cache)
-                ),
-            },
-            "ancestors": {"size": len(self._ancestor_cache)},
-            "version": self.version,
-        }
-
     def _ancestors(self, sid: int) -> frozenset[int]:
-        """Transitive hypernym closure of synset ``sid`` (memoised BFS)."""
-        cached = self._ancestor_cache.get(sid)
-        if cached is not None:
-            return cached
+        """Transitive hypernym closure of synset ``sid`` (BFS)."""
         seen: set[int] = set()
         queue = deque(self._hypernyms.get(sid, ()))
         while queue:
@@ -324,9 +193,7 @@ class MiniWordNet:
                 continue
             seen.add(current)
             queue.extend(self._hypernyms.get(current, ()))
-        result = frozenset(seen)
-        self._ancestor_cache[sid] = result
-        return result
+        return frozenset(seen)
 
     # ------------------------------------------------------------------
     # Bulk-load helper used by repro.lexicon.data.
@@ -366,7 +233,7 @@ class MiniWordNet:
         """``(synsets, sid_ancestors, lemma_sids)`` for the compiler.
 
         ``sid_ancestors[i]`` is the transitive hypernym closure of synset
-        ``i`` (computed through the same memoised BFS queries use), and
+        ``i`` (computed by the same BFS the queries use), and
         ``lemma_sids`` maps each lemma to the ids of its synsets.
         """
         synsets = [synset.lemmas for synset in self._synsets]

@@ -21,9 +21,9 @@ Call sites across the stack invoke :func:`maybe_inject` with a point name:
 ``pipeline.merge``      :func:`repro.core.pipeline.label_corpus` before the
                         1:m reduction and merge
 ``pipeline.phase1``     start of the three-phase naming traversal
-``pipeline.phase3``     before top-down label assignment —
-                        ``mutate_lexicon`` faults land here mid-run
-``lexicon.query``       a :meth:`MiniWordNet.lemma_base` memo miss
+``pipeline.phase3``     before top-down label assignment
+``lexicon.query``       a :class:`~repro.lexicon.compiled.CompiledLexicon`
+                        out-of-vocabulary base-form miss
 ======================  ====================================================
 
 When no plan is active (the overwhelmingly common case) ``maybe_inject``
@@ -38,9 +38,6 @@ Fault kinds
                      failure)
 ``corrupt``          returned to the call site, which flips its own stored
                      data (only honoured by ``cache.get``)
-``mutate_lexicon``   add a unique junk synset to the active lexicon —
-                     semantically inert, but it bumps the lexicon version
-                     and forces every downstream memo to invalidate mid-run
 """
 
 from __future__ import annotations
@@ -76,15 +73,15 @@ INJECTION_POINTS = (
 )
 
 #: Supported fault kinds (see the module docstring).
-FAULT_KINDS = ("latency", "timeout", "error", "corrupt", "mutate_lexicon")
+FAULT_KINDS = ("latency", "timeout", "error", "corrupt")
 
 #: Kinds that make sense at each point; ``FaultPlan.random`` draws from these.
 _POINT_KINDS = {
     "engine.execute": ("latency", "error"),
     "cache.get": ("corrupt",),
     "pipeline.merge": ("latency", "error"),
-    "pipeline.phase1": ("error", "mutate_lexicon"),
-    "pipeline.phase3": ("latency", "error", "mutate_lexicon"),
+    "pipeline.phase1": ("error",),
+    "pipeline.phase3": ("latency", "error"),
     "lexicon.query": ("latency", "error"),
 }
 
@@ -159,7 +156,6 @@ class FaultPlan:
         self.name = name or f"plan-{self.seed}"
         self.events: list[FaultEvent] = []
         self._fired: dict[tuple[int, str], int] = {}
-        self._mutations = 0
         self._lock = threading.Lock()
 
     @classmethod
@@ -220,12 +216,6 @@ class FaultPlan:
                 self.events.append(event)
             return spec, event
         return None
-
-    def next_mutation_tag(self) -> str:
-        """A unique, deterministic lemma tag for ``mutate_lexicon`` faults."""
-        with self._lock:
-            self._mutations += 1
-            return f"chaoslemma {self.seed} {self._mutations}"
 
     def stats(self) -> dict:
         """JSON-ready summary of everything this plan injected."""
@@ -305,16 +295,14 @@ def fault_scope(plan: FaultPlan | None, key: str):
         _SCOPE.reset(token)
 
 
-def maybe_inject(point: str, key: str | None = None, wordnet=None) -> FaultSpec | None:
+def maybe_inject(point: str, key: str | None = None) -> FaultSpec | None:
     """Fire any fault the active plan schedules at ``point``.
 
     Costs one integer read when no plan is active.  ``key`` overrides the
     scope's item key (the cache uses the entry key).  ``latency``/``timeout``
     faults sleep here; ``error`` faults raise :class:`InjectedFault`;
-    ``mutate_lexicon`` faults add a junk synset to ``wordnet`` (when given)
-    — unique lemmas, so results are unchanged but every memo downstream of
-    the lexicon version stamp must re-derive; ``corrupt`` faults are
-    returned for the call site to apply to its own data.
+    ``corrupt`` faults are returned for the call site to apply to its own
+    data.
     """
     scope = active_scope()
     if scope is None:
@@ -328,6 +316,4 @@ def maybe_inject(point: str, key: str | None = None, wordnet=None) -> FaultSpec 
         time.sleep(spec.latency_s)
     elif spec.kind == "error":
         raise InjectedFault(event, spec.message)
-    elif spec.kind == "mutate_lexicon" and wordnet is not None:
-        wordnet.add_synset([scope.plan.next_mutation_tag()])
     return spec

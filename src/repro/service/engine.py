@@ -135,6 +135,41 @@ def _build_corpus(source: dict) -> tuple[list[QueryInterface], Mapping]:
         raise RequestError(f"malformed corpus: {exc}") from None
 
 
+def _strings(items) -> bool:
+    return isinstance(items, (list, tuple, set, frozenset)) and all(
+        isinstance(item, str) for item in items
+    )
+
+
+def _check_overlay(lexicon) -> None:
+    """Reject a lexicon overlay whose shape ``wordnet_from_dict`` cannot load.
+
+    Synsets are non-empty collections of lemma strings, hypernyms are
+    ``[general, specific]`` lemma pairs.  Lemmas only: an integer synset id
+    would name a different synset once the overlay lands on the default
+    lexicon.
+    """
+    if not isinstance(lexicon, dict):
+        raise RequestError("'lexicon' must be an object with synsets/hypernyms")
+    synsets = lexicon.get("synsets", [])
+    if not isinstance(synsets, (list, tuple)) or not all(
+        synset and _strings(synset) for synset in synsets
+    ):
+        raise RequestError(
+            "invalid lexicon overlay: 'synsets' must be a list of non-empty "
+            "lists of strings"
+        )
+    hypernyms = lexicon.get("hypernyms", [])
+    if not isinstance(hypernyms, (list, tuple)) or not all(
+        isinstance(pair, (list, tuple)) and len(pair) == 2 and _strings(pair)
+        for pair in hypernyms
+    ):
+        raise RequestError(
+            "invalid lexicon overlay: 'hypernyms' must be a list of "
+            "[general, specific] string pairs"
+        )
+
+
 def _request_key(
     source: dict, options: NamingOptions, lexicon: dict | None
 ) -> str | None:
@@ -227,14 +262,7 @@ class LabelingRequest:
 
         lexicon = payload.get("lexicon")
         if lexicon is not None:
-            if not isinstance(lexicon, dict):
-                raise RequestError("'lexicon' must be an object with synsets/hypernyms")
-            from ..lexicon.io import wordnet_from_dict
-
-            try:  # validate eagerly so bad overlays fail as 400, not 500
-                wordnet_from_dict(lexicon, extend_default=False)
-            except (ValueError, TypeError) as exc:
-                raise RequestError(f"invalid lexicon overlay: {exc}") from None
+            _check_overlay(lexicon)
 
         timeout = parse_timeout(payload.get("timeout"))
 
@@ -243,7 +271,7 @@ class LabelingRequest:
             from ..datasets.registry import DOMAINS
 
             domain = payload["domain"]
-            if domain not in DOMAINS:
+            if not isinstance(domain, str) or domain not in DOMAINS:
                 known = ", ".join(sorted(DOMAINS))
                 raise RequestError(f"unknown domain {domain!r}; known: {known}")
             seed = payload.get("seed", 0)
@@ -540,10 +568,12 @@ def comparator_for(
     Requests (and batch items) carrying the same lexicon overlay share one
     comparator from ``overlays`` (an LRU of at most ``limit``, keyed by the
     overlay's canonical JSON, guarded by ``lock``) — and therefore its
-    label/relation/group caches.  The engine and every pool worker choose
-    through here, so an item gets the same lexicon on every executor.  The
-    comparator's memos are safe under concurrent use (append-only maps of
-    deterministic values), so one instance can serve parallel workers.
+    label/relation/group caches.  The overlay lexicon is built and
+    compiled once per key, when its comparator is.  The engine and every
+    pool worker choose through here, so an item gets the same lexicon on
+    every executor.  The comparator's memos are safe under concurrent use
+    (append-only maps of deterministic values), so one instance can serve
+    parallel workers.
     """
     if request.lexicon is None:
         return default
@@ -732,19 +762,18 @@ class LabelingEngine:
         """Digest of everything that determines a response besides the corpus.
 
         Keys the engine's slice of a shared :class:`DiskCache` directory:
-        response format version, verify mode, and the lexicon content
-        (compiled-lexicon fingerprint).  Bump ``RESPONSE_FORMAT`` whenever
-        the response shape changes so stale disk entries self-invalidate.
+        response format version, verify mode, and the content fingerprint
+        of the engine's own compiled lexicon.  Bump ``RESPONSE_FORMAT``
+        whenever the response shape changes so stale disk entries
+        self-invalidate.
         """
         import hashlib
-
-        from ..lexicon.compiled import default_compiled
 
         material = json.dumps(
             {
                 "format": self.RESPONSE_FORMAT,
                 "verify": self.verify,
-                "lexicon": default_compiled().fingerprint,
+                "lexicon": self.comparator.wordnet.fingerprint,
             },
             sort_keys=True,
             separators=(",", ":"),
@@ -1004,9 +1033,9 @@ class LabelingEngine:
 
         Breakers and retry are not consulted: this backend is for
         fault-free bulk work, which is why an active ``fault_plan`` forces
-        the thread fallback in :meth:`label_batch`.
+        the thread fallback in :meth:`label_batch`.  Workers answer from
+        the engine's own compiled lexicon.
         """
-        from ..lexicon.compiled import default_compiled
         from .parallel import PayloadTask, init_worker
 
         entries: list[dict | None] = [None] * len(requests)
@@ -1042,7 +1071,7 @@ class LabelingEngine:
             timeout,
             executor="process",
             initializer=init_worker,
-            initargs=(default_compiled(),),
+            initargs=(self.comparator.wordnet,),
         )
         for indices, outcome in zip(groups, outcomes):
             if outcome.ok:

@@ -55,6 +55,8 @@ def options_to_dict(options: NamingOptions | None) -> dict:
 
 def options_from_dict(data: dict | None) -> NamingOptions:
     """Inverse of :func:`options_to_dict`; unknown keys/values raise ``ValueError``."""
+    if data is not None and not isinstance(data, dict):
+        raise ValueError("naming options must be an object")
     data = dict(data or {})
     defaults = NamingOptions()
     known = {"use_instances", "max_level", "enabled_rules", "repair_homonyms"}

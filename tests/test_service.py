@@ -7,7 +7,10 @@ import time
 
 import pytest
 
+from repro.core.label import LabelAnalyzer
+from repro.core.semantics import SemanticComparator
 from repro.datasets.registry import DOMAINS, load_domain
+from repro.lexicon.io import wordnet_from_dict
 from repro.schema.serialize import corpus_to_dict
 from repro.service.cache import LRUCache
 from repro.service.client import ServiceClient, ServiceError
@@ -183,6 +186,15 @@ class TestTruncationReporting:
         assert engine.stats()["naming"] == {"truncated_closures": 1}
 
 
+#: Bodies that used to escape validation as TypeError/KeyError (HTTP 500).
+MALFORMED_BODIES = [
+    {"domain": {}},
+    {"domain": []},
+    {"domain": "hotels", "options": True},
+    {"domain": "hotels", "lexicon": {"hypernyms": [[1, 2]]}},
+]
+
+
 class TestRequestValidation:
     def test_needs_corpus_or_domain(self):
         with pytest.raises(RequestError, match="exactly one"):
@@ -230,6 +242,25 @@ class TestRequestValidation:
             LabelingRequest.from_payload(
                 {"domain": "job", "lexicon": {"hypernyms": [["only-one"]]}}
             )
+
+    @pytest.mark.parametrize("payload", MALFORMED_BODIES)
+    def test_malformed_body_is_a_request_error(self, payload):
+        with pytest.raises(RequestError):
+            LabelingEngine().label(payload)
+
+    @pytest.mark.parametrize(
+        "lexicon",
+        [
+            {"synsets": [[]]},
+            {"synsets": [["ok"], [1]]},
+            {"synsets": ["flat"]},
+            {"synsets": {"a": "b"}},
+            {"hypernyms": [["a", None]]},
+        ],
+    )
+    def test_overlay_shape_is_checked(self, lexicon):
+        with pytest.raises(RequestError, match="lexicon overlay"):
+            LabelingRequest.from_payload({"domain": "job", "lexicon": lexicon})
 
 
 def _labels(response: dict) -> dict:
@@ -454,6 +485,14 @@ class TestHTTPService:
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error_type"] == "invalid_request"
 
+    @pytest.mark.parametrize("payload", MALFORMED_BODIES)
+    def test_malformed_body_is_400(self, client, payload):
+        with pytest.raises(ServiceError) as excinfo:
+            client.request("POST", "/label", payload)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error"]
+        assert excinfo.value.payload["request_id"]
+
     def test_unknown_endpoint_is_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.request("GET", "/nope")
@@ -500,6 +539,38 @@ class TestHTTPService:
         latency = metrics["http"]["latency"]
         assert {"p50_ms", "p90_ms", "p99_ms", "max_ms", "window"} <= set(latency)
         assert metrics["engine"]["cache"]["capacity"] == 16
+
+
+def _bare_comparator() -> SemanticComparator:
+    """A comparator over a one-synset lexicon, unlike the default one."""
+    return SemanticComparator(
+        LabelAnalyzer(wordnet_from_dict({"synsets": [["zzz"]]}, extend_default=False))
+    )
+
+
+class TestEngineOwnLexicon:
+    """An engine answers from its ``comparator=`` lexicon on every path."""
+
+    def test_disk_cache_is_keyed_by_the_engine_lexicon(self, tmp_path):
+        payload = {"domain": "carrental", "seed": 0}
+        default = LabelingEngine(disk_cache=tmp_path)
+        default.label(payload)
+        bare = LabelingEngine(disk_cache=tmp_path, comparator=_bare_comparator())
+        assert bare.engine_fingerprint() != default.engine_fingerprint()
+        response = bare.label(payload)
+        assert response["cached"] is False
+        expected = LabelingEngine(comparator=_bare_comparator()).label(payload)
+        assert _labels(response) == _labels(expected)
+
+    def test_process_workers_use_the_engine_lexicon(self):
+        payloads = [{"domain": "carrental", "seed": seed} for seed in range(3)]
+        thread = LabelingEngine(comparator=_bare_comparator()).label_batch(
+            payloads, jobs=2, executor="thread"
+        )
+        process = LabelingEngine(comparator=_bare_comparator()).label_batch(
+            payloads, jobs=2, executor="process"
+        )
+        assert [_labels(r) for r in process] == [_labels(r) for r in thread]
 
 
 class TestRunAllDomainsJobs:
