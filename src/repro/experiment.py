@@ -11,6 +11,7 @@ cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .core.inference import InferenceLog
 from .core.metrics import (
@@ -158,9 +159,11 @@ def run_all_domains(
     (:func:`repro.service.engine.execute_batch`); each worker labels with
     its own comparator, so results are identical to the sequential path —
     the default ``jobs=1`` keeps today's byte-for-byte behavior.
-    ``executor="process"`` uses worker processes instead of threads (each
-    warmed once with the compiled lexicon); the pipeline is deterministic,
-    so all three paths yield identical tables.
+    ``executor="process"`` runs each domain in a worker of the pool the
+    engine's process batches use (:class:`repro.service.parallel.WorkerPool`,
+    each worker warmed once with the compiled lexicon); if that pool breaks,
+    the remaining domains run on the threads with a logged warning.  The
+    pipeline is deterministic, so all three paths yield identical tables.
     """
     from .service.parallel import validate_executor
 
@@ -184,19 +187,18 @@ def run_all_domains(
     tasks = [
         _DomainTask(name, seed, options, respondent_count) for name in names
     ]
+    pool = None
     if executor == "process":
         from .lexicon.compiled import default_compiled
-        from .service.parallel import init_worker
+        from .service.parallel import WorkerPool
 
-        outcomes = execute_batch(
-            tasks,
-            jobs=jobs,
-            executor="process",
-            initializer=init_worker,
-            initargs=(default_compiled(),),
-        )
-    else:
+        pool = WorkerPool(min(jobs, len(tasks)), default_compiled())
+        tasks = [partial(pool.call, task) for task in tasks]
+    try:
         outcomes = execute_batch(tasks, jobs=jobs)
+    finally:
+        if pool is not None:
+            pool.close()
     failed = [
         f"{name}: {outcome.error}"
         for name, outcome in zip(names, outcomes)

@@ -7,30 +7,31 @@ corpus document (the ``save_corpus`` shape), plus optional naming options,
 a lexicon overlay and a lint flag; the response is a JSON-ready dict with
 the labeled tree, per-cluster labels and the Definition-8 classification.
 
-Single requests and both batch executors take the same steps, each written
-once: **parse** (:meth:`LabelingRequest.from_payload`, in the calling
-process; every check runs on every request) → **key** (the corpus
+Single requests and batch items on every executor take the same steps,
+each written once: **parse** (:meth:`LabelingRequest.from_payload`, in the
+calling process; every check runs on every request) → **key** (the corpus
 fingerprint, :mod:`repro.service.fingerprint`; the pipeline is
 deterministic, so entries never go stale — a request-key memo maps a valid
 ``{domain, seed}`` payload seen before to its fingerprint, and only a memo
-miss builds and hashes the corpus) → **lookup**
-(:meth:`LabelingEngine._lookup`: memory LRU, then disk with promotion, then
-one deep copy) → **dedupe** (a repeated fingerprint is served from the
-entry its first occurrence stored) → **compute** (:func:`compute`: pipeline
-plus strict-mode oracles; builds the corpus if the memo skipped it) →
-**store** (:meth:`LabelingEngine._store`: memory and disk).  Inline and
-thread work runs lookup → compute → store inside the per-fingerprint
-breaker, fault scope and retry policy, and dedupes through the cache (two
-thread items racing on one fingerprint may both compute); the process
-backend runs lookup, an explicit dedupe and store in the parent and only
-``compute`` in pool workers.  Overlay-free requests share the engine's one
-comparator across all threads (its memos are append-only and thread-safe).
+miss builds and hashes the corpus) → **dedupe** (a batch groups its items by
+fingerprint and answers each repeat from the entry its first occurrence
+returned) → **lookup** (:meth:`LabelingEngine._lookup`: memory LRU, then
+disk with promotion, then one deep copy) → **compute** (:func:`compute`:
+pipeline plus strict-mode oracles; builds the corpus if the memo skipped
+it) → **store** (:meth:`LabelingEngine._store`: memory and disk).  Lookup →
+compute → store runs inside the per-fingerprint breaker, fault scope and
+retry policy, on the calling thread or one of a batch's ``jobs`` threads.
+The executor decides only where ``compute`` runs: in that thread, or, under
+``executor="process"``, in a worker of a process pool built for the batch
+(:class:`~repro.service.parallel.WorkerPool`).  Overlay-free requests share
+the engine's one comparator across all threads (its memos are append-only
+and thread-safe).
 
-:func:`execute_batch` fans thunks over threads or processes with a per-item
-timeout and structured :class:`BatchOutcome` results: one bad corpus
-degrades to an error entry and never kills the batch.  All shared engine
-state is lock-guarded, so one engine safely serves the
-``ThreadingHTTPServer`` in :mod:`repro.service.server`.
+:func:`execute_batch` fans thunks over threads with a per-item timeout and
+structured :class:`BatchOutcome` results: one bad corpus degrades to an
+error entry and never kills the batch.  All shared engine state is
+lock-guarded, so one engine safely serves the ``ThreadingHTTPServer`` in
+:mod:`repro.service.server`.
 """
 
 from __future__ import annotations
@@ -39,14 +40,12 @@ import contextvars
 import copy
 import itertools
 import json
-import logging
 import math
 import threading
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -93,8 +92,6 @@ __all__ = [
     "parse_timeout",
 ]
 
-log = logging.getLogger(__name__)
-
 
 class RequestError(ValueError):
     """A request that cannot be executed (maps to HTTP 400)."""
@@ -130,9 +127,12 @@ def _build_corpus(source: dict) -> tuple[list[QueryInterface], Mapping]:
     corpus = source["corpus"]
     try:
         interfaces = [interface_from_dict(d) for d in corpus["interfaces"]]
-        return interfaces, mapping_from_dict(corpus["mapping"], interfaces)
+        mapping = mapping_from_dict(corpus["mapping"], interfaces)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise RequestError(f"malformed corpus: {exc}") from None
+    if not any(cluster.members for cluster in mapping.clusters):
+        raise RequestError("malformed corpus: 'mapping' assigns no field to a cluster")
+    return interfaces, mapping
 
 
 def _strings(items) -> bool:
@@ -370,26 +370,12 @@ def _run_timed(task: Callable[[], object]) -> BatchOutcome:
     )
 
 
-def _run_timed_chunk(tasks: Sequence[Callable[[], object]]) -> list[BatchOutcome]:
-    return [_run_timed(task) for task in tasks]
-
-
-def _default_chunksize(count: int, jobs: int, timeout: float | None) -> int:
-    """About four chunks per worker; one item per chunk under a timeout."""
-    return 1 if timeout is not None else max(1, count // (jobs * 4))
-
-
 def execute_batch(
     tasks: Sequence[Callable[[], object]],
     jobs: int = 1,
     timeout: float | None = None,
-    executor: str = "thread",
-    initializer: Callable | None = None,
-    initargs: tuple = (),
-    chunksize: int | None = None,
-    mp_context=None,
 ) -> list[BatchOutcome]:
-    """Run ``tasks`` with bounded concurrency and full error isolation.
+    """Run ``tasks`` on up to ``jobs`` threads with full error isolation.
 
     Results come back in submission order, one :class:`BatchOutcome` per
     task; an exception inside a task becomes an error outcome, never a
@@ -397,72 +383,28 @@ def execute_batch(
     inline on the calling thread (deterministic, no thread overhead) —
     this is the byte-identical path the defaults keep.  ``timeout`` bounds
     how long the caller waits for each item's result (queueing included);
-    a worker thread past its deadline is abandoned, not interrupted.
-
-    ``executor="process"`` fans the tasks over a ``ProcessPoolExecutor``
-    instead: tasks (and their results) must be picklable, ``initializer``/
-    ``initargs`` warm each worker exactly once (see
-    :func:`repro.service.parallel.init_worker`), and tasks ship in chunks —
-    ``chunksize`` defaults to ``len(tasks) // (jobs * 4)`` so each worker
-    sees a few chunks for load balance, or 1 whenever a per-item ``timeout``
-    is set (a timeout must bound one item, not a whole chunk).  Error
-    isolation is preserved: an exception in a worker comes back as an error
-    outcome (its ``exception`` object stays in the worker; only the
-    classified error crosses the pipe), and a pool whose workers fail to
-    bootstrap (``BrokenProcessPool``) falls back to the thread backend with
-    a logged warning rather than failing the batch.  ``mp_context`` selects
-    the multiprocessing start method (tests exercise ``spawn``).  Either
-    pool starts at most ``len(tasks)`` workers, whatever ``jobs`` asks for.
+    a thread past its deadline is abandoned, not interrupted, and the call
+    returns without joining it.  The pool starts at most ``len(tasks)``
+    threads, whatever ``jobs`` asks for.
     """
-    from .parallel import normalize_jobs, validate_executor
+    from .parallel import normalize_jobs
 
-    executor = validate_executor(executor)
     jobs = normalize_jobs(jobs)
     if jobs == 1 and timeout is None:
-        return _run_timed_chunk(tasks)
-    # Never start more workers than there are tasks.
-    workers = max(1, min(jobs, len(tasks)))
-    if executor == "thread" or jobs == 1 or not tasks:
-        pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="repro-batch")
-        chunksize = 1
-    else:
-        pool = ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=initializer,
-            initargs=initargs,
-            mp_context=mp_context,
-        )
-        if chunksize is None:
-            chunksize = _default_chunksize(len(tasks), jobs, timeout)
-        chunksize = max(1, int(chunksize))
-    chunks = [tasks[i : i + chunksize] for i in range(0, len(tasks), chunksize)]
+        return [_run_timed(task) for task in tasks]
+    pool = ThreadPoolExecutor(
+        max_workers=max(1, min(jobs, len(tasks))), thread_name_prefix="repro-batch"
+    )
+    futures = [pool.submit(_run_timed, task) for task in tasks]
     outcomes: list[BatchOutcome] = []
-    try:
-        with pool:
-            futures = [pool.submit(_run_timed_chunk, chunk) for chunk in chunks]
-            for chunk, future in zip(chunks, futures):
-                try:
-                    outcomes += future.result(timeout=timeout)
-                except FutureTimeoutError:
-                    future.cancel()
-                    expired = TimeoutError(f"timed out after {timeout:g}s")
-                    outcomes += [
-                        BatchOutcome.failure(expired, timeout * 1000.0) for _ in chunk
-                    ]
-                except BrokenProcessPool:
-                    raise
-                except Exception as exc:  # noqa: BLE001 — isolation
-                    outcomes += [BatchOutcome.failure(exc) for _ in chunk]
-    except BrokenProcessPool as exc:
-        # Worker bootstrap failed (e.g. unpicklable initializer state under
-        # a spawn start method).  The tasks themselves are plain callables,
-        # so degrade to the thread backend rather than failing the batch.
-        log.warning(
-            "process pool broke (%s); falling back to thread backend for %d tasks",
-            exc,
-            len(tasks),
-        )
-        return execute_batch(tasks, jobs=jobs, timeout=timeout, executor="thread")
+    for future in futures:
+        try:
+            outcomes.append(future.result(timeout=timeout))
+        except FutureTimeoutError:
+            future.cancel()
+            expired = TimeoutError(f"timed out after {timeout:g}s")
+            outcomes.append(BatchOutcome.failure(expired, timeout * 1000.0))
+    pool.shutdown(wait=timeout is None, cancel_futures=True)
     return outcomes
 
 
@@ -567,19 +509,20 @@ def comparator_for(
 
     Requests (and batch items) carrying the same lexicon overlay share one
     comparator from ``overlays`` (an LRU of at most ``limit``, keyed by the
-    overlay's canonical JSON, guarded by ``lock``) — and therefore its
-    label/relation/group caches.  The overlay lexicon is built and
+    overlay in the canonical form the fingerprint hashes, guarded by
+    ``lock``) — and therefore its label/relation/group caches.  An overlay
+    whose canonical form is empty gets ``default``, as its fingerprint is
+    the overlay-free one.  The overlay lexicon is built and
     compiled once per key, when its comparator is.  The engine and every
     pool worker choose through here, so an item gets the same lexicon on
     every executor.  The comparator's memos are safe under concurrent use
     (append-only maps of deterministic values), so one instance can serve
     parallel workers.
     """
-    if request.lexicon is None:
+    lexicon = _canonical_lexicon(request.lexicon)
+    if lexicon is None:
         return default
-    key = json.dumps(
-        request.lexicon, sort_keys=True, separators=(",", ":"), default=str
-    )
+    key = canonical_json(lexicon)
     with lock:
         comparator = overlays.pop(key, None)
         if comparator is not None:
@@ -588,7 +531,7 @@ def comparator_for(
     from ..core.label import LabelAnalyzer
     from ..lexicon.io import wordnet_from_dict
 
-    comparator = SemanticComparator(LabelAnalyzer(wordnet_from_dict(request.lexicon)))
+    comparator = SemanticComparator(LabelAnalyzer(wordnet_from_dict(lexicon)))
     with lock:
         while key not in overlays and len(overlays) >= limit:
             del overlays[next(iter(overlays))]
@@ -616,43 +559,29 @@ def _fan_out(
     tasks: Sequence[tuple[int, Callable[[], object]]],
     jobs: int,
     timeout: float | None,
-    executor: str = "thread",
-    **pool,
 ) -> list[BatchOutcome]:
     """:func:`execute_batch` over ``(index, task)`` pairs, traced per item.
 
     With a trace active, one ``item[index]`` span per task is pre-created in
-    submission order (a deterministic tree shape).  A thread task runs
-    attached to its span; a process task (a
-    :class:`~repro.service.parallel.PayloadTask`) ships a worker-local tree
-    home in its response, grafted here under its span, re-based onto the
-    parent timeline.
+    submission order (a deterministic tree shape), and each task runs
+    attached to its span.
     """
     runnable = [task for _, task in tasks]
     trace, parent = current_trace(), current_span()
-    traced = trace is not None and parent is not None
-    process = executor == "process"
-    spans = []
-    chunksize = _default_chunksize(len(tasks), jobs, timeout)
-    for position, (index, task) in enumerate(tasks if traced else ()):
-        tags = {"chunk": position // chunksize} if process else None
-        item = Span(f"item[{index}]", tags)
-        item.start_s = item.end_s = trace.clock()
-        parent.children.append(item)
-        spans.append(item)
-        if process:
-            task.trace = True
-        else:
+    if trace is not None and parent is not None:
+        for position, (index, task) in enumerate(tasks):
+            item = Span(f"item[{index}]")
+            item.start_s = item.end_s = trace.clock()
+            parent.children.append(item)
             runnable[position] = partial(_attached, trace, item, task)
-    outcomes = execute_batch(
-        runnable, jobs=jobs, timeout=timeout, executor=executor, **pool
-    )
-    for item, outcome in zip(spans if process else (), outcomes):
-        tree = outcome.value.pop("_obs_trace", None) if outcome.ok else None
-        if tree:
-            item.children.append(Span.from_dict(tree, base_s=item.start_s))
-            item.end_s = item.children[-1].end_s
-    return outcomes
+    return execute_batch(runnable, jobs=jobs, timeout=timeout)
+
+
+def _entry_of(response: dict) -> dict:
+    """``response`` without its per-request keys: the entry it was stored as."""
+    return {
+        k: v for k, v in response.items() if k not in ("cached", "lint", "resilience")
+    }
 
 
 def _entry(outcome: BatchOutcome) -> dict:
@@ -814,11 +743,12 @@ class LabelingEngine:
             raise outcome.exception
         return outcome.value
 
-    def _label_request(self, request: LabelingRequest) -> dict:
+    def _label_request(self, request: LabelingRequest, pool=None) -> dict:
         """One item, with the full resilience stack around the pipeline.
 
-        Breaker check → fault scope → bounded retry → provenance.  The
-        ``resilience`` key is attached only when something actually
+        Breaker check → fault scope → bounded retry → provenance; a cache
+        miss computes in ``pool`` when one is given (see :meth:`_compute`).
+        The ``resilience`` key is attached only when something actually
         happened (a retry or an injected fault), so fault-free responses
         stay byte-identical to those of an engine with no plan at all.
         """
@@ -834,7 +764,7 @@ class LabelingEngine:
 
         def attempt() -> dict:
             with obs_span("engine.attempt", attempt=next(numbers)):
-                return self._label_once(request)
+                return self._label_once(request, pool)
 
         def sleep(delay: float) -> None:
             obs_event("retry.backoff", delay_ms=round(delay * 1000.0, 3))
@@ -873,14 +803,37 @@ class LabelingEngine:
             obs_event("breaker.transition", **{"from": before, "to": after})
         return result
 
-    def _label_once(self, request: LabelingRequest) -> dict:
+    def _label_once(self, request: LabelingRequest, pool=None) -> dict:
         """Lookup, else compute and store — the unit the retry policy repeats."""
         response = self._lookup(request)
         if response is None:
             with self._lock:
                 self._computations += 1
-            response = compute(request, self._comparator_for(request), self.verify)
+            response = self._compute(request, pool)
             self._store(request, response)
+        return response
+
+    def _compute(self, request: LabelingRequest, pool=None) -> dict:
+        """:func:`compute` here, or in a worker of ``pool`` (a
+        :class:`~repro.service.parallel.WorkerPool`).
+
+        A worker's span tree is grafted under the current span; a pool that
+        cannot run the task computes here instead.
+        """
+        def here() -> dict:
+            return compute(request, self._comparator_for(request), self.verify)
+
+        if pool is None:
+            return here()
+        from .parallel import PayloadTask
+
+        trace, parent = current_trace(), current_span()
+        traced = trace is not None and parent is not None
+        start = trace.clock() if traced else 0.0
+        response = pool.call(PayloadTask(request, self.verify, traced), here)
+        tree = response.pop("_obs_trace", None)
+        if tree:
+            parent.children.append(Span.from_dict(tree, base_s=start))
         return response
 
     def _lookup(self, request: LabelingRequest) -> dict | None:
@@ -938,9 +891,7 @@ class LabelingEngine:
             report.raise_if_failed()
         with self._lock:
             self._truncated_closures += len(response["stats"]["truncated_groups"])
-        stored = copy.deepcopy(
-            {k: v for k, v in response.items() if k not in ("cached", "lint")}
-        )
+        stored = copy.deepcopy(_entry_of(response))
         self.cache.put(request.fingerprint, stored)
         if self.disk is not None:
             self.disk.put(request.fingerprint, stored)
@@ -985,15 +936,17 @@ class LabelingEngine:
         Invalid or failing items degrade to ``{"ok": false, ...}`` entries
         in their slot — a poisoned corpus never takes the batch down.
 
-        ``executor="process"`` routes cache misses through a
-        ``ProcessPoolExecutor`` built for this batch, with at most one
-        worker per miss (see :meth:`_label_batch_process`); the
-        engine falls back to the thread backend whenever the process one
-        cannot apply — ``jobs <= 1`` (nothing to parallelize) or an active
-        ``fault_plan`` (fault injection mutates shared state the workers
-        cannot see, and the plan itself must observe every attempt).
+        Items are grouped by fingerprint here: the first of each group runs
+        through :meth:`_label_request` on one of ``jobs`` threads, and its
+        repeats are answered ``cached: true`` from the entry it returned (or
+        share its error).  With caching disabled every item runs on its own.
+        ``executor="process"`` only moves each miss's ``compute`` into a
+        process pool built for this batch, started at the first miss with at
+        most one worker per group; it stays in the threads when ``jobs <= 1``
+        (nothing to parallelize) or a ``fault_plan`` is active (the plan's
+        fire counts live in this process).
         """
-        from .parallel import normalize_jobs, validate_executor
+        from .parallel import WorkerPool, normalize_jobs, validate_executor
 
         jobs = self.default_jobs if jobs is None else normalize_jobs(jobs)
         if executor is None:
@@ -1004,93 +957,48 @@ class LabelingEngine:
             "engine.batch", items=len(payloads), jobs=jobs, executor=executor
         ):
             requests = [_parse(payload, self._request_keys) for payload in payloads]
+            # An invalid item, or any item when caching is off (a cache-less
+            # engine recomputes repeats), is a group of its own.
+            groups: dict[str | int, list[int]] = {}
+            for index, request in enumerate(requests):
+                shared = isinstance(request, LabelingRequest) and self.cache.capacity > 0
+                key = request.fingerprint if shared else index
+                groups.setdefault(key, []).append(index)
+            pool = None
             if executor == "process" and jobs > 1 and self.fault_plan is None:
-                return self._label_batch_process(requests, jobs, timeout)
+                pool = WorkerPool(min(jobs, len(groups)), self.comparator.wordnet)
             # An invalid payload still gets its slot (and item span); its
             # task re-raises the parse error for the shared classifier.
             tasks = [
                 (
-                    index,
-                    partial(self._label_request, request)
-                    if isinstance(request, LabelingRequest)
-                    else partial(_raise, request),
+                    first,
+                    partial(self._label_request, requests[first], pool)
+                    if isinstance(requests[first], LabelingRequest)
+                    else partial(_raise, requests[first]),
                 )
-                for index, request in enumerate(requests)
+                for first, *_ in groups.values()
             ]
-            return [_entry(outcome) for outcome in _fan_out(tasks, jobs, timeout)]
-
-    def _label_batch_process(
-        self,
-        requests: Sequence[LabelingRequest | Exception],
-        jobs: int,
-        timeout: float | None,
-    ) -> list[dict]:
-        """The process backend: lookup, dedupe and store here; compute in workers.
-
-        Cache misses ship to the pool once per fingerprint, as parsed
-        requests with the engine's verify mode, and come home to
-        :meth:`_store`; repeats are shaped from the stored entry.
-
-        Breakers and retry are not consulted: this backend is for
-        fault-free bulk work, which is why an active ``fault_plan`` forces
-        the thread fallback in :meth:`label_batch`.  Workers answer from
-        the engine's own compiled lexicon.
-        """
-        from .parallel import PayloadTask, init_worker
-
-        entries: list[dict | None] = [None] * len(requests)
-        pending: dict[str, list[int]] = {}
-        for index, request in enumerate(requests):
-            if not isinstance(request, LabelingRequest):
-                entries[index] = _entry(BatchOutcome.failure(request))
-                continue
+            try:
+                outcomes = _fan_out(tasks, jobs, timeout)
+            finally:
+                if pool is not None:
+                    # A timed-out item's task may still be running.
+                    pool.close(wait=timeout is None)
+            entries: list[dict | None] = [None] * len(requests)
+            failed = 0
+            for (first, *rest), outcome in zip(groups.values(), outcomes):
+                entries[first] = _entry(outcome)
+                failed += 0 if outcome.ok else len(rest)
+                for index in rest:
+                    entries[index] = (
+                        self._hit(requests[index], _entry_of(outcome.value))
+                        if outcome.ok
+                        else _entry(outcome)
+                    )
             with self._lock:
-                self._requests += 1
-            # Dedupe by fingerprint only when the cache could have served
-            # the repeats — with caching disabled the thread backend
-            # recomputes every duplicate, and this path must match it.
-            key = (
-                request.fingerprint
-                if self.cache.capacity > 0
-                else f"{request.fingerprint}#{index}"
-            )
-            if key in pending:
-                pending[key].append(index)
-                continue
-            entries[index] = self._lookup(request)
-            if entries[index] is None:
-                pending[key] = [index]
-
-        groups = list(pending.values())
-        outcomes = _fan_out(
-            [
-                (indices[0], PayloadTask(requests[indices[0]], self.verify))
-                for indices in groups
-            ],
-            jobs,
-            timeout,
-            executor="process",
-            initializer=init_worker,
-            initargs=(self.comparator.wordnet,),
-        )
-        for indices, outcome in zip(groups, outcomes):
-            if outcome.ok:
-                with self._lock:
-                    self._computations += 1
-                try:
-                    stored = self._store(requests[indices[0]], outcome.value)
-                except Exception as exc:  # noqa: BLE001 — isolation
-                    outcome = BatchOutcome.failure(exc, outcome.elapsed_ms)
-            if not outcome.ok:
-                with self._lock:
-                    self._errors += len(indices)
-                for index in indices:
-                    entries[index] = _entry(outcome)
-                continue
-            entries[indices[0]] = outcome.value
-            for duplicate in indices[1:]:
-                entries[duplicate] = self._hit(requests[duplicate], stored)
-        return entries
+                self._requests += len(requests) - len(groups)
+                self._errors += failed
+            return entries
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle.

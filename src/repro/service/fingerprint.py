@@ -78,9 +78,11 @@ def options_from_dict(data: dict | None) -> NamingOptions:
     else:
         try:
             enabled = frozenset(InferenceRule(str(r).upper()) for r in rules)
-        except ValueError:
+        except (TypeError, ValueError):
             names = ", ".join(rule.value for rule in InferenceRule)
-            raise ValueError(f"enabled_rules entries must be among: {names}") from None
+            raise ValueError(
+                f"enabled_rules must be a list of rules among: {names}"
+            ) from None
     return NamingOptions(
         use_instances=bool(data.get("use_instances", defaults.use_instances)),
         max_level=max_level,

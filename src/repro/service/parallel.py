@@ -1,22 +1,27 @@
-"""Process-pool plumbing for the batch backend: worker warm-up + tasks.
+"""Process-pool plumbing: where a batch item's ``compute`` runs.
 
-The thread backend in :func:`repro.service.engine.execute_batch` is bounded
-by the GIL for the CPU-heavy parts of the pipeline (the ``Combine*``
-closure, the Definition-1 token loops).  The process backend fans the same
-work over a ``ProcessPoolExecutor``; everything that crosses the process
-boundary lives in this module so it is importable — hence picklable — from
-worker processes:
+:meth:`repro.service.engine.LabelingEngine.label_batch` has one path on
+every executor: items fan out over threads, and under
+``executor="process"`` each cache miss's ``compute`` step runs in a worker
+process instead of the item's thread.  The pipeline is CPU-bound and
+holds the GIL for its ``Combine*`` closure and Definition-1 token loops,
+so workers are what give a batch more than one core.  Everything that
+crosses the process boundary lives in this module so it is importable —
+hence picklable — from worker processes:
 
-* :func:`init_worker` — the pool initializer.  It receives one
-  :class:`~repro.lexicon.compiled.CompiledLexicon` (pickled once per
-  worker, never per task) and builds the worker's long-lived default
-  comparator.  Every task dispatched to that worker reuses it.
+* :class:`WorkerPool` — the one process pool, shared by the engine's
+  batches and ``run_all_domains(executor="process")``: built per batch and
+  started by its first task; a broken or closed pool runs the caller's
+  fallback in the calling process.  Its initializer, :func:`init_worker`,
+  receives one :class:`~repro.lexicon.compiled.CompiledLexicon` (pickled
+  once per worker, never per task) and builds the worker's long-lived
+  default comparator.  Every task dispatched to that worker reuses it.
 * :class:`PayloadTask` — one parsed labeling request and the engine's
   verify mode as a picklable callable that runs
   :func:`repro.service.engine.compute`, with the comparator chosen by
-  :func:`repro.service.engine.comparator_for` (the default, or a per-worker
-  overlay comparator); its result is the JSON-ready response dict, so
-  nothing exotic rides the return pickle.
+  :func:`repro.service.engine.comparator_for` (the worker's default, or a
+  per-worker overlay comparator); its result is the JSON-ready response
+  dict, so nothing exotic rides the return pickle.
 * :func:`default_jobs` — the documented CPU-derived default the ``batch``,
   ``serve`` and ``chaos`` CLI subcommands share.
 
@@ -27,17 +32,23 @@ initializer, and globals are how that state survives across tasks.
 
 from __future__ import annotations
 
+import logging
 import os
 import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 __all__ = [
     "EXECUTORS",
     "PayloadTask",
+    "WorkerPool",
     "default_jobs",
     "init_worker",
     "normalize_jobs",
     "worker_comparator",
 ]
+
+log = logging.getLogger(__name__)
 
 #: The executor kinds the batch backend accepts.
 EXECUTORS = ("thread", "process")
@@ -119,51 +130,87 @@ def worker_comparator():
     return _WORKER.get("comparator")
 
 
-class PayloadTask:
-    """One labeling request as a picklable zero-argument callable.
+class WorkerPool:
+    """A pool of ``workers`` processes for one batch, started by its first
+    task, each worker warmed once by :func:`init_worker` with ``compiled``.
 
-    ``payload`` is a parsed :class:`~repro.service.engine.LabelingRequest`
-    (what the engine ships) or a raw payload dict; ``verify`` is the
-    engine's mode, carried per task so it holds on any thread or process
-    that runs the task.  Calling the task runs
-    :func:`~repro.service.engine.compute` with the request's comparator,
-    built on the default lexicon when the pool has no :func:`init_worker`
-    (e.g. the thread fallback after a broken pool).
+    :meth:`call` runs a picklable task in a worker and returns its result.
+    Once the pool is broken (a worker died, e.g. in its bootstrap) or
+    closed, ``call`` runs the fallback in the calling process instead, and
+    the first breakage logs one warning.  Thread-safe: a batch's item
+    threads share one instance.
     """
 
-    __slots__ = ("payload", "verify", "trace")
+    def __init__(self, workers: int, compiled) -> None:
+        self._workers = workers
+        self._compiled = compiled
+        self._pool: ProcessPoolExecutor | None = None
+        self._usable = True
+        self._lock = threading.Lock()
 
-    def __init__(self, payload, verify: str = "off", trace: bool = False) -> None:
-        self.payload = payload
+    def call(self, task, fallback=None):
+        """``task()`` in a worker; ``fallback()`` (default: ``task()``) here
+        once the pool cannot run it."""
+        with self._lock:
+            if self._usable and self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self._workers,
+                    initializer=init_worker,
+                    initargs=(self._compiled,),
+                )
+            pool = self._pool if self._usable else None
+        if pool is not None:
+            try:
+                return pool.submit(task).result()
+            except BrokenProcessPool as exc:
+                with self._lock:
+                    first, self._usable = self._usable, False
+                if first:
+                    log.warning(
+                        "process pool broke (%s); computing in the parent process",
+                        exc,
+                    )
+        return (fallback or task)()
+
+    def close(self, wait: bool = True) -> None:
+        """Shut the pool down; ``wait=False`` abandons running tasks and
+        cancels queued ones (a timed-out batch must not wait for them)."""
+        with self._lock:
+            pool, self._pool, self._usable = self._pool, None, False
+        if pool is not None:
+            pool.shutdown(wait=wait, cancel_futures=not wait)
+
+
+class PayloadTask:
+    """One parsed labeling request as a picklable zero-argument callable.
+
+    Runs in a worker initialised by :func:`init_worker`: calling the task
+    runs :func:`~repro.service.engine.compute` on ``request`` with the
+    worker's comparator for it.  ``verify`` is the engine's mode.  With
+    ``trace`` set, the worker records its own span tree and ships it home
+    in the response under ``"_obs_trace"``, for the parent to graft.
+    """
+
+    __slots__ = ("request", "verify", "trace")
+
+    def __init__(self, request, verify: str = "off", trace: bool = False) -> None:
+        self.request = request
         self.verify = verify
         self.trace = trace
 
     def __call__(self) -> dict:
-        from .engine import LabelingRequest, comparator_for, compute
+        from .engine import comparator_for, compute
 
-        if not _WORKER:
-            from ..lexicon.compiled import default_compiled
-
-            init_worker(default_compiled())
-        request = self.payload
-        if not isinstance(request, LabelingRequest):
-            request = LabelingRequest.from_payload(request)
         comparator = comparator_for(
-            request, _WORKER["comparator"], _OVERLAYS, _OVERLAYS_LOCK
+            self.request, _WORKER["comparator"], _OVERLAYS, _OVERLAYS_LOCK
         )
         if not self.trace:
-            return compute(request, comparator, self.verify)
-        # The parent asked for spans: build a standalone worker-local trace
-        # and ship its tree home inside the response (the parent pops the
-        # key and grafts the tree under this item's span).
+            return compute(self.request, comparator, self.verify)
         from ..obs.tracer import Trace
 
         trace = Trace(name="worker")
         trace.root.tags["pid"] = os.getpid()
         with trace.scope():
-            response = compute(request, comparator, self.verify)
+            response = compute(self.request, comparator, self.verify)
         response["_obs_trace"] = trace.root.to_dict(trace.root.start_s)
         return response
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"PayloadTask({type(self.payload).__name__})"

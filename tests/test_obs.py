@@ -402,9 +402,9 @@ class TestTracingChangesNothing:
         ]
         assert len(item_spans) == 2
         for item in item_spans:
-            worker = item.children[0]
-            assert worker.name == "worker"
+            (worker,) = item.find("worker")
             assert worker.find("phase:combine_closure")
+            assert item.start_s <= worker.start_s <= worker.end_s <= item.end_s
 
     def test_cached_and_traced_hits_stay_identical(self):
         engine = LabelingEngine(cache_size=8)

@@ -1,10 +1,11 @@
 """The process-parallel batch backend: equivalence, isolation, fallback.
 
 The contract under test: ``executor="process"`` is a pure performance
-knob.  Same responses as the thread backend (modulo the timing field),
-same error classification, same stdout for ``repro table6`` byte for
-byte — and a transparent fallback to threads whenever the process pool
-cannot apply (``jobs <= 1`` or an active fault plan).
+knob that decides only where ``compute`` runs.  Same responses as the
+thread backend (modulo the timing field), same error classification, same
+stdout for ``repro table6`` byte for byte — and ``compute`` stays in the
+parent whenever the process pool cannot apply (``jobs <= 1``, an active
+fault plan, or a broken pool).
 """
 
 from __future__ import annotations
@@ -13,13 +14,16 @@ import json
 import logging
 import multiprocessing
 import os
+from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 import pytest
 
 from repro.cli import build_parser, main
+from repro.core.pipeline import label_corpus
 from repro.experiment import run_all_domains
 from repro.resilience import FaultPlan
-from repro.service.engine import LabelingEngine, execute_batch
+from repro.service.engine import LabelingEngine, LabelingRequest, execute_batch
 from repro.service.parallel import (
     EXECUTORS,
     PayloadTask,
@@ -29,7 +33,6 @@ from repro.service.parallel import (
 )
 
 
-# Tasks for the raw executor tests must be importable to survive pickling.
 class _Square:
     def __init__(self, n):
         self.n = n
@@ -38,9 +41,24 @@ class _Square:
         return self.n * self.n
 
 
-class _Boom:
-    def __call__(self):
-        raise ValueError("boom")
+def _label_corpus_failing_on_book(interfaces, mapping, domain=None, **kwargs):
+    if domain == "book":
+        raise ValueError(f"boom in process {os.getpid()}")
+    return label_corpus(interfaces, mapping, domain=domain, **kwargs)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The ``max_workers`` of each process pool built while the test runs."""
+    sizes = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr("repro.service.parallel.ProcessPoolExecutor", RecordingPool)
+    return sizes
 
 
 def _strip_timing(response: dict) -> dict:
@@ -93,31 +111,33 @@ def test_validate_executor():
 
 
 # ----------------------------------------------------------------------
-# execute_batch with the process executor.
+# label_batch with the process executor: order, isolation, validation.
 # ----------------------------------------------------------------------
 
 
-def test_execute_batch_process_preserves_order_and_isolation():
-    tasks = [_Square(0), _Boom(), _Square(2), _Square(3), _Boom(), _Square(5)]
-    outcomes = execute_batch(tasks, jobs=2, executor="process")
-    assert [o.ok for o in outcomes] == [True, False, True, True, False, True]
-    assert [o.value for o in outcomes if o.ok] == [0, 4, 9, 25]
-    for failed in (outcomes[1], outcomes[4]):
-        assert failed.error_type == "internal"
-        assert "boom" in failed.error
-        assert failed.exception is None  # never shipped across the pipe
-
-
-def test_execute_batch_process_chunksize_one():
-    outcomes = execute_batch(
-        [_Square(n) for n in range(7)], jobs=3, executor="process", chunksize=1
+def test_process_batch_preserves_order_and_isolation(monkeypatch):
+    # Forked workers inherit the patch: each book item fails in a worker.
+    monkeypatch.setattr(
+        "repro.service.engine.label_corpus", _label_corpus_failing_on_book
     )
-    assert [o.value for o in outcomes] == [n * n for n in range(7)]
+    domains = ["airline", "book", "auto", "hotels", "book", "carrental"]
+    payloads = [{"domain": d, "seed": 7 + i} for i, d in enumerate(domains)]
+    results = LabelingEngine(breaker=None).label_batch(
+        payloads, jobs=2, executor="process"
+    )
+    assert [r["ok"] for r in results] == [True, False, True, True, False, True]
+    assert [r["domain"] for r in results if r["ok"]] == [
+        "airline", "auto", "hotels", "carrental"
+    ]
+    for failed in (results[1], results[4]):
+        assert failed["error_type"] == "internal"
+        assert "boom in process" in failed["error"]
+        assert f"boom in process {os.getpid()}" not in failed["error"]
 
 
-def test_execute_batch_rejects_unknown_executor():
+def test_label_batch_rejects_unknown_executor():
     with pytest.raises(ValueError, match="executor"):
-        execute_batch([_Square(1)], jobs=2, executor="greenlet")
+        LabelingEngine().label_batch([{"domain": "job"}], jobs=2, executor="greenlet")
 
 
 # ----------------------------------------------------------------------
@@ -182,20 +202,18 @@ def test_process_batch_uses_the_request_lexicon_overlay():
     )
 
 
+class _BrokenPool(ProcessPoolExecutor):
+    """A pool whose every worker dies in its bootstrap."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **{**kwargs, "initializer": os._exit,
+                                   "initargs": (13,)})
+
+
 def test_strict_verification_survives_a_broken_pool(monkeypatch):
-    # The pool dies on start-up, so the tasks rerun on parent threads with
-    # no worker initializer: the verify mode must come with each task.
-    from concurrent.futures import ProcessPoolExecutor
-
-    from repro.service import parallel
-
-    class BrokenPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **{**kwargs, "initializer": os._exit,
-                                       "initargs": (13,)})
-
-    monkeypatch.setattr("repro.service.engine.ProcessPoolExecutor", BrokenPool)
-    monkeypatch.setattr(parallel, "_WORKER", {})
+    # The pool dies on start-up, so every item computes in the parent:
+    # strict verification must still check each labeling.
+    monkeypatch.setattr("repro.service.parallel.ProcessPoolExecutor", _BrokenPool)
     payloads = [{"domain": "auto", "seed": 5}, {"domain": "book", "seed": 5}]
     thread = LabelingEngine(verify="strict", breaker=None)
     thread.label_batch(payloads, jobs=2)
@@ -223,17 +241,7 @@ def test_process_batch_duplicates_come_from_the_stored_entry():
     assert _strip_timing({**results[0], "cached": True}) == _strip_timing(results[1])
 
 
-def test_pool_size_is_bounded_by_the_batch(monkeypatch):
-    from concurrent.futures import ProcessPoolExecutor
-
-    sizes = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr("repro.service.engine.ProcessPoolExecutor", RecordingPool)
+def test_pool_size_is_bounded_by_the_batch(pool_sizes):
     engine = LabelingEngine(breaker=None)
     results = engine.label_batch(
         [{"domain": "airline", "seed": 3}, {"domain": "book", "seed": 3}],
@@ -241,7 +249,10 @@ def test_pool_size_is_bounded_by_the_batch(monkeypatch):
         executor="process",
     )
     assert all(r["ok"] for r in results)
-    assert sizes == [2]
+    assert pool_sizes == [2]
+    # An all-hit batch starts no process.
+    engine.label_batch([{"domain": "airline", "seed": 3}], jobs=2, executor="process")
+    assert pool_sizes == [2]
 
 
 def test_label_batch_process_default_executor_knob():
@@ -254,35 +265,44 @@ def test_label_batch_process_default_executor_knob():
 def test_payload_task_is_picklable():
     import pickle
 
-    task = pickle.loads(pickle.dumps(PayloadTask({"domain": "job", "seed": 0})))
-    assert task.payload == {"domain": "job", "seed": 0}
+    request = LabelingRequest.from_payload({"domain": "job", "seed": 0})
+    task = pickle.loads(pickle.dumps(PayloadTask(request, "strict")))
+    assert task.request.fingerprint == request.fingerprint
+    assert (task.verify, task.trace) == ("strict", False)
 
 
-# ----------------------------------------------------------------------
-# Fallback to threads (jobs<=1, fault plan) + shared-comparator safety.
-# ----------------------------------------------------------------------
-
-
-def test_process_backend_falls_back_on_single_job(monkeypatch):
+def test_thread_batch_computes_a_repeat_once():
     engine = LabelingEngine(breaker=None)
-    monkeypatch.setattr(
-        engine,
-        "_label_batch_process",
-        lambda *a, **k: pytest.fail("process backend used with jobs=1"),
-    )
+    payload = {"domain": "auto", "seed": 9}
+    results = engine.label_batch([payload, {"domain": "nope"}, payload], jobs=2)
+    assert engine.stats()["computations"] == 1
+    assert results[0]["cached"] is False and results[2]["cached"] is True
+    assert _strip_timing({**results[0], "cached": True}) == _strip_timing(results[2])
+    assert engine.stats()["requests"] == 2
+
+
+# ----------------------------------------------------------------------
+# compute stays in the parent (jobs<=1, fault plan) + shared-comparator
+# safety.
+# ----------------------------------------------------------------------
+
+
+def test_process_backend_falls_back_on_single_job(pool_sizes):
+    engine = LabelingEngine(breaker=None)
     results = engine.label_batch(
         [{"domain": "job", "seed": 0}], jobs=1, executor="process"
     )
     assert results[0]["ok"]
+    assert pool_sizes == []
 
 
-def test_process_backend_falls_back_under_fault_plan(monkeypatch):
-    """With a fault plan the batch must run on threads — and a comparator
-    shared across those threads must keep its consistency-pair cache exact.
+def test_process_backend_falls_back_under_fault_plan(pool_sizes):
+    """With a fault plan ``compute`` must stay on the parent's threads —
+    and a comparator shared across those threads must keep its memos exact.
 
-    This is the scenario the pair cache sees in production: the chaos
-    harness drives ``executor="process"`` batches that silently degrade to
-    the thread backend, where every worker thread shares one comparator.
+    This is the scenario the shared memos see in production: the chaos
+    harness drives ``executor="process"`` batches whose ``compute`` stays
+    on the batch threads, where every thread shares one comparator.
     """
     from repro.core.semantics import SemanticComparator
 
@@ -291,16 +311,12 @@ def test_process_backend_falls_back_under_fault_plan(monkeypatch):
     engine = LabelingEngine(
         breaker=None, fault_plan=plan, comparator=comparator
     )
-    monkeypatch.setattr(
-        engine,
-        "_label_batch_process",
-        lambda *a, **k: pytest.fail("process backend used under a fault plan"),
-    )
     payloads = [
         {"domain": name, "seed": 0} for name in ("airline", "auto", "book", "job")
     ]
     results = engine.label_batch(payloads, jobs=4, executor="process")
     assert all(r["ok"] for r in results)
+    assert pool_sizes == []
 
     # Same responses as a fresh sequential engine (the plan never fired).
     reference = LabelingEngine(breaker=None).label_batch(payloads, jobs=1)
@@ -402,44 +418,44 @@ class TestNormalizeJobs:
 
 
 class TestSpawnStartMethod:
-    def test_execute_batch_under_spawn_context(self):
-        # spawn re-imports the worker module from scratch: the
-        # initializer and tasks must not capture unpicklable state.
-        ctx = multiprocessing.get_context("spawn")
-        results = execute_batch(
-            [_Square(n) for n in range(4)],
-            jobs=2,
-            executor="process",
-            mp_context=ctx,
+    @pytest.fixture
+    def spawn(self, monkeypatch):
+        # spawn re-imports the worker module from scratch: the initializer
+        # and tasks must not capture unpicklable state.
+        monkeypatch.setattr(
+            "repro.service.parallel.ProcessPoolExecutor",
+            partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")),
         )
-        assert [r.value for r in results] == [0, 1, 4, 9]
-        assert all(r.error is None for r in results)
 
-    def test_payload_task_under_spawn_matches_inline(self):
-        ctx = multiprocessing.get_context("spawn")
-        payload = {"domain": "job", "seed": 0}
-        spawned = execute_batch(
-            [PayloadTask(payload)], jobs=2, executor="process", mp_context=ctx
-        )[0]
-        assert spawned.error is None
+    def test_process_batch_under_spawn_context(self, spawn):
+        payloads = [{"domain": "book", "seed": 2}, {"domain": "nope"}]
+        spawned = LabelingEngine(breaker=None).label_batch(
+            payloads, jobs=2, executor="process"
+        )
+        inline = LabelingEngine(breaker=None).label_batch(payloads, jobs=1)
+        assert [_strip_timing(r) for r in spawned] == [_strip_timing(r) for r in inline]
+        assert spawned[0]["ok"] and spawned[1]["error_type"] == "invalid_request"
+
+    def test_payload_task_under_spawn_matches_inline(self, spawn):
+        payload = {"domain": "job", "seed": 0, "lexicon": {"synsets": [["zzz", "qqq"]]}}
+        spawned = LabelingEngine(cache_size=0).label_batch(
+            [payload], jobs=2, executor="process"
+        )
         inline = LabelingEngine(cache_size=0).label(payload)
-        assert _strip_timing(spawned.value) == _strip_timing(inline)
+        assert _strip_timing(spawned[0]) == _strip_timing(inline)
 
-    def test_broken_pool_falls_back_to_threads_with_warning(self, caplog):
-        # A worker bootstrap that dies on import must not take the batch
-        # down with it: execute_batch logs and reruns on threads.
-        def exploding_initializer():
-            os._exit(13)
-
-        with caplog.at_level(logging.WARNING, logger="repro.service.engine"):
-            results = execute_batch(
-                [_Square(n) for n in range(3)],
-                jobs=2,
-                executor="process",
-                initializer=exploding_initializer,
+    def test_broken_pool_falls_back_to_threads_with_warning(self, monkeypatch, caplog):
+        # A worker bootstrap that dies must not take the batch down with
+        # it: the batch logs once and computes on its own threads.
+        monkeypatch.setattr("repro.service.parallel.ProcessPoolExecutor", _BrokenPool)
+        payloads = [{"domain": d, "seed": 4} for d in ("airline", "auto", "book")]
+        with caplog.at_level(logging.WARNING, logger="repro.service.parallel"):
+            results = LabelingEngine(breaker=None).label_batch(
+                payloads, jobs=2, executor="process"
             )
-        assert [r.value for r in results] == [0, 1, 4]
-        assert any(
-            "falling back to thread backend" in record.message
-            for record in caplog.records
-        )
+        expected = LabelingEngine(breaker=None).label_batch(payloads, jobs=1)
+        assert [_strip_timing(r) for r in results] == [
+            _strip_timing(r) for r in expected
+        ]
+        warnings = [r for r in caplog.records if "process pool broke" in r.message]
+        assert len(warnings) == 1

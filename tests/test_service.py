@@ -3,14 +3,19 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+import repro.datasets.registry as registry
 from repro.core.label import LabelAnalyzer
 from repro.core.semantics import SemanticComparator
 from repro.datasets.registry import DOMAINS, load_domain
 from repro.lexicon.io import wordnet_from_dict
+from repro.resilience import FaultPlan, FaultSpec
 from repro.schema.serialize import corpus_to_dict
 from repro.service.cache import LRUCache
 from repro.service.client import ServiceClient, ServiceError
@@ -93,11 +98,30 @@ class TestExecuteBatch:
         parallel = [o.value for o in execute_batch(tasks, jobs=4)]
         assert sequential == parallel
 
+    def test_timeout_bounds_the_callers_wait(self):
+        start = time.perf_counter()
+        outcomes = execute_batch(
+            [lambda: time.sleep(2), lambda: "fast"], jobs=2, timeout=0.2
+        )
+        assert time.perf_counter() - start < 1.0
+        assert outcomes[0].error_type == "timeout"
+        assert outcomes[1].value == "fast"
+
 
 class TestEngine:
     @pytest.fixture(scope="class")
     def engine(self):
         return LabelingEngine(cache_size=8)
+
+    def test_timeout_bounds_the_callers_wait(self):
+        plan = FaultPlan(
+            [FaultSpec(point="engine.execute", kind="latency", rate=1.0, latency_s=2.0)]
+        )
+        engine = LabelingEngine(fault_plan=plan, breaker=None)
+        start = time.perf_counter()
+        with pytest.raises(TimeoutError):
+            engine.label({"domain": "book", "timeout": 0.2})
+        assert time.perf_counter() - start < 1.0
 
     def test_domain_request(self, engine):
         response = engine.label({"domain": "job", "seed": 0})
@@ -186,12 +210,19 @@ class TestTruncationReporting:
         assert engine.stats()["naming"] == {"truncated_closures": 1}
 
 
-#: Bodies that used to escape validation as TypeError/KeyError (HTTP 500).
+_BOOK = load_domain("book", seed=0)
+_ONE_INTERFACE = corpus_to_dict(_BOOK.interfaces[:1], _BOOK.mapping)["interfaces"]
+
+#: Bodies that used to escape validation as TypeError/KeyError or a
+#: pipeline ValueError (HTTP 500).
 MALFORMED_BODIES = [
     {"domain": {}},
     {"domain": []},
     {"domain": "hotels", "options": True},
     {"domain": "hotels", "lexicon": {"hypernyms": [[1, 2]]}},
+    {"domain": "book", "options": {"enabled_rules": 5}},
+    {"corpus": {"interfaces": _ONE_INTERFACE, "mapping": {}}},
+    {"corpus": {"interfaces": _ONE_INTERFACE, "mapping": {"c": {}}}},
 ]
 
 
@@ -354,22 +385,30 @@ class TestRequestKeyMemo:
         assert engine.stats()["request_keys"]["hits"] == 1
 
     @pytest.mark.parametrize("path", ["inline", "process"])
-    def test_memo_hit_after_eviction_recomputes(self, path):
+    def test_memo_hit_after_eviction_recomputes(self, path, monkeypatch):
         # A memo hit whose result another request evicted before its lookup
         # (two requests racing on a full cache) builds its corpus and
         # recomputes; through the process pool it is pickled unbuilt.
         engine = LabelingEngine(cache_size=1, breaker=None)
         first = engine.label({"domain": "airline"})
-        request = LabelingRequest.from_payload(
-            {"domain": "airline"}, engine._request_keys
-        )
-        assert request._corpus is None
-        engine.label({"domain": "book"})  # evicts airline from both LRUs
+        # A corpus payload evicts airline's result but not its memo key.
+        engine.label({"corpus": corpus_to_dict(_BOOK.interfaces, _BOOK.mapping)})
+        built = []
+
+        def recording_load_domain(*args, **kwargs):
+            built.append(args)  # a forked worker appends to its own copy
+            return load_domain(*args, **kwargs)
+
+        monkeypatch.setattr(registry, "load_domain", recording_load_domain)
         if path == "process":
-            (again,) = engine._label_batch_process([request], jobs=2, timeout=None)
-            assert request._corpus is None  # only the worker built it
+            (again,) = engine.label_batch(
+                [{"domain": "airline"}], jobs=2, executor="process"
+            )
+            assert built == []  # only the worker built it
         else:
-            again = engine.label(request)
+            again = engine.label({"domain": "airline"})
+            assert len(built) == 1
+        assert engine.stats()["request_keys"]["hits"] == 1
         assert again["cached"] is False
         assert engine.stats()["computations"] == 3
         assert _labels(again) == _labels(first)
@@ -548,6 +587,11 @@ def _bare_comparator() -> SemanticComparator:
     )
 
 
+def _comparator_over(overlay: dict) -> SemanticComparator:
+    """A comparator over the default lexicon plus ``overlay``."""
+    return SemanticComparator(LabelAnalyzer(wordnet_from_dict(overlay)))
+
+
 class TestEngineOwnLexicon:
     """An engine answers from its ``comparator=`` lexicon on every path."""
 
@@ -571,6 +615,38 @@ class TestEngineOwnLexicon:
             payloads, jobs=2, executor="process"
         )
         assert [_labels(r) for r in process] == [_labels(r) for r in thread]
+
+    def test_broken_pool_computes_with_the_engine_lexicon(self, monkeypatch, caplog):
+        class BrokenPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(
+                    *args, **{**kwargs, "initializer": os._exit, "initargs": (13,)}
+                )
+
+        monkeypatch.setattr("repro.service.parallel.ProcessPoolExecutor", BrokenPool)
+        payloads = [{"domain": "carrental", "seed": seed} for seed in range(3)]
+        thread = LabelingEngine(comparator=_bare_comparator()).label_batch(
+            payloads, jobs=2, executor="thread"
+        )
+        with caplog.at_level(logging.WARNING, logger="repro.service.parallel"):
+            process = LabelingEngine(comparator=_bare_comparator()).label_batch(
+                payloads, jobs=2, executor="process"
+            )
+        assert [_labels(r) for r in process] == [_labels(r) for r in thread]
+        assert any("process pool broke" in r.message for r in caplog.records)
+
+    def test_empty_overlay_answers_from_the_engine_lexicon(self):
+        # An empty overlay fingerprints like no overlay, so it must label
+        # with the engine's lexicon too, or it poisons the shared entry.
+        merged = {"synsets": [["keywords", "manufacturer"]]}
+        payload = {"domain": "auto", "seed": 5}
+        expected = LabelingEngine(comparator=_comparator_over(merged)).label(payload)
+        assert _labels(expected) != _labels(LabelingEngine().label(payload))
+        engine = LabelingEngine(comparator=_comparator_over(merged))
+        first = engine.label({**payload, "lexicon": {}})
+        second = engine.label(payload)
+        assert second["cached"] is True
+        assert _labels(first) == _labels(second) == _labels(expected)
 
 
 class TestRunAllDomainsJobs:
