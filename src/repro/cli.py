@@ -45,7 +45,7 @@ DEFAULT_JOBS = default_jobs()
 def _jobs_arg(value: str) -> int:
     """argparse type for ``--jobs``: 0 clamps to 1, negatives are rejected."""
     try:
-        return normalize_jobs(value)
+        return normalize_jobs(int(value) if value.lstrip("-").isdecimal() else value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 

@@ -247,6 +247,4 @@ def lint_node_dict(
     """
     from .schema.serialize import node_from_dict
 
-    if not isinstance(data, dict) or "name" not in data:
-        raise ValueError("expected a serialized schema node ({'name': ..., ...})")
     return lint_interface(node_from_dict(data), comparator, checks=checks)

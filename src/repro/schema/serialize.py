@@ -4,7 +4,8 @@ The on-disk format is deliberately plain: nested dicts for trees, a
 ``{cluster: {interface: field_name}}`` table for mappings.  It exists so
 corpora generated by :mod:`repro.datasets` can be saved, inspected, edited
 by hand, and reloaded — the reproduction analog of the paper's project
-web page datasets.
+web page datasets.  The ``*_from_dict`` readers check each field's JSON
+type as they build, so a malformed document raises ``ValueError`` here.
 """
 
 from __future__ import annotations
@@ -15,6 +16,13 @@ from pathlib import Path
 from .clusters import Cluster, Mapping
 from .interface import QueryInterface
 from .tree import FieldKind, SchemaNode
+
+_TEXT = (str, type(None))
+_KINDS = tuple(kind.value for kind in FieldKind)
+_NODE_FIELDS = (
+    "'label' and 'cluster' must be strings or null, 'kind' one of "
+    f"{', '.join(_KINDS)}, 'instances' a list of strings, 'children' a list"
+)
 
 __all__ = [
     "node_to_dict",
@@ -45,14 +53,24 @@ def node_to_dict(node: SchemaNode) -> dict:
 
 
 def node_from_dict(data: dict) -> SchemaNode:
-    children = [node_from_dict(child) for child in data.get("children", [])]
-    kind = data.get("kind")
+    """Inverse of :func:`node_to_dict`, checking the JSON type of each field
+    in the pass that builds the tree (``ValueError`` on a mismatch)."""
+    if not (isinstance(data, dict) and isinstance(data.get("name"), str)):
+        raise ValueError("a serialized schema node needs a string 'name'")
+    label, kind, cluster = data.get("label"), data.get("kind"), data.get("cluster")
+    instances, children = data.get("instances", []), data.get("children", [])
+    if not (
+        isinstance(label, _TEXT) and isinstance(cluster, _TEXT)
+        and (kind is None or kind in _KINDS) and isinstance(children, list)
+        and isinstance(instances, list) and all(isinstance(i, str) for i in instances)
+    ):
+        raise ValueError(f"node {data['name']!r}: {_NODE_FIELDS}")
     return SchemaNode(
-        data.get("label"),
-        children,
-        kind=FieldKind(kind) if kind else None,
-        instances=tuple(data.get("instances", ())),
-        cluster=data.get("cluster"),
+        label,
+        [node_from_dict(child) for child in children],
+        kind=None if kind is None else FieldKind(kind),
+        instances=tuple(instances),
+        cluster=cluster,
         name=data["name"],
     )
 
@@ -69,9 +87,13 @@ def interface_to_dict(interface: QueryInterface) -> dict:
 
 
 def interface_from_dict(data: dict) -> QueryInterface:
+    if not (isinstance(data, dict) and isinstance(data.get("name"), str)):
+        raise ValueError("an interface must be an object with a string 'name'")
+    if not isinstance(data.get("metadata", {}), dict):
+        raise ValueError(f"interface {data['name']!r}: 'metadata' must be an object")
     return QueryInterface(
         name=data["name"],
-        root=node_from_dict(data["root"]),
+        root=node_from_dict(data.get("root")),
         domain=data.get("domain"),
         url=data.get("url"),
         metadata=data.get("metadata", {}),
@@ -100,13 +122,15 @@ def mapping_to_dict(mapping: Mapping) -> dict:
 def mapping_from_dict(data: dict, interfaces: list[QueryInterface]) -> Mapping:
     by_name = {qi.name: qi for qi in interfaces}
     mapping = Mapping()
+    if not (isinstance(data, dict) and all(isinstance(m, dict) for m in data.values())):
+        raise ValueError("a mapping must be an object of {interface: node} objects")
     for cluster_name, members in data.items():
         cluster = Cluster(cluster_name)
         for interface_name, node_name in members.items():
-            interface = by_name[interface_name]
-            node = interface.root.find_by_name(node_name)
+            interface = by_name.get(interface_name)
+            node = None if interface is None else interface.root.find_by_name(node_name)
             if node is None:
-                raise KeyError(
+                raise ValueError(
                     f"mapping references unknown node {node_name!r} "
                     f"of interface {interface_name!r}"
                 )

@@ -40,7 +40,6 @@ import contextvars
 import copy
 import itertools
 import json
-import math
 import threading
 import time
 from collections.abc import Callable, Sequence
@@ -50,6 +49,7 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from ..core.pipeline import NamingOptions, label_corpus
+from ..datasets.registry import DOMAINS
 from ..obs.tracer import Span, current_span, current_trace
 from ..obs.tracer import event as obs_event
 from ..obs.tracer import span as obs_span
@@ -75,11 +75,15 @@ from ..schema.serialize import (
 )
 from .cache import LRUCache, ResultCache
 from .fingerprint import (
+    RequestError,
     _canonical_lexicon,
     canonical_json,
     corpus_fingerprint,
     options_from_dict,
     options_to_dict,
+    read_bool,
+    require,
+    require_object,
 )
 
 __all__ = [
@@ -89,36 +93,106 @@ __all__ = [
     "RequestError",
     "compute",
     "execute_batch",
-    "parse_timeout",
+    "parse_batch",
 ]
 
+# The validation boundary: from_payload and parse_batch read every untrusted
+# field once, with the readers below, and raise RequestError for any shape
+# they do not accept.  Code past them trusts its input.
 
-class RequestError(ValueError):
-    """A request that cannot be executed (maps to HTTP 400)."""
+_PAYLOAD_KEYS = frozenset("domain seed corpus options lexicon lint timeout".split())
+_LEXICON_KEYS = frozenset({"synsets", "hypernyms"})
+_BATCH_KEYS = frozenset({"requests", "jobs", "timeout"})
+_TIMEOUT_ERROR = (
+    "'timeout' must be a positive number of seconds, at most "
+    f"{threading.TIMEOUT_MAX:.0f} (the longest a thread can wait)"
+)
 
-    error_type = "invalid_request"
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def parse_timeout(value) -> float | None:
-    """Validate a ``timeout`` field: ``None``, or positive finite seconds.
+def _is_lemmas(items, kinds: tuple = (list, tuple)) -> bool:
+    return isinstance(items, kinds) and all(isinstance(i, str) for i in items)
 
-    The one check behind ``POST /label`` (via
-    :meth:`LabelingRequest.from_payload`) and ``POST /batch``; anything
-    else raises :class:`RequestError`.
-    """
+
+def _read_timeout(value) -> float | None:
+    """``None``, or a number of seconds in ``(0, threading.TIMEOUT_MAX]``."""
+    require(
+        value is None
+        or (_is_int(value) or isinstance(value, float))
+        and 0 < value <= threading.TIMEOUT_MAX,
+        _TIMEOUT_ERROR,
+    )
+    return None if value is None else float(value)
+
+
+def _read_lexicon(value) -> dict | None:
+    """An overlay in the canonical form the fingerprint hashes (``None`` if it
+    adds nothing).  Lemmas only: an integer synset id would name a different
+    synset once the overlay lands on the default lexicon."""
     if value is None:
         return None
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError):
-        raise RequestError("'timeout' must be a number of seconds") from None
-    if not (math.isfinite(seconds) and seconds > 0):
-        raise RequestError("'timeout' must be a positive, finite number of seconds")
-    return seconds
+    require_object(value, "lexicon", _LEXICON_KEYS)
+    synsets, pairs = value.get("synsets", []), value.get("hypernyms", [])
+    require(
+        isinstance(synsets, (list, tuple)) and all(
+            s and _is_lemmas(s, (list, tuple, set, frozenset)) for s in synsets
+        ),
+        "invalid lexicon overlay: 'synsets' must be a list of non-empty lists "
+        "of strings",
+    )
+    require(
+        isinstance(pairs, (list, tuple))
+        and all(_is_lemmas(pair) and len(pair) == 2 for pair in pairs),
+        "invalid lexicon overlay: 'hypernyms' must be a list of "
+        "[general, specific] string pairs",
+    )
+    return _canonical_lexicon(value)
+
+
+def _read_source(payload: dict) -> dict:
+    """``{"domain": d, "seed": s}``, or ``{"corpus": <document>}`` whose
+    fields :func:`_build_corpus` checks as it builds them."""
+    require(
+        ("corpus" in payload) != ("domain" in payload),
+        "request must carry exactly one of 'corpus' or 'domain'",
+    )
+    seed = payload.get("seed", 0)
+    require(_is_int(seed), "'seed' must be an integer")
+    if "corpus" in payload:
+        corpus = payload["corpus"]
+        require(
+            isinstance(corpus, dict)
+            and isinstance(corpus.get("interfaces"), list) and corpus["interfaces"],
+            "'corpus' must be an object with a non-empty 'interfaces' array",
+        )
+        return {"corpus": corpus}
+    domain = payload["domain"]
+    require(
+        isinstance(domain, str) and domain in DOMAINS,
+        f"unknown domain {domain!r}; known: {', '.join(sorted(DOMAINS))}",
+    )
+    return {"domain": domain, "seed": seed}
+
+
+def parse_batch(body) -> tuple[list, int | None, float | None]:
+    """Check a ``POST /batch`` envelope: ``(payloads, jobs, timeout)``; each
+    of the ``requests`` is checked by ``from_payload``, in its own slot."""
+    require_object(body, "batch", _BATCH_KEYS)
+    payloads, jobs = body.get("requests"), body.get("jobs")
+    require(isinstance(payloads, list), "batch payload must carry a 'requests' array")
+    require(
+        jobs is None or _is_int(jobs) and jobs >= 0,
+        "'jobs' must be a non-negative integer",
+    )
+    return payloads, jobs, _read_timeout(body.get("timeout"))
 
 
 def _build_corpus(source: dict) -> tuple[list[QueryInterface], Mapping]:
-    """Materialize a validated source: a registered domain or a corpus document."""
+    """Materialize a source: a registered domain, or a corpus document,
+    whose fields the deserializers check as they build it."""
     if "domain" in source:
         from ..datasets.registry import load_domain
 
@@ -127,70 +201,14 @@ def _build_corpus(source: dict) -> tuple[list[QueryInterface], Mapping]:
     corpus = source["corpus"]
     try:
         interfaces = [interface_from_dict(d) for d in corpus["interfaces"]]
-        mapping = mapping_from_dict(corpus["mapping"], interfaces)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        mapping = mapping_from_dict(corpus.get("mapping"), interfaces)
+    except ValueError as exc:
         raise RequestError(f"malformed corpus: {exc}") from None
-    if not any(cluster.members for cluster in mapping.clusters):
-        raise RequestError("malformed corpus: 'mapping' assigns no field to a cluster")
+    require(
+        any(cluster.members for cluster in mapping.clusters),
+        "malformed corpus: 'mapping' assigns no field to a cluster",
+    )
     return interfaces, mapping
-
-
-def _strings(items) -> bool:
-    return isinstance(items, (list, tuple, set, frozenset)) and all(
-        isinstance(item, str) for item in items
-    )
-
-
-def _check_overlay(lexicon) -> None:
-    """Reject a lexicon overlay whose shape ``wordnet_from_dict`` cannot load.
-
-    Synsets are non-empty collections of lemma strings, hypernyms are
-    ``[general, specific]`` lemma pairs.  Lemmas only: an integer synset id
-    would name a different synset once the overlay lands on the default
-    lexicon.
-    """
-    if not isinstance(lexicon, dict):
-        raise RequestError("'lexicon' must be an object with synsets/hypernyms")
-    synsets = lexicon.get("synsets", [])
-    if not isinstance(synsets, (list, tuple)) or not all(
-        synset and _strings(synset) for synset in synsets
-    ):
-        raise RequestError(
-            "invalid lexicon overlay: 'synsets' must be a list of non-empty "
-            "lists of strings"
-        )
-    hypernyms = lexicon.get("hypernyms", [])
-    if not isinstance(hypernyms, (list, tuple)) or not all(
-        isinstance(pair, (list, tuple)) and len(pair) == 2 and _strings(pair)
-        for pair in hypernyms
-    ):
-        raise RequestError(
-            "invalid lexicon overlay: 'hypernyms' must be a list of "
-            "[general, specific] string pairs"
-        )
-
-
-def _request_key(
-    source: dict, options: NamingOptions, lexicon: dict | None
-) -> str | None:
-    """The memo key of a validated request, or ``None`` if it is not memoized.
-
-    Only ``{domain, seed}`` requests are memoized: their key reads
-    everything the fingerprint depends on straight off the payload — the
-    source, the canonical options and the lexicon overlay in the canonical
-    form the fingerprint hashes.  ``lint`` and ``timeout`` do not change the
-    labeling and are left out.  A ``corpus`` document is parsed and
-    fingerprinted on every request.
-    """
-    if "domain" not in source:
-        return None
-    return canonical_json(
-        {
-            "source": source,
-            "options": options_to_dict(options),
-            "lexicon": _canonical_lexicon(lexicon),
-        }
-    )
 
 
 @dataclass
@@ -207,6 +225,7 @@ class LabelingRequest:
     options: NamingOptions
     #: ``{"domain": d, "seed": s}`` or ``{"corpus": <document>}``.
     source: dict = field(repr=False)
+    #: The overlay in its canonical form, or ``None`` for none.
     lexicon: dict | None = None
     domain: str | None = None
     include_lint: bool = False
@@ -239,65 +258,31 @@ class LabelingRequest:
     ) -> "LabelingRequest":
         """Parse + validate an untrusted JSON payload (raises :class:`RequestError`).
 
-        ``keys`` is the engine's request-key memo (an
-        :class:`~repro.service.cache.LRUCache` of request key → fingerprint).
-        Every check runs on every call; a memo hit then skips building and
-        fingerprinting the domain's corpus.  Only a ``{domain, seed}``
-        payload that passed every check is memoized, so a hit cannot admit an
-        invalid one; a ``corpus`` payload is always parsed and fingerprinted.
+        The one check of a ``/label`` body or a batch item, on every call.
+        ``keys`` is the engine's request-key memo: a valid ``{domain, seed}``
+        payload maps the canonical JSON of its source, options and overlay
+        (not ``lint`` or ``timeout``) to its fingerprint, so a repeat builds
+        and hashes no corpus; a ``corpus`` payload is built every call.
         """
-        if not isinstance(payload, dict):
-            raise RequestError("request payload must be a JSON object")
-        has_corpus = "corpus" in payload
-        has_domain = "domain" in payload
-        if has_corpus == has_domain:
-            raise RequestError(
-                "request must carry exactly one of 'corpus' or 'domain'"
-            )
-
-        try:
-            options = options_from_dict(payload.get("options"))
-        except ValueError as exc:
-            raise RequestError(str(exc)) from None
-
-        lexicon = payload.get("lexicon")
-        if lexicon is not None:
-            _check_overlay(lexicon)
-
-        timeout = parse_timeout(payload.get("timeout"))
-
-        domain = None
-        if has_domain:
-            from ..datasets.registry import DOMAINS
-
-            domain = payload["domain"]
-            if not isinstance(domain, str) or domain not in DOMAINS:
-                known = ", ".join(sorted(DOMAINS))
-                raise RequestError(f"unknown domain {domain!r}; known: {known}")
-            seed = payload.get("seed", 0)
-            if not isinstance(seed, int) or isinstance(seed, bool):
-                raise RequestError("'seed' must be an integer")
-            source = {"domain": domain, "seed": seed}
-        else:
-            corpus = payload["corpus"]
-            if not isinstance(corpus, dict):
-                raise RequestError("'corpus' must be an object")
-            if not isinstance(corpus.get("interfaces"), list) or not corpus["interfaces"]:
-                raise RequestError("'corpus.interfaces' must be a non-empty array")
-            if not isinstance(corpus.get("mapping"), dict):
-                raise RequestError("'corpus.mapping' must be an object")
-            source = {"corpus": corpus}
-
+        require_object(payload, "request", _PAYLOAD_KEYS)
+        source = _read_source(payload)
+        options = options_from_dict(payload.get("options"))
+        lexicon = _read_lexicon(payload.get("lexicon"))
         request = cls(
             options=options,
             source=source,
             lexicon=lexicon,
-            domain=domain,
-            include_lint=bool(payload.get("lint", False)),
-            timeout=timeout,
+            domain=source.get("domain"),
+            include_lint=read_bool(payload, "lint", False),
+            timeout=_read_timeout(payload.get("timeout")),
         )
-        key = None if keys is None else _request_key(source, options, lexicon)
-        fingerprint = None if key is None else keys.get(key)
+        key = fingerprint = None
+        if keys is not None and request.domain is not None:
+            key = canonical_json(
+                {"source": source, "options": options_to_dict(options),
+                 "lexicon": lexicon}
+            )
+            fingerprint = keys.get(key)
         if fingerprint is None:
             # Fingerprint before the 1:m reduction mutates the trees: the
             # key must describe the *input*, which is what a repeat carries.
@@ -509,17 +494,15 @@ def comparator_for(
 
     Requests (and batch items) carrying the same lexicon overlay share one
     comparator from ``overlays`` (an LRU of at most ``limit``, keyed by the
-    overlay in the canonical form the fingerprint hashes, guarded by
-    ``lock``) — and therefore its label/relation/group caches.  An overlay
-    whose canonical form is empty gets ``default``, as its fingerprint is
-    the overlay-free one.  The overlay lexicon is built and
+    request's canonical overlay, guarded by ``lock``) — and therefore its
+    label/relation/group caches.  The overlay lexicon is built and
     compiled once per key, when its comparator is.  The engine and every
     pool worker choose through here, so an item gets the same lexicon on
     every executor.  The comparator's memos are safe under concurrent use
     (append-only maps of deterministic values), so one instance can serve
     parallel workers.
     """
-    lexicon = _canonical_lexicon(request.lexicon)
+    lexicon = request.lexicon
     if lexicon is None:
         return default
     key = canonical_json(lexicon)

@@ -12,6 +12,9 @@ mapping clusters/members, no whitespace variance — so it is invariant
 under everything that does not change meaning: dict insertion order,
 ``save_corpus``/``load_corpus`` round trips, pretty-printing, and the
 order synsets were declared in a lexicon overlay.
+
+It also holds :class:`RequestError` and the readers :func:`options_from_dict`
+shares with :meth:`repro.service.engine.LabelingRequest.from_payload`.
 """
 
 from __future__ import annotations
@@ -27,12 +30,39 @@ from ..schema.interface import QueryInterface
 from ..schema.serialize import corpus_to_dict
 
 __all__ = [
+    "RequestError",
     "canonical_json",
     "corpus_fingerprint",
     "fingerprint_document",
     "options_to_dict",
     "options_from_dict",
 ]
+
+
+class RequestError(ValueError):
+    """A request that cannot be executed (maps to HTTP 400)."""
+
+    error_type = "invalid_request"
+
+
+def require(ok: bool, message: str) -> None:
+    """Raise :class:`RequestError` with ``message`` unless ``ok``."""
+    if not ok:
+        raise RequestError(message)
+
+
+def require_object(value, name: str, known: frozenset) -> None:
+    """Require ``value`` to be a JSON object whose keys are all in ``known``."""
+    require(isinstance(value, dict), f"{name} must be an object")
+    unknown = value.keys() - known
+    require(not unknown, f"unknown {name} field(s): {sorted(map(str, unknown))}")
+
+
+def read_bool(data: dict, key: str, default: bool) -> bool:
+    """``data[key]`` (``default`` if absent), which must be a JSON boolean."""
+    value = data.get(key, default)
+    require(isinstance(value, bool), f"'{key}' must be true or false")
+    return value
 
 
 def canonical_json(value) -> str:
@@ -53,91 +83,70 @@ def options_to_dict(options: NamingOptions | None) -> dict:
     }
 
 
+_OPTION_KEYS = frozenset(options_to_dict(None))
+_LEVELS = {level.name.lower(): level for level in ConsistencyLevel}
+_RULES = {rule.value.lower(): rule for rule in InferenceRule}
+
+
 def options_from_dict(data: dict | None) -> NamingOptions:
-    """Inverse of :func:`options_to_dict`; unknown keys/values raise ``ValueError``."""
-    if data is not None and not isinstance(data, dict):
-        raise ValueError("naming options must be an object")
-    data = dict(data or {})
-    defaults = NamingOptions()
-    known = {"use_instances", "max_level", "enabled_rules", "repair_homonyms"}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown naming option(s): {', '.join(sorted(unknown))}")
-    try:
-        max_level = ConsistencyLevel[
-            str(data.get("max_level", defaults.max_level.name)).upper()
-        ]
-    except KeyError:
-        names = ", ".join(level.name.lower() for level in ConsistencyLevel)
-        raise ValueError(
-            f"max_level must be one of: {names}"
-        ) from None
-    rules = data.get("enabled_rules")
-    if rules is None:
-        enabled = defaults.enabled_rules
-    else:
-        try:
-            enabled = frozenset(InferenceRule(str(r).upper()) for r in rules)
-        except (TypeError, ValueError):
-            names = ", ".join(rule.value for rule in InferenceRule)
-            raise ValueError(
-                f"enabled_rules must be a list of rules among: {names}"
-            ) from None
-    return NamingOptions(
-        use_instances=bool(data.get("use_instances", defaults.use_instances)),
-        max_level=max_level,
-        enabled_rules=enabled,
-        repair_homonyms=bool(data.get("repair_homonyms", defaults.repair_homonyms)),
-    )
+    """Inverse of :func:`options_to_dict`, reading an untrusted ``options``.
 
-
-def _canonical_corpus_document(corpus: dict) -> dict:
-    """Normalize a raw ``{"interfaces": ..., "mapping": ...}`` document.
-
-    Mapping clusters and members sort by name; interface list order is
-    preserved (it is semantically meaningful).  Works on untrusted request
-    payloads without building schema objects first.
+    ``None`` means the defaults.  Flags are JSON booleans, ``max_level`` a
+    level name and ``enabled_rules`` a list of rule names (either case);
+    anything else, an unknown key included, raises :class:`RequestError`.
     """
-    mapping = {
-        cluster: {
-            interface: members[interface] for interface in sorted(members)
-        }
-        for cluster, members in sorted(corpus.get("mapping", {}).items())
-    }
-    return {"interfaces": corpus.get("interfaces", []), "mapping": mapping}
+    if data is None:
+        return NamingOptions()
+    require_object(data, "naming options", _OPTION_KEYS)
+    defaults = NamingOptions()
+    level = data.get("max_level", defaults.max_level.name)
+    require(
+        isinstance(level, str) and level.lower() in _LEVELS,
+        f"max_level must be one of: {', '.join(_LEVELS)}",
+    )
+    rules = data.get("enabled_rules")
+    require(
+        rules is None or isinstance(rules, list) and all(
+            isinstance(rule, str) and rule.lower() in _RULES for rule in rules
+        ),
+        "enabled_rules must be a list of rules among: "
+        + ", ".join(rule.value for rule in InferenceRule),
+    )
+    return NamingOptions(
+        use_instances=read_bool(data, "use_instances", defaults.use_instances),
+        max_level=_LEVELS[level.lower()],
+        enabled_rules=defaults.enabled_rules if rules is None else frozenset(
+            _RULES[rule.lower()] for rule in rules
+        ),
+        repair_homonyms=read_bool(data, "repair_homonyms", defaults.repair_homonyms),
+    )
 
 
 def _canonical_lexicon(lexicon: dict | None) -> dict | None:
-    if not lexicon:
+    """An overlay with its synsets and hypernyms sorted; ``None`` when it
+    adds nothing (absent, or no synsets and no hypernyms)."""
+    lexicon = lexicon or {}
+    synsets = sorted(sorted(synset) for synset in lexicon.get("synsets", ()))
+    hypernyms = sorted(list(pair) for pair in lexicon.get("hypernyms", ()))
+    if not synsets and not hypernyms:
         return None
-    synsets = sorted(
-        sorted(str(lemma) for lemma in synset)
-        for synset in lexicon.get("synsets", [])
-    )
-    hypernyms = sorted(
-        [str(pair[0]), str(pair[1])] for pair in lexicon.get("hypernyms", [])
-    )
     return {"synsets": synsets, "hypernyms": hypernyms}
 
 
 def fingerprint_document(
     corpus: dict,
-    options: dict | NamingOptions | None = None,
+    options: NamingOptions | None = None,
     lexicon: dict | None = None,
 ) -> str:
     """SHA-256 fingerprint of a raw corpus document + knobs.
 
-    ``corpus`` is the ``save_corpus`` JSON shape; ``options`` either a
-    :class:`NamingOptions` or its dict form; ``lexicon`` the overlay dict
-    accepted by :func:`repro.lexicon.io.wordnet_from_dict` (or ``None``).
+    ``corpus`` is the ``save_corpus`` JSON shape (``canonical_json`` sorts
+    its mapping); ``lexicon`` the overlay dict accepted by
+    :func:`repro.lexicon.io.wordnet_from_dict` (or ``None``).
     """
-    if isinstance(options, NamingOptions) or options is None:
-        options_doc = options_to_dict(options)
-    else:
-        options_doc = options_to_dict(options_from_dict(options))
     envelope = {
-        "corpus": _canonical_corpus_document(corpus),
-        "options": options_doc,
+        "corpus": {"interfaces": corpus["interfaces"], "mapping": corpus["mapping"]},
+        "options": options_to_dict(options),
         "lexicon": _canonical_lexicon(lexicon),
     }
     digest = hashlib.sha256(canonical_json(envelope).encode("utf-8"))
@@ -147,7 +156,7 @@ def fingerprint_document(
 def corpus_fingerprint(
     interfaces: list[QueryInterface],
     mapping: Mapping,
-    options: NamingOptions | dict | None = None,
+    options: NamingOptions | None = None,
     lexicon: dict | None = None,
 ) -> str:
     """Fingerprint of in-memory corpus objects (same digest as the document form)."""

@@ -72,23 +72,19 @@ def default_jobs() -> int:
     return max(1, min(MAX_DEFAULT_JOBS, cores))
 
 
-def normalize_jobs(jobs) -> int:
+def normalize_jobs(jobs: int | None) -> int:
     """Normalize a ``jobs`` knob to a usable worker count (``>= 1``).
 
     ``None`` means "pick for me" and resolves to :func:`default_jobs`
     (which itself survives ``os.cpu_count()`` returning ``None``).  ``0``
     is clamped to 1 — "no parallelism", not "no workers".  A negative or
-    non-integral value is a caller bug and raises ``ValueError`` with a
-    message naming the offender; the HTTP layer maps that to a 400.
+    non-integer value (a string or a boolean included) is a caller bug and
+    raises ``ValueError`` with a message naming the offender.
     """
     if jobs is None:
         return default_jobs()
     if isinstance(jobs, bool) or not isinstance(jobs, int):
-        try:
-            coerced = int(str(jobs))
-        except (TypeError, ValueError):
-            raise ValueError(f"jobs must be an integer, got {jobs!r}") from None
-        jobs = coerced
+        raise ValueError(f"jobs must be an integer, got {jobs!r}")
     if jobs < 0:
         raise ValueError(f"jobs must be >= 0, got {jobs}")
     return max(1, jobs)

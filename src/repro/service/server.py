@@ -49,7 +49,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..obs import Trace, TraceLog, TraceStore, new_request_id
 from ..resilience import AdmissionController
-from .engine import BatchOutcome, LabelingEngine, RequestError, parse_timeout
+from .engine import BatchOutcome, LabelingEngine, RequestError, parse_batch
 
 __all__ = ["LabelingServer", "MetricsRegistry", "PayloadTooLargeError"]
 
@@ -235,8 +235,7 @@ class _Handler(BaseHTTPRequestHandler):
                 headers = {"Retry-After": f"{exc.retry_after:.3f}"}
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         if request_id is not None:
-            if isinstance(payload, dict):
-                payload["request_id"] = request_id
+            payload["request_id"] = request_id
             headers = {**(headers or {}), "X-Request-Id": request_id}
         if trace is not None:
             trace.meta["endpoint"] = endpoint
@@ -309,20 +308,10 @@ class _Handler(BaseHTTPRequestHandler):
             return 200, self.server.engine.label(payload)
 
     def _post_batch(self):
-        payload = self._read_json()
-        if not isinstance(payload, dict) or not isinstance(
-            payload.get("requests"), list
-        ):
-            raise RequestError("batch payload must carry a 'requests' array")
-        jobs = payload.get("jobs")
-        if jobs is not None and (
-            isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 0
-        ):
-            raise RequestError("'jobs' must be a non-negative integer")
-        timeout = parse_timeout(payload.get("timeout"))
+        payloads, jobs, timeout = parse_batch(self._read_json())
         with self.server.admission.admit():
             results = self.server.engine.label_batch(
-                payload["requests"], jobs=jobs, timeout=timeout
+                payloads, jobs=jobs, timeout=timeout
             )
         return 200, {
             "ok": all(r.get("ok") for r in results),

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import copy
+from functools import cache
+
 import pytest
 
 from repro.core.label import LabelAnalyzer
 from repro.core.semantics import SemanticComparator
+from repro.datasets.registry import load_domain
 from repro.lexicon.data import build_default_wordnet
 from repro.schema.clusters import Mapping
 from repro.schema.groups import Group, GroupKind
 from repro.schema.interface import QueryInterface, make_field, make_group
+from repro.schema.serialize import corpus_to_dict
 from repro.schema.tree import SchemaNode
 
 
@@ -55,6 +60,28 @@ def build_group_corpus(rows: dict[str, dict[str, str]], clusters: list[str]):
         )
         interfaces.append(QueryInterface(interface_name, root))
     return interfaces, mapping
+
+
+@cache
+def _book_document() -> dict:
+    book = load_domain("book", seed=0)
+    return corpus_to_dict(book.interfaces, book.mapping)
+
+
+#: Path of the first field of the Book seed-0 document's first interface.
+BOOK_FIRST_FIELD = ("interfaces", 0, "root", "children", 0)
+
+
+def book_document_with(path: tuple = (), value=None) -> dict:
+    """A fresh copy of the Book seed-0 corpus document, with the field at
+    ``path`` (if any) set to ``value``."""
+    document = copy.deepcopy(_book_document())
+    if path:
+        target = document
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+    return document
 
 
 def regular_group(clusters: list[str], name: str = "g") -> Group:

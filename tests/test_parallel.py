@@ -374,8 +374,10 @@ class TestNormalizeJobs:
     def test_positive_passes_through(self):
         assert normalize_jobs(3) == 3
 
-    def test_numeric_string_is_coerced(self):
-        assert normalize_jobs("4") == 4
+    def test_numeric_string_is_rejected(self):
+        # Only the CLI parses a string (see test_cli_jobs_flag_parses_its_string).
+        with pytest.raises(ValueError, match="jobs must be an integer, got '4'"):
+            normalize_jobs("4")
 
     def test_negative_is_a_clear_error(self):
         with pytest.raises(ValueError, match="jobs must be >= 0, got -2"):
@@ -406,6 +408,9 @@ class TestNormalizeJobs:
             build_parser().parse_args(["table6", "--jobs", "-2"])
         assert excinfo.value.code == 2
         assert "jobs must be >= 0" in capsys.readouterr().err
+
+    def test_cli_jobs_flag_parses_its_string(self):
+        assert build_parser().parse_args(["table6", "--jobs", "4"]).jobs == 4
 
     def test_cli_jobs_flag_accepts_zero(self):
         args = build_parser().parse_args(["table6", "--jobs", "0"])

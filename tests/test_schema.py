@@ -235,8 +235,10 @@ class TestSerialization:
 
     def test_mapping_with_unknown_node_rejected(self):
         interface = self._interface()
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="unknown node 'ghost'"):
             mapping_from_dict({"c_x": {"qi": "ghost"}}, [interface])
+        with pytest.raises(ValueError, match="of interface 'nope'"):
+            mapping_from_dict({"c_x": {"nope": "f1"}}, [interface])
 
     def test_corpus_round_trip(self, tmp_path):
         interface = self._interface()

@@ -27,6 +27,8 @@ from repro.service.engine import (
 )
 from repro.service.server import LabelingServer, MetricsRegistry
 
+from .conftest import BOOK_FIRST_FIELD, book_document_with
+
 
 class TestLRUCache:
     def test_miss_then_hit(self):
@@ -214,7 +216,7 @@ _BOOK = load_domain("book", seed=0)
 _ONE_INTERFACE = corpus_to_dict(_BOOK.interfaces[:1], _BOOK.mapping)["interfaces"]
 
 #: Bodies that used to escape validation as TypeError/KeyError or a
-#: pipeline ValueError (HTTP 500).
+#: pipeline ValueError (HTTP 500), or were silently coerced into a 200.
 MALFORMED_BODIES = [
     {"domain": {}},
     {"domain": []},
@@ -223,6 +225,21 @@ MALFORMED_BODIES = [
     {"domain": "book", "options": {"enabled_rules": 5}},
     {"corpus": {"interfaces": _ONE_INTERFACE, "mapping": {}}},
     {"corpus": {"interfaces": _ONE_INTERFACE, "mapping": {"c": {}}}},
+    # Coerced: lint findings returned, use_instances labeled as true, a 1 s
+    # timeout, enabled_rules read as ["LI1"], an overlay key ignored.
+    {"domain": "book", "lint": "no"},
+    {"domain": "book", "options": {"use_instances": "false"}},
+    {"domain": "book", "timeout": True},
+    {"domain": "book", "options": {"enabled_rules": {"LI1": 1}}},
+    {"domain": "book", "lexicon": {"foo": 1}},
+    # OverflowError past the longest wait a thread supports.
+    {"domain": "book", "timeout": 1e12},
+    {"domain": "book", "timeout": 10**400},
+    # Malformed corpus fields: an AttributeError or TypeError in compute,
+    # or (a string of instances) three one-letter instances.
+    {"corpus": book_document_with(BOOK_FIRST_FIELD + ("label",), 5)},
+    {"corpus": book_document_with(BOOK_FIRST_FIELD + ("instances",), ["First", 5])},
+    {"corpus": book_document_with(BOOK_FIRST_FIELD + ("instances",), "abc")},
 ]
 
 
@@ -554,6 +571,11 @@ class TestHTTPService:
             {"timeout": 0},
             {"timeout": -5},
             {"timeout": "nan"},
+            {"jobs": True},
+            {"jobs": 1.0},
+            {"timeout": "5"},
+            {"timeout": True},
+            {"executor": "process"},
         ],
     )
     def test_batch_rejects_bad_jobs_and_timeout(self, client, fields):
