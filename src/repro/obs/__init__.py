@@ -11,8 +11,7 @@ when disabled:
              through the pipeline, engine and batch executor) with an
              injectable monotonic clock;
 ``export``   persistence and interchange: the CRC-safe JSONL span log
-             (``serve --trace-log``), the bounded LRU behind
-             ``GET /trace/<request_id>``, and the ``chrome://tracing``
+             (``serve --trace-log``) and the ``chrome://tracing``
              exporter.
 
 Tracing is ambient: activate a :meth:`Trace.scope` around any labeling
@@ -31,7 +30,7 @@ labeling output is byte-identical either way (asserted by
 ``tests/test_obs.py``; overhead by ``benchmarks/test_bench_obs.py``).
 """
 
-from .export import TraceLog, TraceStore, chrome_trace
+from .export import TraceLog, chrome_trace
 from .tracer import (
     Span,
     Trace,
@@ -48,7 +47,6 @@ __all__ = [
     "Span",
     "Trace",
     "TraceLog",
-    "TraceStore",
     "chrome_trace",
     "current_span",
     "current_trace",

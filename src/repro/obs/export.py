@@ -1,37 +1,30 @@
-"""Trace persistence and interchange: JSONL log, LRU store, Chrome export.
+"""Trace persistence and interchange: JSONL log and Chrome export.
 
-Three consumers of a finished :class:`~repro.obs.tracer.Trace`:
+Two consumers of a finished :class:`~repro.obs.tracer.Trace`:
 
 * :class:`TraceLog` — a structured JSONL event log (``serve --trace-log
-  DIR``): one record per span, appended with a CRC-32 like the disk
-  cache's segments, so a crash mid-write can at worst truncate the final
-  line and a reader never trusts a corrupt record.
-* :class:`TraceStore` — the bounded LRU of recent traces behind
-  ``GET /trace/<request_id>``.
+  DIR``): one :mod:`repro.records` record per span, the same CRC-checked
+  envelope as the disk cache's segments, so a crash mid-write can at
+  worst truncate the final line and a reader never trusts a corrupt
+  record.
 * :func:`chrome_trace` — the ``chrome://tracing`` / Perfetto JSON array
   form ("trace event format", ``ph: "X"`` complete events), for looking
   at a request's phase timeline in a real trace viewer.
+
+The server keeps recent traces for ``GET /trace/<request_id>`` in a plain
+:class:`repro.service.cache.LRUCache`.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-import zlib
-from collections import OrderedDict
 from pathlib import Path
 
-__all__ = ["TraceLog", "TraceStore", "chrome_trace"]
+from ..records import decode, encode
+
+__all__ = ["TraceLog", "chrome_trace"]
 
 _LOG_FILE = "spans.jsonl"
-
-
-def _canonical(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
-
-
-def _crc(value) -> int:
-    return zlib.crc32(_canonical(value).encode("utf-8"))
 
 
 def _flatten_spans(record: dict, request_id: str):
@@ -69,10 +62,10 @@ def _flatten_spans(record: dict, request_id: str):
 class TraceLog:
     """CRC-safe append-only JSONL span log (one record per span).
 
-    Each line is ``{"crc": <CRC-32 of the canonical record JSON>,
-    "v": <flat span record>}``.  Appends are lock-guarded and flushed;
-    :meth:`load` skips (and counts) corrupt or truncated lines instead of
-    failing, mirroring :class:`repro.service.diskcache.DiskCache`.
+    Each line is :func:`repro.records.encode` of one flat span record.
+    Appends are lock-guarded and flushed; :meth:`load` skips (and counts)
+    corrupt or truncated lines instead of failing, mirroring
+    :class:`repro.service.diskcache.DiskCache`.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -86,9 +79,7 @@ class TraceLog:
     def append(self, trace_record: dict) -> int:
         """Append every span of one trace dict; returns spans written."""
         request_id = trace_record.get("request_id", "")
-        lines = []
-        for flat in _flatten_spans(trace_record, request_id):
-            lines.append(_canonical({"crc": _crc(flat), "v": flat}))
+        lines = [encode(flat) for flat in _flatten_spans(trace_record, request_id)]
         payload = "\n".join(lines) + "\n"
         with self._lock:
             with self.path.open("a", encoding="utf-8") as handle:
@@ -101,26 +92,10 @@ class TraceLog:
     @staticmethod
     def load(path: str | Path) -> tuple[list[dict], int]:
         """Read a span log back: ``(valid records, corrupt line count)``."""
-        records: list[dict] = []
-        corrupt = 0
-        text = Path(path).read_text("utf-8")
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            try:
-                wrapper = json.loads(line)
-            except json.JSONDecodeError:
-                corrupt += 1
-                continue
-            if (
-                not isinstance(wrapper, dict)
-                or "v" not in wrapper
-                or _crc(wrapper["v"]) != wrapper.get("crc")
-            ):
-                corrupt += 1
-                continue
-            records.append(wrapper["v"])
-        return records, corrupt
+        lines = [line for line in Path(path).read_bytes().split(b"\n") if line.strip()]
+        values = [decode(line) for line in lines]
+        records = [value for value in values if value is not None]
+        return records, len(values) - len(records)
 
     def stats(self) -> dict:
         with self._lock:
@@ -128,49 +103,6 @@ class TraceLog:
                 "path": str(self.path),
                 "traces": self._traces,
                 "spans": self._records,
-            }
-
-
-class TraceStore:
-    """Thread-safe bounded LRU of recent trace dicts, keyed by request id."""
-
-    def __init__(self, capacity: int = 128) -> None:
-        self.capacity = max(0, int(capacity))
-        self._lock = threading.Lock()
-        self._traces: OrderedDict[str, dict] = OrderedDict()
-        self._evictions = 0
-
-    def put(self, trace_record: dict) -> None:
-        if self.capacity <= 0:
-            return
-        request_id = trace_record.get("request_id")
-        if not request_id:
-            return
-        with self._lock:
-            if request_id in self._traces:
-                self._traces.pop(request_id)
-            self._traces[request_id] = trace_record
-            while len(self._traces) > self.capacity:
-                self._traces.popitem(last=False)
-                self._evictions += 1
-
-    def get(self, request_id: str) -> dict | None:
-        with self._lock:
-            record = self._traces.get(request_id)
-            if record is not None:
-                self._traces.move_to_end(request_id)
-            return record
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
-
-    def stats(self) -> dict:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "stored": len(self._traces),
-                "evictions": self._evictions,
             }
 
 

@@ -24,6 +24,11 @@ _NODE_FIELDS = (
     f"{', '.join(_KINDS)}, 'instances' a list of strings, 'children' a list"
 )
 
+#: Deepest schema tree :func:`node_from_dict` builds (the root is level 1).
+#: Generated corpora reach depth 4; the pipeline's recursive passes run out
+#: of stack near 600.
+MAX_TREE_DEPTH = 64
+
 __all__ = [
     "node_to_dict",
     "node_from_dict",
@@ -52,9 +57,12 @@ def node_to_dict(node: SchemaNode) -> dict:
     return data
 
 
-def node_from_dict(data: dict) -> SchemaNode:
+def node_from_dict(data: dict, depth: int = 1) -> SchemaNode:
     """Inverse of :func:`node_to_dict`, checking the JSON type of each field
-    in the pass that builds the tree (``ValueError`` on a mismatch)."""
+    and the tree's depth in the pass that builds it (``ValueError`` on a
+    mismatch, or below :data:`MAX_TREE_DEPTH` levels)."""
+    if depth > MAX_TREE_DEPTH:
+        raise ValueError(f"schema tree deeper than {MAX_TREE_DEPTH} levels")
     if not (isinstance(data, dict) and isinstance(data.get("name"), str)):
         raise ValueError("a serialized schema node needs a string 'name'")
     label, kind, cluster = data.get("label"), data.get("kind"), data.get("cluster")
@@ -67,7 +75,7 @@ def node_from_dict(data: dict) -> SchemaNode:
         raise ValueError(f"node {data['name']!r}: {_NODE_FIELDS}")
     return SchemaNode(
         label,
-        [node_from_dict(child) for child in children],
+        [node_from_dict(child, depth + 1) for child in children],
         kind=None if kind is None else FieldKind(kind),
         instances=tuple(instances),
         cluster=cluster,

@@ -22,11 +22,11 @@ contract — ``GET /metrics`` reports them, and operators size ``capacity``
 from __future__ import annotations
 
 import copy
-import json
 import threading
-import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
+
+from ..records import checksum
 
 __all__ = ["CacheStats", "LRUCache", "ResultCache"]
 
@@ -134,19 +134,6 @@ class LRUCache:
             )
 
 
-def _checksum(value) -> int:
-    """CRC-32 over the value's canonical JSON — the integrity fingerprint.
-
-    Responses are JSON-ready dicts by construction, so canonical JSON is a
-    faithful byte image; CRC-32 is plenty against the accidental/injected
-    corruption this guards (it is not a cryptographic seal).
-    """
-    canonical = json.dumps(
-        value, sort_keys=True, separators=(",", ":"), default=str
-    )
-    return zlib.crc32(canonical.encode("utf-8"))
-
-
 class ResultCache(LRUCache):
     """An :class:`LRUCache` whose entries carry an integrity checksum.
 
@@ -159,7 +146,7 @@ class ResultCache(LRUCache):
 
     def _open(self, key: str, entry):
         value, crc = entry
-        if _checksum(value) == crc:
+        if checksum(value) == crc:
             return value
         # Integrity failure: drop the entry, report a miss — the caller
         # recomputes and the deterministic pipeline restores the exact
@@ -169,7 +156,7 @@ class ResultCache(LRUCache):
         return _MISSING
 
     def put(self, key: str, value) -> None:
-        super().put(key, (value, _checksum(value)))
+        super().put(key, (value, checksum(value)))
 
     def corrupt(self, key: str) -> bool:
         """Tamper with the stored entry for ``key`` (chaos/test hook).

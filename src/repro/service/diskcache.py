@@ -1,12 +1,13 @@
 """Persistent warm-start layer under the in-memory :class:`ResultCache`.
 
 A :class:`DiskCache` is an append-only JSONL segment store living in one
-directory.  Each record is a single line::
+directory.  Each line is one :mod:`repro.records` record whose value is::
 
-    {"k": <corpus fingerprint>, "e": <engine-config fingerprint>,
-     "crc": <CRC-32 of the value's canonical JSON>, "v": <response dict>}
+    {"e": <engine-config fingerprint>, "k": <corpus fingerprint>,
+     "r": <response dict>}
 
-The two fingerprints jointly key an entry: ``k`` describes the input
+so the CRC-32 covers both keys as well as the response.  The two
+fingerprints jointly key an entry: ``k`` describes the input
 (:func:`repro.service.fingerprint.corpus_fingerprint`) and ``e`` describes
 the computation (response format + verify mode + lexicon content, see
 :meth:`repro.service.engine.LabelingEngine.engine_fingerprint`) — a cache
@@ -18,9 +19,10 @@ Design points:
 * **Append-only writes.**  A ``put`` appends one line and flushes; there
   is no in-place mutation, so a crash mid-write can at worst leave one
   truncated final line (which the CRC check then skips).
-* **CRC-verified reads.**  Every record is checked at load time against
-  its stored CRC-32; a corrupt or truncated record is counted, reported
-  via :meth:`stats`, and never served — the engine just recomputes.
+* **CRC-verified reads.**  Segments are read as bytes and every line is
+  checked by :func:`repro.records.decode`; a damaged line (bit flip, bad
+  UTF-8, truncation) is counted, reported via :meth:`stats`, and never
+  served — the engine just recomputes.
 * **Compaction.**  When the live segment grows past ``max_bytes`` the
   store rewrites one latest record per ``(e, k)`` pair into a fresh
   segment (atomic ``os.replace``) and deletes the old ones.  Records
@@ -35,13 +37,13 @@ from many batch worker threads at once.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import threading
 import time
-import zlib
 from pathlib import Path
+
+from ..records import decode, encode
 
 __all__ = ["DiskCache"]
 
@@ -49,14 +51,6 @@ log = logging.getLogger(__name__)
 
 _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".jsonl"
-
-
-def _canonical(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
-
-
-def _crc(value) -> int:
-    return zlib.crc32(_canonical(value).encode("utf-8"))
 
 
 class DiskCache:
@@ -74,10 +68,10 @@ class DiskCache:
         self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
         # Live entries for THIS engine configuration (corpus fp -> value)
-        # and the latest raw line per foreign (e, k) pair — carried through
+        # and the latest record per foreign (e, k) pair — carried through
         # compaction so other configurations keep their warm starts.
         self._entries: dict[str, object] = {}
-        self._foreign: dict[tuple[str, str], str] = {}
+        self._foreign: dict[tuple[str, str], dict] = {}
         self._hits = 0
         self._misses = 0
         self._corrupt_records = 0
@@ -100,15 +94,18 @@ class DiskCache:
         start = time.perf_counter()
         for segment in self._segments():
             try:
-                lines = segment.read_text("utf-8").splitlines()
+                lines = segment.read_bytes().split(b"\n")
             except OSError as exc:  # pragma: no cover - unreadable segment
                 log.warning("disk cache: cannot read %s: %s", segment, exc)
                 continue
             for lineno, line in enumerate(lines, 1):
                 if not line.strip():
                     continue
-                record = self._decode(line)
-                if record is None:
+                record = decode(line)
+                if not (
+                    isinstance(record, dict) and record.keys() == {"e", "k", "r"}
+                    and isinstance(record["e"], str) and isinstance(record["k"], str)
+                ):
                     self._corrupt_records += 1
                     log.warning(
                         "disk cache: skipping corrupt record %s:%d",
@@ -116,28 +113,11 @@ class DiskCache:
                         lineno,
                     )
                     continue
-                key, engine_fp, value = record
-                if engine_fp == self.engine_fingerprint:
-                    self._entries[key] = value
+                if record["e"] == self.engine_fingerprint:
+                    self._entries[record["k"]] = record["r"]
                 else:
-                    self._foreign[(engine_fp, key)] = line
+                    self._foreign[(record["e"], record["k"])] = record
         self._load_ms = round((time.perf_counter() - start) * 1000.0, 3)
-
-    @staticmethod
-    def _decode(line: str):
-        """Parse + CRC-verify one record line; ``None`` if it cannot be served."""
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            return None
-        if not isinstance(record, dict):
-            return None
-        key, engine_fp = record.get("k"), record.get("e")
-        if not isinstance(key, str) or not isinstance(engine_fp, str):
-            return None
-        if "v" not in record or _crc(record["v"]) != record.get("crc"):
-            return None
-        return key, engine_fp, record["v"]
 
     def get(self, key: str):
         """The stored value for ``key`` under this engine config, or ``None``.
@@ -182,14 +162,12 @@ class DiskCache:
                 index = len(segments)
         return self.directory / f"{_SEGMENT_PREFIX}{index:05d}{_SEGMENT_SUFFIX}"
 
+    def _record(self, key: str, value) -> dict:
+        return {"e": self.engine_fingerprint, "k": key, "r": value}
+
     def put(self, key: str, value) -> None:
         """Append one record and remember it; compact past ``max_bytes``."""
-        line = json.dumps(
-            {"k": key, "e": self.engine_fingerprint, "crc": _crc(value), "v": value},
-            sort_keys=True,
-            separators=(",", ":"),
-            default=str,
-        )
+        line = encode(self._record(key, value))
         with self._lock:
             self._entries[key] = value
             segment = self._active_segment()
@@ -208,30 +186,16 @@ class DiskCache:
 
         Caller holds the lock.  The new segment is written to a temp file
         and ``os.replace``d into place before the old segments are removed,
-        so a crash at any point leaves a loadable store.
+        so a crash at any point leaves a loadable store.  Foreign records
+        re-encode to the very lines they were read from.
         """
         old_segments = self._segments()
         target = self._next_segment()
         tmp = target.with_suffix(".tmp")
+        records = [self._record(key, self._entries[key]) for key in sorted(self._entries)]
         with tmp.open("w", encoding="utf-8") as handle:
-            for key in sorted(self._entries):
-                value = self._entries[key]
-                handle.write(
-                    json.dumps(
-                        {
-                            "k": key,
-                            "e": self.engine_fingerprint,
-                            "crc": _crc(value),
-                            "v": value,
-                        },
-                        sort_keys=True,
-                        separators=(",", ":"),
-                        default=str,
-                    )
-                    + "\n"
-                )
-            for line in self._foreign.values():
-                handle.write(line + "\n")
+            for record in records + list(self._foreign.values()):
+                handle.write(encode(record) + "\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, target)

@@ -47,8 +47,9 @@ import time
 from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..obs import Trace, TraceLog, TraceStore, new_request_id
+from ..obs import Trace, TraceLog, new_request_id
 from ..resilience import AdmissionController
+from .cache import LRUCache
 from .engine import BatchOutcome, LabelingEngine, RequestError, parse_batch
 
 __all__ = ["LabelingServer", "MetricsRegistry", "PayloadTooLargeError"]
@@ -151,7 +152,7 @@ class _LabelingHTTPServer(ThreadingHTTPServer):
         self.admission = admission or AdmissionController()
         self.trace_log = trace_log
         self.tracing = bool(tracing or trace_log is not None)
-        self.traces = TraceStore(capacity=trace_capacity)
+        self.traces = LRUCache(capacity=trace_capacity)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -201,7 +202,7 @@ class _Handler(BaseHTTPRequestHandler):
         raw = self.rfile.read(length)
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; too deep
             raise RequestError(f"body is not valid JSON: {exc}") from None
 
     def _handle(self, endpoint: str, fn, request_id: str | None = None) -> None:
@@ -241,7 +242,7 @@ class _Handler(BaseHTTPRequestHandler):
             trace.meta["endpoint"] = endpoint
             trace.meta["status"] = status
             record = trace.to_dict()
-            self.server.traces.put(record)
+            self.server.traces.put(request_id, record)
             if self.server.trace_log is not None:
                 self.server.trace_log.append(record)
         self.server.metrics.record(endpoint, status, elapsed_ms)

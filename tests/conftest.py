@@ -6,6 +6,7 @@ import copy
 from functools import cache
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.core.label import LabelAnalyzer
 from repro.core.semantics import SemanticComparator
@@ -16,6 +17,17 @@ from repro.schema.groups import Group, GroupKind
 from repro.schema.interface import QueryInterface, make_field, make_group
 from repro.schema.serialize import corpus_to_dict
 from repro.schema.tree import SchemaNode
+
+# Every property test draws the same examples on every run: no example
+# database, no deadline (a slow shared host is not a failure).
+settings.register_profile(
+    "repro",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+settings.load_profile("repro")
 
 
 @pytest.fixture(scope="session")

@@ -128,7 +128,7 @@ _lexicons = st.tuples(
 )
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
+@settings(max_examples=300)
 @given(_lexicons)
 def test_random_lexicons_compile_to_equivalent_tables(data):
     """Random synsets and hypernym edges (cycles and self-edges included):

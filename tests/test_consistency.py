@@ -490,7 +490,7 @@ def small_relations(draw):
     return GroupRelation(regular_group(list(clusters)), rows)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(small_relations())
 def test_kernel_matches_reference_on_random_relations(comparator, relation):
     assert_kernel_matches_reference(relation, comparator)

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.records import decode
 from repro.service.diskcache import DiskCache
 from repro.service.engine import LabelingEngine
 from repro.service.server import LabelingServer
@@ -75,7 +76,7 @@ def test_corrupt_records_skipped_and_counted(tmp_path, caplog):
     segment = sorted(tmp_path.glob("segment-*.jsonl"))[0]
     lines = segment.read_text().splitlines()
     tampered = json.loads(lines[1])
-    tampered["v"]["value"] = 999  # flip the payload, keep the stale CRC
+    tampered["v"]["r"]["value"] = 999  # flip the payload, keep the stale CRC
     lines[1] = json.dumps(tampered, sort_keys=True, separators=(",", ":"))
     lines.append("{truncated mid-wri")  # crash-torn final line
     segment.write_text("\n".join(lines) + "\n")
@@ -89,22 +90,57 @@ def test_corrupt_records_skipped_and_counted(tmp_path, caplog):
 
 
 def test_compaction_rewrites_one_record_per_key(tmp_path):
-    cache = DiskCache(tmp_path, "engine-a", max_bytes=512)
     DiskCache(tmp_path, "engine-b").put("foreign", {"keep": "me"})
     cache_a = DiskCache(tmp_path, "engine-a", max_bytes=512)
+    latest, compactions = {}, 0
     for round_index in range(30):
-        cache_a.put("hot-key", {"round": round_index})
-        cache_a.put(f"key-{round_index % 3}", {"round": round_index})
-    stats = cache_a.stats()
-    assert stats["compactions"] >= 1
-    assert stats["segments"] == 1
-    # One latest record per (engine, key) pair survives.
-    lines = _segment_lines(tmp_path)
-    keys = [(json.loads(l)["e"], json.loads(l)["k"]) for l in lines]
-    assert len(keys) == len(set(keys))
+        for key in ("hot-key", f"key-{round_index % 3}"):
+            cache_a.put(key, {"round": round_index})
+            latest[key] = {"round": round_index}
+            stats = cache_a.stats()
+            if stats["compactions"] == compactions:
+                continue
+            # Right after a compaction: one segment holding one latest
+            # record per (engine, key) pair, the foreign one included.
+            compactions = stats["compactions"]
+            assert stats["segments"] == 1
+            records = [decode(line) for line in _segment_lines(tmp_path)]
+            keys = [(r["e"], r["k"]) for r in records]
+            assert len(keys) == len(set(keys))
+            assert {r["k"]: r["r"] for r in records if r["e"] == "engine-a"} == latest
+            assert ("engine-b", "foreign") in keys
+    assert compactions >= 1
     reloaded = DiskCache(tmp_path, "engine-a")
     assert reloaded.get("hot-key") == {"round": 29}
     assert DiskCache(tmp_path, "engine-b").get("foreign") == {"keep": "me"}
+
+
+def test_records_of_the_old_layout_are_counted_then_compacted_away(tmp_path):
+    # Before the key moved under the CRC a record was {"crc","e","k","v"}.
+    old = {"crc": 0, "e": "engine-a", "k": "old", "v": {"value": 1}}
+    (tmp_path / "segment-00000.jsonl").write_text(json.dumps(old) + "\n")
+    cache = DiskCache(tmp_path, "engine-a", max_bytes=0)
+    assert cache.get("old") is None
+    assert cache.stats()["corrupt_records"] == 1
+    cache.put("new", {"value": 2})  # past max_bytes: compacts
+    assert [decode(line)["k"] for line in _segment_lines(tmp_path)] == ["new"]
+    assert DiskCache(tmp_path, "engine-a").stats()["corrupt_records"] == 0
+
+
+def _flip(path, offset, mask):
+    data = bytearray(path.read_bytes())
+    data[offset] ^= mask
+    path.write_bytes(bytes(data))
+
+
+def test_flipped_key_bit_is_not_served_under_another_key(tmp_path):
+    DiskCache(tmp_path, "engine-a").put("f1", {"owner": "f1"})
+    segment = sorted(tmp_path.glob("segment-*.jsonl"))[0]
+    _flip(segment, segment.read_bytes().index(b'"k":"f1"') + 6, 0x01)  # f1 -> f0
+    reloaded = DiskCache(tmp_path, "engine-a")
+    assert reloaded.get("f0") is None
+    assert reloaded.get("f1") is None
+    assert reloaded.stats()["corrupt_records"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -172,6 +208,19 @@ def test_disk_corruption_triggers_recomputation_not_errors(tmp_path):
     recomputed = warm.label({"domain": "job", "seed": 0})
     assert recomputed["cached"] is False
     assert recomputed["classification"] == response["classification"]
+    assert warm.stats()["computations"] == 1
+
+
+def test_flipped_high_bit_costs_one_record_not_the_startup(tmp_path):
+    cold = LabelingEngine(disk_cache=tmp_path)
+    cold.label_batch(PAYLOADS, jobs=1)
+    segment = sorted(tmp_path.glob("segment-*.jsonl"))[0]
+    _flip(segment, 100, 0x80)  # not UTF-8 any more
+
+    warm = LabelingEngine(disk_cache=tmp_path)
+    assert warm.disk.stats()["corrupt_records"] == 1
+    results = warm.label_batch(PAYLOADS, jobs=1)
+    assert [r["cached"] for r in results] == [False, True]
     assert warm.stats()["computations"] == 1
 
 

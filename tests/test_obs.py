@@ -22,7 +22,6 @@ from repro.obs import (
     Span,
     Trace,
     TraceLog,
-    TraceStore,
     chrome_trace,
     current_span,
     current_trace,
@@ -229,31 +228,6 @@ class TestTraceLog:
         records, corrupt = TraceLog.load(log.path)
         assert corrupt == 1
         assert len(records) == 2
-
-
-class TestTraceStore:
-    def test_bounded_lru_semantics(self):
-        store = TraceStore(capacity=2)
-        store.put(_sample_record("a"))
-        store.put(_sample_record("b"))
-        assert store.get("a") is not None  # refresh: 'b' is now coldest
-        store.put(_sample_record("c"))
-        assert store.get("b") is None
-        assert store.get("a") is not None
-        assert store.get("c") is not None
-        assert len(store) == 2
-        assert store.stats() == {"capacity": 2, "stored": 2, "evictions": 1}
-
-    def test_zero_capacity_stores_nothing(self):
-        store = TraceStore(capacity=0)
-        store.put(_sample_record())
-        assert store.get("req-1") is None
-
-    def test_replacing_same_request_id_keeps_one(self):
-        store = TraceStore(capacity=4)
-        store.put(_sample_record("dup"))
-        store.put(_sample_record("dup"))
-        assert len(store) == 1
 
 
 class TestChromeTrace:

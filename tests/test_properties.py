@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.pipeline import label_integrated_interface
@@ -76,8 +76,7 @@ def domain_specs(draw):
     )
 
 
-@settings(max_examples=25, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=25)
 @given(domain_specs(), st.integers(min_value=0, max_value=99))
 def test_generator_emits_wellformed_corpora(spec, seed):
     dataset = generate_domain(spec, seed=seed)
@@ -92,8 +91,7 @@ def test_generator_emits_wellformed_corpora(spec, seed):
             assert by_name[interface_name].root.find_by_name(node.name) is node
 
 
-@settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=20)
 @given(domain_specs(), st.integers(min_value=0, max_value=99))
 def test_merge_places_every_cluster_exactly_once(spec, seed):
     dataset = generate_domain(spec, seed=seed)
@@ -105,8 +103,7 @@ def test_merge_places_every_cluster_exactly_once(spec, seed):
     assert sorted(clusters) == populated
 
 
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=15)
 @given(domain_specs(), st.integers(min_value=0, max_value=99))
 def test_pipeline_labels_come_from_sources(spec, seed):
     """The naming algorithm never invents text: every assigned label
@@ -130,8 +127,7 @@ def test_pipeline_labels_come_from_sources(spec, seed):
             assert label in source_labels
 
 
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=15)
 @given(domain_specs(), st.integers(min_value=0, max_value=99))
 def test_pipeline_never_drops_available_labels(spec, seed):
     """A field left unlabeled implies no source ever labels its cluster."""
@@ -145,8 +141,7 @@ def test_pipeline_never_drops_available_labels(spec, seed):
             assert dataset.mapping[cluster].labels() == []
 
 
-@settings(max_examples=15, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=15)
 @given(domain_specs(), st.integers(min_value=0, max_value=99))
 def test_pipeline_is_deterministic(spec, seed):
     first = generate_domain(spec, seed=seed)
@@ -162,8 +157,7 @@ def test_pipeline_is_deterministic(spec, seed):
     assert r1.classification == r2.classification
 
 
-@settings(max_examples=20, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=20)
 @given(domain_specs(), st.integers(min_value=0, max_value=99))
 def test_interface_serialization_is_lossless(spec, seed):
     dataset = generate_domain(spec, seed=seed)

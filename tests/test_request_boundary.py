@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.consistency import ConsistencyLevel
@@ -164,16 +164,10 @@ MUTATED_BOOK = st.builds(
     st.sampled_from([5, -1, 1.5, True, None, "", "x", [], ["a"], [1], {}, {"a": 1}]),
 )
 
-_SETTINGS = dict(
-    derandomize=True,
-    database=None,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
 _KEYS = LRUCache(capacity=256)
 
 
-@settings(max_examples=200, **_SETTINGS)
+@settings(max_examples=200)
 @given(PAYLOADS)
 def test_from_payload_gives_a_request_or_request_error(payload):
     try:
@@ -183,7 +177,7 @@ def test_from_payload_gives_a_request_or_request_error(payload):
     assert request.fingerprint
 
 
-@settings(max_examples=40, **_SETTINGS)
+@settings(max_examples=40)
 @given(PAYLOADS)
 def test_server_never_answers_5xx(client, payload):
     status, body = _status(client, json.loads(json.dumps(payload)))
@@ -192,7 +186,7 @@ def test_server_never_answers_5xx(client, payload):
         assert body["error"] and body["request_id"]
 
 
-@settings(max_examples=40, **_SETTINGS)
+@settings(max_examples=40)
 @given(MUTATED_BOOK)
 def test_mutated_corpus_is_200_or_400(client, document):
     status, body = _status(client, {"corpus": document})
@@ -201,7 +195,7 @@ def test_mutated_corpus_is_200_or_400(client, document):
         assert body["error"] and body["request_id"]
 
 
-@settings(max_examples=25, **_SETTINGS)
+@settings(max_examples=25)
 @given(_VALID_SOURCES, _VALID_OPTIONS, _VALID_LEXICON)
 def test_canonical_form_has_the_same_fingerprint(source, options, lexicon):
     payload = {**source, "options": options, "lexicon": lexicon}

@@ -728,11 +728,13 @@ class TestHTTPBackpressure:
                 except Exception as exc:  # noqa: BLE001 - collected for asserts
                     errors.append(exc)
 
-            threads = [threading.Thread(target=hit) for __ in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
+            # Hold the single slot, so no request can be admitted.
+            with server._httpd.admission.admit():
+                threads = [threading.Thread(target=hit) for __ in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join()
             shed = [
                 e for e in errors
                 if isinstance(e, ServiceError) and e.status == 429

@@ -52,6 +52,13 @@ class TestLRUCache:
         assert cache.stats().evictions == 1
         assert len(cache) == 2
 
+    def test_same_key_replaces(self):
+        cache = LRUCache(capacity=4)
+        cache.put("k", 1)
+        cache.put("k", 2)
+        assert cache.get("k") == 2
+        assert len(cache) == 1 and cache.stats().evictions == 0
+
     def test_zero_capacity_disables_storage(self):
         cache = LRUCache(capacity=0)
         cache.put("k", 1)
@@ -215,6 +222,22 @@ class TestTruncationReporting:
 _BOOK = load_domain("book", seed=0)
 _ONE_INTERFACE = corpus_to_dict(_BOOK.interfaces[:1], _BOOK.mapping)["interfaces"]
 
+def _book_document_nested(levels: int) -> dict:
+    """The Book seed-0 document with its first root wrapped in ``levels``
+    more nodes."""
+    document = book_document_with()
+    root = document["interfaces"][0]["root"]
+    for level in range(levels):
+        root = {"name": f"nest-{level}", "children": [root]}
+    document["interfaces"][0]["root"] = root
+    return document
+
+
+#: A tree 600 levels deep: a RecursionError in node_from_dict.  Too deep
+#: for json.dumps, so over HTTP it is a body nested too deeply (see
+#: TestContentLengthHandling) and test_malformed_body_is_400 leaves it out.
+DEEP_BOOK = {"corpus": _book_document_nested(600)}
+
 #: Bodies that used to escape validation as TypeError/KeyError or a
 #: pipeline ValueError (HTTP 500), or were silently coerced into a 200.
 MALFORMED_BODIES = [
@@ -240,6 +263,7 @@ MALFORMED_BODIES = [
     {"corpus": book_document_with(BOOK_FIRST_FIELD + ("label",), 5)},
     {"corpus": book_document_with(BOOK_FIRST_FIELD + ("instances",), ["First", 5])},
     {"corpus": book_document_with(BOOK_FIRST_FIELD + ("instances",), "abc")},
+    DEEP_BOOK,
 ]
 
 
@@ -541,7 +565,9 @@ class TestHTTPService:
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error_type"] == "invalid_request"
 
-    @pytest.mark.parametrize("payload", MALFORMED_BODIES)
+    @pytest.mark.parametrize(
+        "payload", [body for body in MALFORMED_BODIES if body is not DEEP_BOOK]
+    )
     def test_malformed_body_is_400(self, client, payload):
         with pytest.raises(ServiceError) as excinfo:
             client.request("POST", "/label", payload)
@@ -859,6 +885,24 @@ class TestContentLengthHandling:
             return response.status, payload
         finally:
             conn.close()
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"[" * 2000,  # RecursionError in json.loads
+            b'{"domain": "\xff"}',  # UnicodeDecodeError, not JSONDecodeError
+        ],
+        ids=["nested-too-deep", "not-utf8"],
+    )
+    def test_undecodable_body_is_400_not_500(self, server, body):
+        status, payload = self._raw_post(
+            server,
+            {"Content-Type": "application/json", "Content-Length": str(len(body))},
+            body,
+        )
+        assert status == 400
+        assert payload["error_type"] == "invalid_request"
+        assert "not valid JSON" in payload["error"]
 
     def test_missing_content_length_is_400(self, server):
         status, payload = self._raw_post(
