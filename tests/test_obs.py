@@ -32,6 +32,7 @@ from repro.obs import (
     span,
 )
 from repro.obs.tracer import _NOOP
+from repro.service.cache import LRUCache
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.engine import LabelingEngine
 from repro.service.server import LabelingServer
@@ -228,6 +229,33 @@ class TestTraceLog:
         records, corrupt = TraceLog.load(log.path)
         assert corrupt == 1
         assert len(records) == 2
+
+
+class TestTraceStore:
+    """The server keeps recent traces in an LRUCache keyed by request id."""
+
+    @staticmethod
+    def _keep(store: LRUCache, record: dict) -> None:
+        store.put(record["request_id"], record)
+
+    def test_bounded_lru_semantics(self):
+        store = LRUCache(capacity=2)
+        self._keep(store, _sample_record("a"))
+        self._keep(store, _sample_record("b"))
+        assert store.get("a") is not None  # refresh: 'b' is now coldest
+        self._keep(store, _sample_record("c"))
+        assert store.get("b") is None
+        assert store.get("a")["request_id"] == "a"
+        assert store.get("c")["request_id"] == "c"
+        assert len(store) == 2
+        stats = store.stats()
+        assert (stats.capacity, stats.size, stats.evictions) == (2, 2, 1)
+
+    def test_zero_capacity_stores_nothing(self):
+        store = LRUCache(capacity=0)
+        self._keep(store, _sample_record())
+        assert store.get("req-1") is None
+        assert len(store) == 0
 
 
 class TestChromeTrace:
