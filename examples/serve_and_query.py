@@ -5,7 +5,7 @@ The ROADMAP's north star is labeling as an *online* service: a deep-web
 integrator crawls query interfaces continuously and labels each freshly
 integrated batch.  This walkthrough starts the real HTTP server on an
 ephemeral port (the same thing ``python -m repro serve`` runs), then talks
-to it with the urllib client:
+to it with the stdlib keep-alive client (one HTTP/1.1 connection, reused):
 
 1. liveness (``GET /healthz``);
 2. a cold ``POST /label`` for a domain corpus — the pipeline runs;

@@ -1,4 +1,4 @@
-"""The one CRC-checked JSON record format every persisted or cached value uses.
+"""The one CRC-checked JSON record format every persisted value uses.
 
 A record is one line of canonical JSON (sorted keys, no spaces,
 ``default=str``)::
@@ -6,11 +6,14 @@ A record is one line of canonical JSON (sorted keys, no spaces,
     {"crc": <CRC-32 of the canonical JSON of v>, "v": <value>}
 
 :class:`repro.service.diskcache.DiskCache` segments and
-:class:`repro.obs.TraceLog` files are made of these lines;
-:class:`repro.service.cache.ResultCache` keeps :func:`checksum` next to
-each in-memory entry.  CRC-32 guards against accidental and injected
-damage (bit rot, torn writes, a chaos fault); it is not a cryptographic
-seal.
+:class:`repro.obs.TraceLog` files are made of these lines.  CRC-32 guards
+against accidental and injected damage (bit rot, torn writes, a chaos
+fault); it is not a cryptographic seal.
+
+The in-memory :class:`repro.service.cache.ResultCache` does not use these
+records.  It keeps each entry as JSON bytes in insertion order, so a hit
+keeps the response's key order, with a CRC-32 over exactly those bytes; a
+lookup checks them without serializing anything again.
 
 This module imports nothing from the package, so ``repro.obs`` and
 ``repro.service`` can both use it.
@@ -21,16 +24,11 @@ from __future__ import annotations
 import json
 import zlib
 
-__all__ = ["checksum", "decode", "encode"]
+__all__ = ["decode", "encode"]
 
 
 def _canonical(value) -> str:
     return json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
-
-
-def checksum(value) -> int:
-    """CRC-32 over the value's canonical JSON."""
-    return zlib.crc32(_canonical(value).encode("utf-8"))
 
 
 def encode(value) -> str:

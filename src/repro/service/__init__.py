@@ -8,8 +8,9 @@ workload needs:
 ``fingerprint``  stable content hashes of (corpus, lexicon overlay,
                  naming options) — the cache key;
 ``cache``        a thread-safe LRU result cache; :class:`ResultCache`
-                 adds per-entry checksums so a corrupted entry is evicted
-                 and recomputed, never served;
+                 stores each entry as CRC-checked JSON bytes, so a hit is
+                 a fresh decode and a corrupted entry is evicted and
+                 recomputed, never served;
 ``engine``       :class:`LabelingEngine` — request validation, cache
                  consultation, pipeline execution, a batch executor with
                  per-item timeout and error isolation, plus the resilience
@@ -26,7 +27,8 @@ workload needs:
                  queue (429 + ``Retry-After`` on overload), with
                  request-scoped tracing (:mod:`repro.obs`) and a
                  ``request_id`` echoed on every POST response;
-``client``       a urllib client that honors the service's backpressure.
+``client``       a keep-alive ``http.client`` client (one connection per
+                 thread) that honors the service's backpressure.
 
 Start a server with ``python -m repro serve`` or in-process::
 

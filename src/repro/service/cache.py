@@ -7,12 +7,14 @@ guarded by a lock: correct under the ``ThreadingHTTPServer``/executor
 concurrency the service runs with, and cheap enough that a hit costs
 microseconds against the pipeline's tens of milliseconds.
 
-:class:`ResultCache` layers integrity on top: every stored response is
-checksummed (CRC-32 over its canonical JSON) at put time and re-verified
-at get time.  An entry whose bytes no longer match — a chaos ``corrupt``
-fault, or real memory/serialization rot — is *evicted and reported as a
-miss*, so the engine recomputes instead of serving a silently wrong
-labeling.  The pipeline being deterministic makes that recovery exact.
+:class:`ResultCache` stores each entry once, as immutable JSON bytes
+(insertion order kept) with a CRC-32 over exactly those bytes.  ``get``
+checks the CRC and decodes the bytes, so every hit is a fresh dict that
+aliases nothing the cache holds and no lookup re-serializes the entry.
+An entry whose bytes no longer match — a chaos ``corrupt`` fault, or real
+memory rot — is *evicted and reported as a miss*, so the engine
+recomputes instead of serving a silently wrong labeling.  The pipeline
+being deterministic makes that recovery exact.
 
 Counters (hits / misses / evictions / corruptions) are part of the public
 contract — ``GET /metrics`` reports them, and operators size ``capacity``
@@ -21,12 +23,11 @@ contract — ``GET /metrics`` reports them, and operators size ``capacity``
 
 from __future__ import annotations
 
-import copy
+import json
 import threading
+import zlib
 from collections import OrderedDict
 from dataclasses import dataclass
-
-from ..records import checksum
 
 __all__ = ["CacheStats", "LRUCache", "ResultCache"]
 
@@ -135,19 +136,20 @@ class LRUCache:
 
 
 class ResultCache(LRUCache):
-    """An :class:`LRUCache` whose entries carry an integrity checksum.
+    """An :class:`LRUCache` of JSON values kept as checksummed bytes.
 
-    ``put`` stores ``(value, crc)``; ``get`` recomputes the CRC and treats
-    a mismatch as *eviction + miss* — a corrupted labeling is never served.
-    The ``corrupt`` method flips a stored entry in place; it exists for the
+    ``put`` stores ``(json bytes, crc32(bytes))``; ``get`` checks the CRC
+    under the lock and decodes the bytes outside it, a fresh dict per
+    call.  A mismatch is *eviction + miss* — a corrupted labeling is never
+    served.  The ``corrupt`` method flips a stored bit; it exists for the
     chaos plan's ``cache.get``/``corrupt`` faults and the integrity tests,
     which use it to prove the read path catches exactly this.
     """
 
     def _open(self, key: str, entry):
-        value, crc = entry
-        if checksum(value) == crc:
-            return value
+        blob, crc = entry
+        if zlib.crc32(blob) == crc:
+            return blob
         # Integrity failure: drop the entry, report a miss — the caller
         # recomputes and the deterministic pipeline restores the exact
         # result the corrupted entry used to hold.
@@ -155,30 +157,29 @@ class ResultCache(LRUCache):
         self._corruptions += 1
         return _MISSING
 
+    def get(self, key: str):
+        """A fresh copy of the value cached for ``key``, or ``None``."""
+        blob = super().get(key)
+        return None if blob is None else json.loads(blob)
+
     def put(self, key: str, value) -> None:
-        super().put(key, (value, checksum(value)))
+        if self.capacity <= 0:
+            return
+        blob = json.dumps(value, separators=(",", ":")).encode("utf-8")
+        super().put(key, (blob, zlib.crc32(blob)))
 
     def corrupt(self, key: str) -> bool:
         """Tamper with the stored entry for ``key`` (chaos/test hook).
 
-        Flips the cached value without refreshing its checksum, exactly
-        like bit rot would; returns whether an entry existed to corrupt.
+        Flips one bit of the stored bytes without refreshing the checksum,
+        exactly like bit rot would; returns whether an entry existed.
         """
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
                 return False
-            value, crc = entry
-            tampered = copy.deepcopy(value)
-            if isinstance(tampered, dict):
-                tampered["fingerprint"] = "corrupted-" + str(
-                    tampered.get("fingerprint", "")
-                )
-                if isinstance(tampered.get("field_labels"), dict):
-                    for cluster in tampered["field_labels"]:
-                        tampered["field_labels"][cluster] = "CORRUPTED"
-                        break
-            else:
-                tampered = ("corrupted", tampered)
-            self._entries[key] = (tampered, crc)
+            blob, crc = entry
+            tampered = bytearray(blob)
+            tampered[len(tampered) // 2] ^= 0x01
+            self._entries[key] = (bytes(tampered), crc)
             return True

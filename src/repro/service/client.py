@@ -1,4 +1,4 @@
-"""A small urllib client for the labeling service — no dependencies.
+"""A small keep-alive HTTP client for the labeling service — no dependencies.
 
 Used by the tests, the examples and the benchmark to exercise the real
 HTTP surface; also a reasonable starting point for callers in other
@@ -6,6 +6,13 @@ processes.  Every method returns the decoded JSON payload; failures raise
 :class:`ServiceError` carrying the HTTP status (``0`` when no response
 arrived at all — connection refused, DNS failure, a non-JSON body) and the
 server's error payload when there was one.
+
+Each thread that calls a :class:`ServiceClient` gets its own
+``http.client`` connection and keeps it open across calls (HTTP/1.1
+keep-alive), so one client may be shared by many threads.  When the server
+has closed a kept-alive connection in the meantime (its idle timeout, a
+restart), the request fails before any response byte arrives; it is then
+sent once more on a fresh connection, and that does not count as a retry.
 
 The client cooperates with the service's backpressure: an HTTP 429
 (admission shed) or 503 (open circuit breaker / transient exhaustion)
@@ -18,10 +25,11 @@ else (400, 404, 500, 504) is not retried: those are answers.
 
 from __future__ import annotations
 
+import http.client
 import json
+import threading
 import time
-import urllib.error
-import urllib.request
+from urllib.parse import urlsplit
 
 from ..schema.clusters import Mapping
 from ..schema.interface import QueryInterface
@@ -59,6 +67,14 @@ class ServiceClient:
         max_backoff_s: float = 2.0,
     ) -> None:
         self.base_url = base_url.rstrip("/")
+        parts = urlsplit(self.base_url)
+        self._connection_class = (
+            http.client.HTTPSConnection
+            if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc, self._path = parts.netloc, parts.path
+        self._local = threading.local()
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff_s = float(backoff_s)
@@ -105,6 +121,37 @@ class ServiceClient:
             delay = self.backoff_s
         return max(0.0, min(delay, self.max_backoff_s))
 
+    def _connection(self) -> http.client.HTTPConnection:
+        """The calling thread's connection (``http.client`` is not thread-safe)."""
+        connection = getattr(self._local, "connection", None)
+        if connection is None:
+            connection = self._connection_class(self._netloc, timeout=self.timeout)
+            self._local.connection = connection
+        return connection
+
+    def _exchange(
+        self, method: str, path: str, body: bytes | None, headers: dict
+    ) -> tuple[http.client.HTTPResponse, bytes]:
+        """One request on this thread's connection: the response and its body."""
+        connection = self._connection()
+        reused = connection.sock is not None
+        target = self._path + path
+        try:
+            try:
+                connection.request(method, target, body=body, headers=headers)
+                response = connection.getresponse()
+            except (BrokenPipeError, ConnectionResetError, ConnectionAbortedError):
+                if not reused:
+                    raise
+                # The server closed the idle connection; nothing came back.
+                connection.close()
+                connection.request(method, target, body=body, headers=headers)
+                response = connection.getresponse()
+            return response, response.read()
+        except BaseException:
+            connection.close()
+            raise
+
     def _round_trip(
         self,
         method: str,
@@ -119,41 +166,34 @@ class ServiceClient:
             headers["Content-Type"] = "application/json"
         if request_id is not None:
             headers["X-Request-Id"] = request_id
-        req = urllib.request.Request(
-            f"{self.base_url}{path}", data=body, headers=headers, method=method
-        )
         try:
-            with urllib.request.urlopen(req, timeout=self.timeout) as response:
-                raw = response.read()
-                try:
-                    return json.loads(raw)
-                except (json.JSONDecodeError, ValueError):
-                    raise ServiceError(
-                        0,
-                        None,
-                        f"response body is not valid JSON: {raw[:80]!r}",
-                    ) from None
-        except urllib.error.HTTPError as exc:
-            raw = exc.read()
-            try:
-                error_payload = json.loads(raw)
-            except (json.JSONDecodeError, ValueError):
-                error_payload = None
-            if not isinstance(error_payload, dict):
-                error_payload = None
-            message = (
-                error_payload.get("error")
-                if error_payload
-                else raw.decode("utf-8", "replace")
-            )
-            error = ServiceError(exc.code, error_payload, message or exc.reason)
-            error.retry_after_header = exc.headers.get("Retry-After")
-            raise error from None
-        except urllib.error.URLError as exc:
+            response, raw = self._exchange(method, path, body, headers)
+        except (OSError, http.client.HTTPException) as exc:
             # No HTTP response at all: refused, unresolvable, timed out.
             raise ServiceError(
-                0, None, f"connection to {self.base_url} failed: {exc.reason}"
+                0, None, f"connection to {self.base_url} failed: {exc}"
             ) from None
+        if 200 <= response.status < 300:
+            try:
+                return json.loads(raw)
+            except (json.JSONDecodeError, ValueError):
+                raise ServiceError(
+                    0, None, f"response body is not valid JSON: {raw[:80]!r}"
+                ) from None
+        try:
+            error_payload = json.loads(raw)
+        except (json.JSONDecodeError, ValueError):
+            error_payload = None
+        if not isinstance(error_payload, dict):
+            error_payload = None
+        message = (
+            error_payload.get("error")
+            if error_payload
+            else raw.decode("utf-8", "replace")
+        )
+        error = ServiceError(response.status, error_payload, message or response.reason)
+        error.retry_after_header = response.getheader("Retry-After")
+        raise error
 
     # ------------------------------------------------------------------
     # Endpoints.

@@ -122,8 +122,9 @@ class DiskCache:
     def get(self, key: str):
         """The stored value for ``key`` under this engine config, or ``None``.
 
-        Values were CRC-verified at load/put time; callers deep-copy before
-        mutating (the engine already does for every cache layer).
+        Values were CRC-verified at load/put time.  The value is the
+        stored object itself: callers deep-copy before mutating (the engine
+        does on every disk hit).
         """
         with self._lock:
             value = self._entries.get(key)

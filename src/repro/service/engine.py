@@ -15,8 +15,9 @@ deterministic, so entries never go stale — a request-key memo maps a valid
 ``{domain, seed}`` payload seen before to its fingerprint, and only a memo
 miss builds and hashes the corpus) → **dedupe** (a batch groups its items by
 fingerprint and answers each repeat from the entry its first occurrence
-returned) → **lookup** (:meth:`LabelingEngine._lookup`: memory LRU, then
-disk with promotion, then one deep copy) → **compute** (:func:`compute`:
+returned) → **lookup** (:meth:`LabelingEngine._lookup`: the memory LRU,
+which decodes a fresh copy of its JSON bytes, then disk with promotion and
+one deep copy) → **compute** (:func:`compute`:
 pipeline plus strict-mode oracles; builds the corpus if the memo skipped
 it) → **store** (:meth:`LabelingEngine._store`: memory and disk).  Lookup →
 compute → store runs inside the per-fingerprint breaker, fault scope and
@@ -833,19 +834,21 @@ class LabelingEngine:
                 entry, outcome = self.disk.get(request.fingerprint), "disk"
                 if entry is not None:
                     self.cache.put(request.fingerprint, entry)
+                    # The disk tier holds this very dict.
+                    entry = copy.deepcopy(entry)
             if entry is None:
                 outcome = "miss"
             if sp is not None:
                 sp.tags["outcome"] = outcome
         return None if entry is None else self._hit(request, entry)
 
-    def _hit(self, request: LabelingRequest, entry: dict) -> dict:
-        """A cached ``entry`` shaped as ``request``'s hit response.
+    def _hit(self, request: LabelingRequest, response: dict) -> dict:
+        """A cached entry, shaped in place as ``request``'s hit response.
 
-        The entry is deep-copied here and nowhere else, so callers may
-        mutate what they get; lint is computed per request on top.
+        ``response`` must be a copy no cache tier holds (a memory hit
+        decodes a fresh one), so callers may mutate what they get; lint is
+        computed per request on top.
         """
-        response = copy.deepcopy(entry)
         response["cached"] = True
         if request.include_lint:
             from ..lint import lint_node_dict
@@ -974,7 +977,9 @@ class LabelingEngine:
                 failed += 0 if outcome.ok else len(rest)
                 for index in rest:
                     entries[index] = (
-                        self._hit(requests[index], _entry_of(outcome.value))
+                        self._hit(
+                            requests[index], copy.deepcopy(_entry_of(outcome.value))
+                        )
                         if outcome.ok
                         else _entry(outcome)
                     )

@@ -34,14 +34,23 @@ fault provenance for the latter) — see ``docs/resilience.md``.
 
 Built on ``http.server.ThreadingHTTPServer`` so the package keeps its
 no-dependency guarantee; one daemon thread per connection, all shared
-state behind the engine's and the metrics registry's locks.
+state behind the engine's and the metrics registry's locks.  Connections
+are HTTP/1.1 keep-alive.  Each response leaves in one write with Nagle's
+algorithm off, so a kept-alive client never waits on a delayed ACK.  A
+response whose request body was not read in full (a bad or oversized
+``Content-Length``, a truncated body) says ``Connection: close`` and ends
+the connection, since the unread bytes would otherwise be parsed as the
+next request.  A connection idle for :data:`IDLE_TIMEOUT_S` (between
+requests, or a sender stalled inside one) is closed and frees its thread.
 :class:`LabelingServer` wraps the lifecycle (ephemeral-port bind, start,
-graceful shutdown) for both the CLI and the tests.
+graceful shutdown that also ends kept-alive connections) for both the CLI
+and the tests.
 """
 
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 from collections import deque
@@ -53,6 +62,10 @@ from .cache import LRUCache
 from .engine import BatchOutcome, LabelingEngine, RequestError, parse_batch
 
 __all__ = ["LabelingServer", "MetricsRegistry", "PayloadTooLargeError"]
+
+#: Seconds a connection may sit idle (waiting for its next request, or on
+#: a stalled sender mid-request) before its handler closes it.
+IDLE_TIMEOUT_S = 30.0
 
 #: HTTP status for each error type of :meth:`BatchOutcome.failure`.
 _ERROR_STATUS = {
@@ -153,6 +166,35 @@ class _LabelingHTTPServer(ThreadingHTTPServer):
         self.trace_log = trace_log
         self.tracing = bool(tracing or trace_log is not None)
         self.traces = LRUCache(capacity=trace_capacity)
+        # Open connections, so stopping can end the kept-alive ones.
+        self.stopping = threading.Event()
+        self._connections: set[socket.socket] = set()
+        self._connections_lock = threading.Lock()
+
+    def process_request(self, request, client_address):
+        with self._connections_lock:
+            self._connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        with self._connections_lock:
+            self._connections.discard(request)
+        super().shutdown_request(request)
+
+    def close_connections(self) -> None:
+        """Answer no further request and wake every idle handler.
+
+        ``SHUT_RD`` ends a handler's wait for its next request line; a
+        response being written still goes out, then the handler closes.
+        """
+        self.stopping.set()
+        with self._connections_lock:
+            connections = list(self._connections)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RD)
+            except OSError:  # its handler closed it meanwhile
+                pass
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -160,6 +202,11 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: _LabelingHTTPServer
     protocol_version = "HTTP/1.1"
+    # Headers and body leave in one write: ``wfile`` buffers them and the
+    # stdlib flushes it once per request.  With Nagle's algorithm off, a
+    # body too large for the buffer is not held back either.
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
 
     #: Hard cap on a declared request body.  A client announcing more gets
     #: a clean 413 *before* the server tries to read it — blindly trusting
@@ -169,6 +216,17 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------
     # Plumbing.
     # ------------------------------------------------------------------
+
+    def setup(self) -> None:
+        self.timeout = IDLE_TIMEOUT_S  # read per connection
+        super().setup()
+
+    def parse_request(self) -> bool:
+        # A kept-alive connection gets no answer once the server stops.
+        if self.server.stopping.is_set():
+            self.close_connection = True
+            return False
+        return super().parse_request()
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if not self.server.quiet:  # pragma: no cover - operator logging
@@ -199,7 +257,17 @@ class _Handler(BaseHTTPRequestHandler):
             raise RequestError("request body required")
         if length > self.MAX_BODY_BYTES:
             raise PayloadTooLargeError(length, self.MAX_BODY_BYTES)
-        raw = self.rfile.read(length)
+        try:
+            raw = self.rfile.read(length)
+        except TimeoutError:
+            raise RequestError(
+                f"request body not received within {IDLE_TIMEOUT_S} s"
+            ) from None
+        if len(raw) < length:
+            raise RequestError(
+                f"request body truncated: {len(raw)} of {length} bytes"
+            )
+        self._unread_body = False
         try:
             return json.loads(raw)
         except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8; too deep
@@ -208,6 +276,11 @@ class _Handler(BaseHTTPRequestHandler):
     def _handle(self, endpoint: str, fn, request_id: str | None = None) -> None:
         start = time.perf_counter()
         headers: dict | None = None
+        # Cleared by _read_json once it has read the whole declared body.
+        self._unread_body = (
+            "Transfer-Encoding" in self.headers
+            or self.headers.get("Content-Length", "0").strip() != "0"
+        )
         trace: Trace | None = None
         if request_id is not None and self.server.tracing:
             trace = Trace(request_id=request_id, name=endpoint.lstrip("/") or "request")
@@ -245,6 +318,10 @@ class _Handler(BaseHTTPRequestHandler):
             self.server.traces.put(request_id, record)
             if self.server.trace_log is not None:
                 self.server.trace_log.append(record)
+        if self._unread_body:
+            # The unread bytes would be parsed as the next request line.
+            self.close_connection = True
+            headers = {**(headers or {}), "Connection": "close"}
         self.server.metrics.record(endpoint, status, elapsed_ms)
         self._send_json(status, payload, headers)
 
@@ -412,10 +489,11 @@ class LabelingServer:
         self._httpd.serve_forever()
 
     def stop(self) -> None:
-        """Graceful shutdown: stop accepting, close the socket, drop caches.
+        """Graceful shutdown: stop accepting, end connections, drop caches.
 
-        Idempotent; in-flight handlers finish (``shutdown`` only stops the
-        accept loop, daemon handler threads drain on their own).
+        Idempotent.  In-flight handlers finish their response; then every
+        connection closes, kept-alive ones included, and none is answered
+        again.
         """
         if self._stopped:
             return
@@ -424,6 +502,7 @@ class LabelingServer:
         # ever ran would block forever on the loop-exit event.
         if self._loop_entered:
             self._httpd.shutdown()
+        self._httpd.close_connections()
         self._httpd.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

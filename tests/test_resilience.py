@@ -439,6 +439,14 @@ class TestResultCacheIntegrity:
         cache.put("k", value)  # the engine's recompute path
         assert cache.get("k") == value
 
+    def test_every_hit_is_a_fresh_copy(self):
+        cache = ResultCache(capacity=4)
+        cache.put("k", {"fingerprint": "k", "field_labels": {"c": "x"}})
+        first = cache.get("k")
+        first["field_labels"]["c"] = "changed"
+        assert cache.get("k") == {"fingerprint": "k", "field_labels": {"c": "x"}}
+        assert cache.get("k") is not cache.get("k")
+
     def test_corrupt_missing_key_is_false(self):
         assert ResultCache(capacity=4).corrupt("absent") is False
 

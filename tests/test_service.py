@@ -204,6 +204,69 @@ class TestEngine:
         assert responses[2]["error_type"] == "invalid_request"
 
 
+def _mutate(response: dict) -> None:
+    """Scribble over every nested part of a response a caller might touch."""
+    response["tree"]["children"][0]["label"] = "MUTATED"
+    response["tree"]["children"].append({"name": "extra"})
+    response["field_labels"][next(iter(response["field_labels"]))] = "MUTATED"
+    response["stats"]["truncated_groups"].append("MUTATED")
+    response["options"]["enabled_rules"].clear()
+
+
+class TestResponsesAliasNoCacheTier:
+    """A response is the caller's own: mutating it never changes a later hit."""
+
+    PAYLOAD = {"domain": "book", "seed": 1}
+
+    @staticmethod
+    def _same(hit: dict, reference: dict) -> bool:
+        return _strip_timing({**hit, "cached": None}) == _strip_timing(
+            {**reference, "cached": None}
+        )
+
+    def test_miss_and_memory_hits(self):
+        engine = LabelingEngine(cache_size=4)
+        miss = engine.label(self.PAYLOAD)
+        reference = json.loads(json.dumps(miss))
+        _mutate(miss)
+        hit = engine.label(self.PAYLOAD)
+        assert hit["cached"] is True and self._same(hit, reference)
+        _mutate(hit)
+        again = engine.label(self.PAYLOAD)
+        assert self._same(again, reference)
+
+    def test_disk_hit_after_restart(self, tmp_path):
+        reference = LabelingEngine(cache_size=4, disk_cache=tmp_path).label(
+            self.PAYLOAD
+        )
+        restarted = LabelingEngine(cache_size=4, disk_cache=tmp_path)
+        from_disk = restarted.label(self.PAYLOAD)
+        assert restarted.stats()["disk"]["hits"] == 1
+        _mutate(from_disk)
+        assert self._same(restarted.label(self.PAYLOAD), reference)  # memory
+        # A cache-less engine reads the disk tier on every request.
+        diskonly = LabelingEngine(cache_size=0, disk_cache=tmp_path)
+        first = diskonly.label(self.PAYLOAD)
+        _mutate(first)
+        assert self._same(diskonly.label(self.PAYLOAD), reference)
+        assert diskonly.stats()["disk"]["hits"] == 2
+
+    def test_batch_repeats(self):
+        engine = LabelingEngine(cache_size=4)
+        results = engine.label_batch([self.PAYLOAD] * 3, jobs=2)
+        reference = json.loads(json.dumps(results[0]))
+        _mutate(results[0])
+        _mutate(results[1])
+        assert self._same(results[2], reference)
+        assert self._same(engine.label(self.PAYLOAD), reference)
+
+
+def _strip_timing(response: dict) -> dict:
+    clean = json.loads(json.dumps(response))
+    clean["stats"].pop("elapsed_ms", None)
+    return clean
+
+
 class TestTruncationReporting:
     def test_truncated_groups_in_response_and_metrics(self):
         engine = LabelingEngine(cache_size=8)
@@ -867,7 +930,7 @@ class TestContentLengthHandling:
 
     @staticmethod
     def _raw_post(server, headers: dict, body: bytes = b""):
-        """POST with full control over the headers urllib would normalize."""
+        """POST with full control over the headers a client would normalize."""
         import http.client
         from urllib.parse import urlsplit
 
