@@ -38,7 +38,7 @@ from functools import cached_property
 from ..lexicon.compiled import CompiledLexicon, compile_lexicon, default_compiled
 from ..lexicon.normalize import Token, content_tokens, display_form
 from ..lexicon.wordnet import MiniWordNet
-from ..perf import CacheCounter
+from ..perf import Counters
 
 __all__ = ["Label", "LabelAnalyzer"]
 
@@ -140,15 +140,15 @@ class LabelAnalyzer:
         self._cache: dict[str, Label] = {}
         self._tokens_by_display: dict[str, tuple[Token, ...]] = {}
         self._intern: dict[tuple[str, bool], int] = {}
-        self.counter = CacheCounter("labels")
+        self.counter = Counters("hits", "misses", "evictions")
 
     def label(self, text: str) -> Label:
         """Analyze ``text`` (cached and interned)."""
         cached = self._cache.get(text)
         if cached is not None:
-            self.counter.hit()
+            self.counter.add("hits")
             return cached
-        self.counter.miss()
+        self.counter.add("misses")
         display = display_form(text)
         display_key = display.casefold()
         tokens = self._tokens_by_display.get(display_key)

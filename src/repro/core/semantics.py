@@ -48,7 +48,7 @@ from enum import IntEnum
 
 from ..lexicon.compiled import CompiledLexicon
 from ..lexicon.normalize import Token
-from ..perf import CacheCounter
+from ..perf import Counters
 from .label import Label, LabelAnalyzer
 
 __all__ = ["LabelRelation", "SemanticComparator"]
@@ -90,9 +90,9 @@ class SemanticComparator:
         #: the memoization scope; read and written by
         #: :func:`repro.core.solutions.name_group`).
         self._group_cache: dict = {}
-        self.relation_counter = CacheCounter("relations")
-        self.predicate_counter = CacheCounter("predicates")
-        self.group_counter = CacheCounter("group_results")
+        self.relation_counter = Counters("hits", "misses", "evictions")
+        self.predicate_counter = Counters("hits", "misses", "evictions")
+        self.group_counter = Counters("hits", "misses", "evictions")
 
     # ------------------------------------------------------------------
     # Coercion and cache plumbing.
@@ -116,9 +116,9 @@ class SemanticComparator:
             return label
         return label.key if label.key >= 0 else label
 
-    def _bound(self, memo: dict, counter: CacheCounter) -> None:
+    def _bound(self, memo: dict, counter: Counters) -> None:
         if len(memo) >= RELATION_CACHE_LIMIT:
-            counter.evict(len(memo))
+            counter.add("evictions", len(memo))
             memo.clear()
 
     # ------------------------------------------------------------------
@@ -161,9 +161,9 @@ class SemanticComparator:
         key = (self._cache_key(a), self._cache_key(b))
         cached = self._synonym_cache.get(key)
         if cached is not None:
-            self.predicate_counter.hit()
+            self.predicate_counter.add("hits")
             return cached
-        self.predicate_counter.miss()
+        self.predicate_counter.add("misses")
         result = self._synonym_uncached(self._as_label(a), self._as_label(b))
         self._bound(self._synonym_cache, self.predicate_counter)
         self._synonym_cache[key] = result
@@ -203,9 +203,9 @@ class SemanticComparator:
         key = (self._cache_key(a), self._cache_key(b))
         cached = self._hypernym_cache.get(key)
         if cached is not None:
-            self.predicate_counter.hit()
+            self.predicate_counter.add("hits")
             return cached
-        self.predicate_counter.miss()
+        self.predicate_counter.add("misses")
         result = self._hypernym_uncached(self._as_label(a), self._as_label(b))
         self._bound(self._hypernym_cache, self.predicate_counter)
         self._hypernym_cache[key] = result
@@ -241,9 +241,9 @@ class SemanticComparator:
         ka, kb = self._cache_key(a), self._cache_key(b)
         cached = self._relation_cache.get((ka, kb))
         if cached is not None:
-            self.relation_counter.hit()
+            self.relation_counter.add("hits")
             return cached
-        self.relation_counter.miss()
+        self.relation_counter.add("misses")
         relation = self._relation_uncached(a, b)
         self._bound(self._relation_cache, self.relation_counter)
         self._relation_cache[(ka, kb)] = relation

@@ -321,16 +321,16 @@ def name_group(
         fingerprint = _relation_fingerprint(relation, max_level)
         cached = memo.get(fingerprint)
         if cached is not None:
-            comparator.group_counter.hit()
+            comparator.group_counter.add("hits")
             return _copy_group_result(cached)
-        comparator.group_counter.miss()
+        comparator.group_counter.add("misses")
 
     result = _name_group_uncached(
         relation, comparator, analyzer or comparator.analyzer, max_level
     )
     if memo is not None:
         if len(memo) >= GROUP_CACHE_LIMIT:
-            comparator.group_counter.evict(len(memo))
+            comparator.group_counter.add("evictions", len(memo))
             memo.clear()
         # Store a pristine copy: the caller's copy is theirs to mutate
         # (homonym repair rewrites the chosen solution's labels in place).

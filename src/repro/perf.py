@@ -1,4 +1,4 @@
-"""Perf instrumentation: cache counters, timers, and the labeling profiler.
+"""Perf instrumentation: the counters type, and the labeling profiler.
 
 The naming algorithm is quadratic in pairwise label comparisons
 (Definitions 1-3), and the service re-runs the same normalize -> morphy ->
@@ -9,12 +9,12 @@ The memoization layer that amortizes that work lives next to each hot path
 an immutable table, :class:`repro.lexicon.compiled.CompiledLexicon`); this
 module provides the *observability* for it:
 
-* :class:`CacheCounter` — hit/miss/eviction counts with a derived hit rate;
-  every cache in the hierarchy owns one and exposes it via a
-  ``cache_stats()`` method.
-* :func:`aggregate_stats` — recursive summation of ``cache_stats()``
-  snapshots, what the service engine uses to merge the per-comparator
-  numbers into one ``GET /metrics`` section.
+* :class:`Counters` — named integers behind one lock.  Every count in
+  ``GET /metrics`` comes from one: the memos above, the result caches and
+  disk tier of :mod:`repro.service`, the engine, its circuit breakers,
+  the admission queue and the HTTP server.
+* :func:`with_hit_rate` — the one place ``hit_rate`` is derived from
+  ``hits`` and ``misses``.
 * :func:`profile_labeling` — the cold-vs-warm workload behind the
   ``repro profile`` CLI subcommand and ``benchmarks/test_bench_perf.py``;
   returns a JSON-ready report (the ``BENCH_perf.json`` artifact).
@@ -22,131 +22,60 @@ module provides the *observability* for it:
 Counters are lock-guarded: a ``threading.Lock`` acquire on an uncontended
 lock costs ~100ns — noise against even a memo dict hit's full call path —
 and exact totals are part of the contract now that the labeling engine
-aggregates counters across thread pools and process-backend fallbacks
-(``tests/test_perf.py`` hammers them from 8 threads and asserts exactness).
+sums counters across thread pools (``tests/test_perf.py`` hammers them
+from 8 threads and asserts exactness).
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from collections import defaultdict
 
 __all__ = [
-    "CacheCounter",
-    "aggregate_stats",
+    "Counters",
     "profile_labeling",
+    "with_hit_rate",
 ]
 
 
-class CacheCounter:
-    """Hit/miss/eviction counters for one cache, with a derived hit rate.
+class Counters:
+    """Named integer counters; :meth:`snapshot` adds a derived ``hit_rate``.
 
-    Increments are lock-guarded so totals stay exact under concurrent
-    readers (thread-pool batch workers sharing one comparator).  Reads for
-    :meth:`snapshot` take the same lock; the scalar properties read single
-    attributes, which is atomic enough for display.
+    ``names`` are the counters a snapshot always shows (zero until first
+    added to); :meth:`add` also accepts a name not declared up front.
     """
 
-    __slots__ = ("name", "hits", "misses", "evictions", "_lock")
+    __slots__ = ("_values", "_lock")
 
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+    def __init__(self, *names: str) -> None:
+        self._values: defaultdict[str, int] = defaultdict(int, dict.fromkeys(names, 0))
         self._lock = threading.Lock()
 
-    def __getstate__(self) -> dict:
-        return {
-            "name": self.name,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-
-    def __setstate__(self, state: dict) -> None:
-        self.name = state["name"]
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.evictions = state["evictions"]
-        self._lock = threading.Lock()
-
-    def hit(self) -> None:
+    def add(self, name: str, n: int = 1) -> None:
+        # ``with``, not acquire()/release(): a call returning from acquire()
+        # may hand the GIL to another thread while the lock is held, and
+        # under contention that convoys every adder behind it.
         with self._lock:
-            self.hits += 1
-
-    def miss(self) -> None:
-        with self._lock:
-            self.misses += 1
-
-    def evict(self, count: int = 1) -> None:
-        with self._lock:
-            self.evictions += count
-
-    @property
-    def lookups(self) -> int:
-        return self.hits + self.misses
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups, 0.0 before the first lookup."""
-        lookups = self.lookups
-        return self.hits / lookups if lookups else 0.0
-
-    def reset(self) -> None:
-        with self._lock:
-            self.hits = self.misses = self.evictions = 0
+            self._values[name] += n
 
     def snapshot(self) -> dict:
-        """JSON-ready counter values (a consistent read)."""
+        """A consistent, JSON-ready copy of every counter."""
         with self._lock:
-            hits, misses, evictions = self.hits, self.misses, self.evictions
-        lookups = hits + misses
-        return {
-            "hits": hits,
-            "misses": misses,
-            "evictions": evictions,
-            "hit_rate": round(hits / lookups, 4) if lookups else 0.0,
-        }
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"CacheCounter({self.name!r}, hits={self.hits}, "
-            f"misses={self.misses}, evictions={self.evictions})"
-        )
+            values = dict(self._values)
+        return with_hit_rate(values)
 
 
-def aggregate_stats(snapshots: list[dict]) -> dict:
-    """Merge ``cache_stats()`` snapshots by summing numeric leaves.
+def with_hit_rate(stats: dict) -> dict:
+    """Set ``stats["hit_rate"]`` from its ``hits`` and ``misses``; return it.
 
-    ``hit_rate`` keys are recomputed from the summed ``hits``/``misses``
-    rather than summed (a sum of rates is meaningless).  Used by the service
-    engine to fold its per-comparator stats into one ``GET /metrics`` block.
+    Hits over lookups, rounded to 4 places, 0.0 before the first lookup.
+    A dict without both counts is returned unchanged.
     """
-    merged: dict = {}
-    for snapshot in snapshots:
-        _merge_into(merged, snapshot)
-    _fix_hit_rates(merged)
-    return merged
-
-
-def _merge_into(target: dict, source: dict) -> None:
-    for key, value in source.items():
-        if isinstance(value, dict):
-            _merge_into(target.setdefault(key, {}), value)
-        elif isinstance(value, bool) or not isinstance(value, (int, float)):
-            target.setdefault(key, value)
-        else:
-            target[key] = target.get(key, 0) + value
-
-
-def _fix_hit_rates(stats: dict) -> None:
-    if "hit_rate" in stats and "hits" in stats and "misses" in stats:
+    if "hits" in stats and "misses" in stats:
         lookups = stats["hits"] + stats["misses"]
         stats["hit_rate"] = round(stats["hits"] / lookups, 4) if lookups else 0.0
-    for value in stats.values():
-        if isinstance(value, dict):
-            _fix_hit_rates(value)
+    return stats
 
 
 # ----------------------------------------------------------------------

@@ -14,6 +14,8 @@ from __future__ import annotations
 import threading
 from contextlib import contextmanager
 
+from ..perf import Counters
+
 __all__ = ["AdmissionController", "OverloadedError"]
 
 
@@ -42,15 +44,14 @@ class AdmissionController:
         self._cond = threading.Condition()
         self._active = 0
         self._queued = 0
-        self._admitted = 0
-        self._shed = 0
+        self.counters = Counters("admitted", "shed")
 
     def acquire(self) -> bool:
         """Take a slot, queueing if needed; ``False`` means shed (no slot)."""
         with self._cond:
             if self._active >= self.max_concurrent:
                 if self._queued >= self.max_queue:
-                    self._shed += 1
+                    self.counters.add("shed")
                     return False
                 self._queued += 1
                 try:
@@ -59,7 +60,7 @@ class AdmissionController:
                 finally:
                     self._queued -= 1
             self._active += 1
-            self._admitted += 1
+            self.counters.add("admitted")
             return True
 
     def release(self) -> None:
@@ -84,6 +85,5 @@ class AdmissionController:
                 "max_queue": self.max_queue,
                 "active": self._active,
                 "queued": self._queued,
-                "admitted": self._admitted,
-                "shed": self._shed,
+                **self.counters.snapshot(),
             }

@@ -18,6 +18,8 @@ import threading
 import time
 from dataclasses import dataclass
 
+from ..perf import Counters
+
 __all__ = ["BreakerPolicy", "CircuitBreaker", "CircuitOpenError"]
 
 
@@ -66,8 +68,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._probing = False
-        self._rejections = 0
-        self._trips = 0
+        self.counters = Counters("rejections", "trips")
 
     @property
     def state(self) -> str:
@@ -84,11 +85,11 @@ class CircuitBreaker:
                     self._state = self.HALF_OPEN
                     self._probing = False
                 else:
-                    self._rejections += 1
+                    self.counters.add("rejections")
                     return False
             # HALF_OPEN: admit exactly one probe at a time.
             if self._probing:
-                self._rejections += 1
+                self.counters.add("rejections")
                 return False
             self._probing = True
             return True
@@ -112,7 +113,7 @@ class CircuitBreaker:
             probe_failed = self._state == self.HALF_OPEN
             if probe_failed or self._consecutive_failures >= self.failure_threshold:
                 if self._state != self.OPEN:
-                    self._trips += 1
+                    self.counters.add("trips")
                 self._state = self.OPEN
                 self._opened_at = self._clock()
                 self._probing = False
@@ -122,6 +123,5 @@ class CircuitBreaker:
             return {
                 "state": self._state,
                 "consecutive_failures": self._consecutive_failures,
-                "rejections": self._rejections,
-                "trips": self._trips,
+                **self.counters.snapshot(),
             }

@@ -39,7 +39,7 @@ Start a server with ``python -m repro serve`` or in-process::
         print(client.label(domain="airline")["classification"])
 """
 
-from .cache import CacheStats, LRUCache, ResultCache
+from .cache import LRUCache, ResultCache
 from .client import ServiceClient, ServiceError
 from .diskcache import DiskCache
 from .engine import (
@@ -55,7 +55,6 @@ from .server import LabelingServer, MetricsRegistry, PayloadTooLargeError
 
 __all__ = [
     "BatchOutcome",
-    "CacheStats",
     "DiskCache",
     "LRUCache",
     "LabelingEngine",

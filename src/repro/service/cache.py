@@ -16,9 +16,10 @@ memory rot — is *evicted and reported as a miss*, so the engine
 recomputes instead of serving a silently wrong labeling.  The pipeline
 being deterministic makes that recovery exact.
 
-Counters (hits / misses / evictions / corruptions) are part of the public
-contract — ``GET /metrics`` reports them, and operators size ``capacity``
-(and alarm on ``corruptions``) from them.
+Counters (hits / misses / evictions / corruptions, one
+:class:`~repro.perf.Counters`) are part of the public contract —
+``GET /metrics`` reports them, and operators size ``capacity`` (and alarm
+on ``corruptions``) from them.
 """
 
 from __future__ import annotations
@@ -27,41 +28,12 @@ import json
 import threading
 import zlib
 from collections import OrderedDict
-from dataclasses import dataclass
 
-__all__ = ["CacheStats", "LRUCache", "ResultCache"]
+from ..perf import Counters
+
+__all__ = ["LRUCache", "ResultCache"]
 
 _MISSING = object()
-
-
-@dataclass(frozen=True)
-class CacheStats:
-    """A point-in-time snapshot of the cache's counters."""
-
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    capacity: int
-    corruptions: int = 0
-
-    @property
-    def hit_rate(self) -> float:
-        """Hits over lookups, 0.0 before the first lookup."""
-        lookups = self.hits + self.misses
-        return self.hits / lookups if lookups else 0.0
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (what ``GET /metrics`` embeds)."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "corruptions": self.corruptions,
-            "size": self.size,
-            "capacity": self.capacity,
-            "hit_rate": round(self.hit_rate, 4),
-        }
 
 
 class LRUCache:
@@ -77,10 +49,7 @@ class LRUCache:
         self.capacity = int(capacity)
         self._entries: OrderedDict[str, object] = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-        self._corruptions = 0
+        self.counters = Counters("hits", "misses", "evictions", "corruptions")
 
     def get(self, key: str):
         """The cached value for ``key`` (refreshed as most recent), or ``None``."""
@@ -88,9 +57,9 @@ class LRUCache:
             entry = self._entries.get(key, _MISSING)
             value = entry if entry is _MISSING else self._open(key, entry)
             if value is _MISSING:
-                self._misses += 1
+                self.counters.add("misses")
                 return None
-            self._hits += 1
+            self.counters.add("hits")
             self._entries.move_to_end(key)
             return value
 
@@ -107,7 +76,7 @@ class LRUCache:
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
-                self._evictions += 1
+                self.counters.add("evictions")
 
     def __contains__(self, key: str) -> bool:
         with self._lock:
@@ -122,17 +91,14 @@ class LRUCache:
         with self._lock:
             self._entries.clear()
 
-    def stats(self) -> CacheStats:
-        """A consistent :class:`CacheStats` snapshot."""
+    def stats(self) -> dict:
+        """JSON-ready counters, size and capacity (what ``GET /metrics`` embeds)."""
         with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-                capacity=self.capacity,
-                corruptions=self._corruptions,
-            )
+            return {
+                **self.counters.snapshot(),
+                "size": len(self._entries),
+                "capacity": self.capacity,
+            }
 
 
 class ResultCache(LRUCache):
@@ -154,7 +120,7 @@ class ResultCache(LRUCache):
         # recomputes and the deterministic pipeline restores the exact
         # result the corrupted entry used to hold.
         del self._entries[key]
-        self._corruptions += 1
+        self.counters.add("corruptions")
         return _MISSING
 
     def get(self, key: str):

@@ -43,6 +43,7 @@ import threading
 import time
 from pathlib import Path
 
+from ..perf import Counters
 from ..records import decode, encode
 
 __all__ = ["DiskCache"]
@@ -72,10 +73,7 @@ class DiskCache:
         # compaction so other configurations keep their warm starts.
         self._entries: dict[str, object] = {}
         self._foreign: dict[tuple[str, str], dict] = {}
-        self._hits = 0
-        self._misses = 0
-        self._corrupt_records = 0
-        self._compactions = 0
+        self.counters = Counters("hits", "misses", "corrupt_records", "compactions")
         self._load_ms = 0.0
         self._load()
 
@@ -106,7 +104,7 @@ class DiskCache:
                     isinstance(record, dict) and record.keys() == {"e", "k", "r"}
                     and isinstance(record["e"], str) and isinstance(record["k"], str)
                 ):
-                    self._corrupt_records += 1
+                    self.counters.add("corrupt_records")
                     log.warning(
                         "disk cache: skipping corrupt record %s:%d",
                         segment.name,
@@ -128,10 +126,7 @@ class DiskCache:
         """
         with self._lock:
             value = self._entries.get(key)
-            if value is None:
-                self._misses += 1
-                return None
-            self._hits += 1
+            self.counters.add("misses" if value is None else "hits")
             return value
 
     def __contains__(self, key: str) -> bool:
@@ -206,7 +201,7 @@ class DiskCache:
                     segment.unlink()
                 except OSError:  # pragma: no cover - raced deletion
                     pass
-        self._compactions += 1
+        self.counters.add("compactions")
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -224,10 +219,7 @@ class DiskCache:
                 "directory": str(self.directory),
                 "entries": len(self._entries),
                 "foreign_entries": len(self._foreign),
-                "hits": self._hits,
-                "misses": self._misses,
-                "corrupt_records": self._corrupt_records,
-                "compactions": self._compactions,
+                **self.counters.snapshot(),
                 "segments": len(segments),
                 "size_bytes": size_bytes,
                 "load_ms": self._load_ms,

@@ -55,7 +55,7 @@ from ..obs.tracer import Span, current_span, current_trace
 from ..obs.tracer import event as obs_event
 from ..obs.tracer import span as obs_span
 from ..core.semantics import SemanticComparator
-from ..perf import aggregate_stats
+from ..perf import Counters, with_hit_rate
 from ..resilience import (
     BreakerPolicy,
     CircuitBreaker,
@@ -649,11 +649,10 @@ class LabelingEngine:
         self._clock = clock
         self._breakers: dict[str, CircuitBreaker] = {}
         self._lock = threading.Lock()
-        self._requests = 0
-        self._errors = 0
-        self._oracle_checks = 0
-        self._oracle_failures = 0
-        self._truncated_closures = 0
+        self.counters = Counters(
+            "requests", "errors", "computations",
+            "oracle_checks", "oracle_failures", "truncated_closures",
+        )
         self._started = time.time()
         self.comparator = (
             comparator if comparator is not None else SemanticComparator()
@@ -661,7 +660,6 @@ class LabelingEngine:
         # Overlay comparators are shared across requests (and batch items)
         # with the same overlay, keyed by its canonical JSON.
         self._overlay_comparators: dict[str, SemanticComparator] = {}
-        self._computations = 0
         # The persistent warm-start layer: a DiskCache instance, or a
         # directory path to open one under this engine's config fingerprint.
         if disk_cache is None or hasattr(disk_cache, "get"):
@@ -736,8 +734,7 @@ class LabelingEngine:
         happened (a retry or an injected fault), so fault-free responses
         stay byte-identical to those of an engine with no plan at all.
         """
-        with self._lock:
-            self._requests += 1
+        self.counters.add("requests")
         breaker = self._breaker_for(request.fingerprint)
         if breaker is not None:
             allowed = self._breaker_op(breaker, breaker.allow)
@@ -760,8 +757,7 @@ class LabelingEngine:
                     attempt, key=request.fingerprint, sleep=sleep
                 )
             except Exception as exc:
-                with self._lock:
-                    self._errors += 1
+                self.counters.add("errors")
                 if breaker is not None and not isinstance(exc, RequestError):
                     self._breaker_op(breaker, breaker.record_failure)
                 if scope is not None and scope.events:
@@ -791,8 +787,7 @@ class LabelingEngine:
         """Lookup, else compute and store — the unit the retry policy repeats."""
         response = self._lookup(request)
         if response is None:
-            with self._lock:
-                self._computations += 1
+            self.counters.add("computations")
             response = self._compute(request, pool)
             self._store(request, response)
         return response
@@ -871,12 +866,11 @@ class LabelingEngine:
         """
         report = response.pop("_oracle", None)
         if report is not None:
-            with self._lock:
-                self._oracle_checks += report.checks
-                self._oracle_failures += len(report.violations)
+            self.counters.add("oracle_checks", report.checks)
+            self.counters.add("oracle_failures", len(report.violations))
             report.raise_if_failed()
-        with self._lock:
-            self._truncated_closures += len(response["stats"]["truncated_groups"])
+        truncated = len(response["stats"]["truncated_groups"])
+        self.counters.add("truncated_closures", truncated)
         stored = copy.deepcopy(_entry_of(response))
         self.cache.put(request.fingerprint, stored)
         if self.disk is not None:
@@ -983,9 +977,8 @@ class LabelingEngine:
                         if outcome.ok
                         else _entry(outcome)
                     )
-            with self._lock:
-                self._requests += len(requests) - len(groups)
-                self._errors += failed
+            self.counters.add("requests", len(requests) - len(groups))
+            self.counters.add("errors", failed)
             return entries
 
     # ------------------------------------------------------------------
@@ -995,15 +988,19 @@ class LabelingEngine:
     def stats(self) -> dict:
         """Engine counters + cache stats (embedded in ``GET /metrics``)."""
         with self._lock:
-            requests, errors = self._requests, self._errors
-            computations = self._computations
             overlays = list(self._overlay_comparators.values())
             breakers = list(self._breakers.values())
-            oracle_checks = self._oracle_checks
-            oracle_failures = self._oracle_failures
-            truncated_closures = self._truncated_closures
+        counts = self.counters.snapshot()
         comparators = [self.comparator, *overlays]
-        semantics = aggregate_stats([c.cache_stats() for c in comparators])
+        # Each memo section summed over the comparators, rate re-derived.
+        semantics: dict = {}
+        for comparator in comparators:
+            for section, stats in comparator.cache_stats().items():
+                total = semantics.setdefault(section, {})
+                for key, value in stats.items():
+                    total[key] = total.get(key, 0) + value
+        for total in semantics.values():
+            with_hit_rate(total)
         semantics["comparators"] = len(comparators)
         semantics["overlay_comparators"] = len(overlays)
         breaker_stats = [b.stats() for b in breakers]
@@ -1016,20 +1013,23 @@ class LabelingEngine:
                 "trips": sum(b["trips"] for b in breaker_stats),
             },
             "verify": self.verify,
-            "oracle": {"checks": oracle_checks, "failures": oracle_failures},
+            "oracle": {
+                "checks": counts["oracle_checks"],
+                "failures": counts["oracle_failures"],
+            },
         }
         if self.fault_plan is not None:
             resilience["fault_plan"] = self.fault_plan.stats()
         snapshot = {
-            "requests": requests,
-            "errors": errors,
-            "computations": computations,
+            "requests": counts["requests"],
+            "errors": counts["errors"],
+            "computations": counts["computations"],
             "uptime_s": round(time.time() - self._started, 3),
             "default_jobs": self.default_jobs,
             "default_executor": self.default_executor,
-            "cache": self.cache.stats().to_dict(),
-            "request_keys": self._request_keys.stats().to_dict(),
-            "naming": {"truncated_closures": truncated_closures},
+            "cache": self.cache.stats(),
+            "request_keys": self._request_keys.stats(),
+            "naming": {"truncated_closures": counts["truncated_closures"]},
             "semantics": semantics,
             "resilience": resilience,
         }

@@ -3,9 +3,9 @@
 Endpoints
 ---------
 ``GET /healthz``   liveness: ``{"status": "ok", "uptime_s": ...}``.
-``GET /metrics``   request counts per endpoint/status, latency percentiles
-                   computed from a fixed-size ring buffer, engine + cache
-                   counters.
+``GET /metrics``   request counts per endpoint/status (every unknown path
+                   counts as ``other``), latency percentiles computed
+                   from a fixed-size ring buffer, engine + cache counters.
 ``POST /label``    one labeling request (see :mod:`repro.service.engine`
                    for the payload shape); repeated identical requests are
                    served from the result cache.
@@ -18,12 +18,15 @@ Endpoints
                    once evicted or when tracing is disabled.
 
 Every POST response (success, error, 429/503 shed alike) carries a
-``request_id`` — honored from an ``X-Request-Id`` request header or
-generated — echoed both in the JSON payload and as an ``X-Request-Id``
-response header.  With tracing enabled (``tracing=True`` or a trace log
-configured), each POST runs under a request-scoped trace whose span tree
-lands in the LRU behind ``GET /trace/<id>`` and, with ``serve
---trace-log DIR``, in a CRC-safe JSONL span log.
+``request_id`` — honored from an ``X-Request-Id`` request header of 1-128
+visible ASCII characters, else generated — echoed both in the JSON payload
+and as an ``X-Request-Id`` response header.  A request the stdlib cannot
+parse (a garbled request line, an unsupported HTTP version, an oversized
+header line) gets the same JSON error shape, and its connection closes.
+With tracing enabled (``tracing=True`` or a trace log configured), each
+POST runs under a request-scoped trace whose span tree lands in the LRU
+behind ``GET /trace/<id>`` and, with ``serve --trace-log DIR``, in a
+CRC-safe JSONL span log.
 
 Both POST endpoints pass through a bounded admission queue
 (:class:`repro.resilience.AdmissionController`): work beyond the
@@ -50,13 +53,16 @@ and the tests.
 from __future__ import annotations
 
 import json
+import re
 import socket
 import threading
 import time
 from collections import deque
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..obs import Trace, TraceLog, new_request_id
+from ..perf import Counters
 from ..resilience import AdmissionController
 from .cache import LRUCache
 from .engine import BatchOutcome, LabelingEngine, RequestError, parse_batch
@@ -66,6 +72,9 @@ __all__ = ["LabelingServer", "MetricsRegistry", "PayloadTooLargeError"]
 #: Seconds a connection may sit idle (waiting for its next request, or on
 #: a stalled sender mid-request) before its handler closes it.
 IDLE_TIMEOUT_S = 30.0
+
+#: An ``X-Request-Id`` the server echoes: 1-128 visible ASCII characters.
+_REQUEST_ID = re.compile(r"[!-~]{1,128}")
 
 #: HTTP status for each error type of :meth:`BatchOutcome.failure`.
 _ERROR_STATUS = {
@@ -89,13 +98,14 @@ class PayloadTooLargeError(RequestError):
 
 
 class MetricsRegistry:
-    """Thread-safe request counters + a latency ring buffer with percentiles."""
+    """Request counts per endpoint and status, and a latency ring buffer
+    with percentiles."""
 
     def __init__(self, window: int = 1024) -> None:
         self._lock = threading.Lock()
         self._latencies: deque[float] = deque(maxlen=window)
-        self._by_endpoint: dict[str, int] = {}
-        self._by_status: dict[int, int] = {}
+        self.by_endpoint = Counters()
+        self.by_status = Counters()
         self._started = time.time()
         # The sorted sample is snapshotted once and reused until the next
         # record() invalidates it, so back-to-back /metrics polls of an
@@ -104,9 +114,9 @@ class MetricsRegistry:
         self._sorted: list[float] | None = None
 
     def record(self, endpoint: str, status: int, elapsed_ms: float) -> None:
+        self.by_endpoint.add(endpoint)
+        self.by_status.add(str(status))
         with self._lock:
-            self._by_endpoint[endpoint] = self._by_endpoint.get(endpoint, 0) + 1
-            self._by_status[status] = self._by_status.get(status, 0) + 1
             self._latencies.append(elapsed_ms)
             self._sorted = None
 
@@ -123,8 +133,8 @@ class MetricsRegistry:
             if self._sorted is None:
                 self._sorted = sorted(self._latencies)
             sample = self._sorted
-            by_endpoint = dict(sorted(self._by_endpoint.items()))
-            by_status = {str(k): v for k, v in sorted(self._by_status.items())}
+        by_endpoint = dict(sorted(self.by_endpoint.snapshot().items()))
+        by_status = dict(sorted(self.by_status.snapshot().items()))
         latency = {
             "window": len(sample),
             "p50_ms": round(self._percentile(sample, 50), 3),
@@ -231,6 +241,21 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if not self.server.quiet:  # pragma: no cover - operator logging
             super().log_message(format, *args)
+
+    def send_error(self, code: int, message: str | None = None, explain=None) -> None:
+        """Answer a request the stdlib could not parse with the JSON error
+        shape (its status, ``Connection: close``) instead of an HTML page."""
+        self.log_error("code %d, message %s", code, message)
+        # An unparsed request line leaves the version at HTTP/0.9, which
+        # would suppress the status line and headers.
+        self.request_version = self.protocol_version
+        request_id = new_request_id()
+        self._send_json(code, {
+            "ok": False,
+            "error": message or HTTPStatus(code).phrase,
+            "error_type": "invalid_request",
+            "request_id": request_id,
+        }, {"X-Request-Id": request_id, "Connection": "close"})
 
     def _send_json(
         self, status: int, payload: dict, headers: dict | None = None
@@ -344,19 +369,17 @@ class _Handler(BaseHTTPRequestHandler):
         elif self.path.startswith("/trace/"):
             self._handle("/trace", self._get_trace)
         else:
-            self._handle(self.path, self._not_found)
+            self._handle("other", self._not_found)
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        request_id = (
-            (self.headers.get("X-Request-Id") or "").strip()[:128]
-            or new_request_id()
-        )
+        given = (self.headers.get("X-Request-Id") or "").strip()
+        request_id = given if _REQUEST_ID.fullmatch(given) else new_request_id()
         if self.path == "/label":
             self._handle("/label", self._post_label, request_id=request_id)
         elif self.path == "/batch":
             self._handle("/batch", self._post_batch, request_id=request_id)
         else:
-            self._handle(self.path, self._not_found)
+            self._handle("other", self._not_found)
 
     def _not_found(self):
         return 404, {

@@ -7,6 +7,7 @@ server writes and when it closes — what ``http.client`` would hide.
 from __future__ import annotations
 
 import json
+import re
 import socket
 import threading
 import time
@@ -117,6 +118,75 @@ class TestUnreadBodyClosesTheConnection:
             responses = _responses(_read_until_closed(sock))
         assert [status for status, _, _ in responses] == [400, 200]
         assert "connection" not in responses[0][1]
+
+
+# ----------------------------------------------------------------------
+# Untrusted request heads: JSON errors, no header injection.
+# ----------------------------------------------------------------------
+
+
+class TestMalformedRequestsGetJson:
+    @pytest.mark.parametrize(
+        "request_bytes, status",
+        [
+            (b"GARBAGE\r\n\r\n", 400),
+            (b"GET / HTTP/9.9\r\n\r\n", 505),
+            (b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n", 431),
+        ],
+        ids=["garbled-request-line", "http-9.9", "long-header-line"],
+    )
+    def test_stdlib_errors_use_the_json_error_shape(self, server, request_bytes, status):
+        with _connect(server) as sock:
+            sock.sendall(request_bytes)
+            responses = _responses(_read_until_closed(sock))
+        assert len(responses) == 1
+        got, headers, body = responses[0]
+        assert got == status
+        assert headers["content-type"] == "application/json"
+        assert headers["connection"] == "close"
+        payload = json.loads(body)
+        assert payload["ok"] is False
+        assert payload["error"]
+        assert payload["error_type"] == "invalid_request"
+        assert payload["request_id"] == headers["x-request-id"]
+        # The server is fine afterwards.
+        assert ServiceClient(server.url).healthz()["status"] == "ok"
+
+
+class TestRequestIdHeader:
+    def _echoed(self, server, header: bytes) -> tuple[dict, dict]:
+        body = b"{}"  # a 400, which still carries the request id
+        with _connect(server) as sock:
+            sock.sendall(
+                b"POST /label HTTP/1.1\r\nHost: test\r\n" + header
+                + b"Connection: close\r\nContent-Length: 2\r\n\r\n" + body
+            )
+            responses = _responses(_read_until_closed(sock))
+        assert len(responses) == 1
+        _, headers, raw = responses[0]
+        return headers, json.loads(raw)
+
+    def test_folded_header_is_not_echoed_raw(self, server):
+        headers, payload = self._echoed(
+            server, b"X-Request-Id: abc\r\n Injected: yes\r\n"
+        )
+        assert "injected" not in headers
+        assert re.fullmatch(r"[0-9a-f]{32}", headers["x-request-id"])
+        assert payload["request_id"] == headers["x-request-id"]
+
+    @pytest.mark.parametrize(
+        "given, kept",
+        [(b"my-req-1", True), (b"a" * 128, True), (b"a" * 129, False),
+         (b"two words", False), (b"caf\xc3\xa9", False)],
+        ids=["plain", "128-chars", "129-chars", "space", "non-ascii"],
+    )
+    def test_only_short_visible_ascii_ids_are_honored(self, server, given, kept):
+        headers, payload = self._echoed(server, b"X-Request-Id: " + given + b"\r\n")
+        assert payload["request_id"] == headers["x-request-id"]
+        if kept:
+            assert headers["x-request-id"] == given.decode()
+        else:
+            assert re.fullmatch(r"[0-9a-f]{32}", headers["x-request-id"])
 
 
 # ----------------------------------------------------------------------

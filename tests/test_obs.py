@@ -249,7 +249,7 @@ class TestTraceStore:
         assert store.get("c")["request_id"] == "c"
         assert len(store) == 2
         stats = store.stats()
-        assert (stats.capacity, stats.size, stats.evictions) == (2, 2, 1)
+        assert (stats["capacity"], stats["size"], stats["evictions"]) == (2, 2, 1)
 
     def test_zero_capacity_stores_nothing(self):
         store = LRUCache(capacity=0)

@@ -20,7 +20,7 @@ from repro.core.semantics import LabelRelation, SemanticComparator
 from repro.core.solutions import name_group
 from repro.datasets.registry import load_domain
 from repro.lexicon.data import build_default_wordnet
-from repro.perf import CacheCounter, aggregate_stats
+from repro.perf import Counters
 from repro.schema.groups import partition_clusters
 from repro.service.engine import LabelingEngine, LabelingRequest
 
@@ -30,74 +30,83 @@ from repro.service.engine import LabelingEngine, LabelingRequest
 # ----------------------------------------------------------------------
 
 
-def test_cache_counter_rates_and_reset():
-    counter = CacheCounter("x")
-    assert counter.hit_rate == 0.0  # no lookups yet
-    counter.hit()
-    counter.hit()
-    counter.miss()
-    counter.evict(5)
-    assert counter.lookups == 3
-    assert counter.hit_rate == pytest.approx(2 / 3)
-    snap = counter.snapshot()
-    assert snap == {
+def test_counters_snapshot_derives_hit_rate():
+    counters = Counters("hits", "misses", "evictions")
+    # Declared counters show as zero; no lookups yet means a 0.0 rate.
+    assert counters.snapshot() == {
+        "hits": 0, "misses": 0, "evictions": 0, "hit_rate": 0.0,
+    }
+    counters.add("hits")
+    counters.add("hits")
+    counters.add("misses")
+    counters.add("evictions", 5)
+    assert counters.snapshot() == {
         "hits": 2, "misses": 1, "evictions": 5, "hit_rate": round(2 / 3, 4),
     }
-    counter.reset()
-    assert counter.snapshot()["hits"] == 0
+    # An undeclared name is counted too; a snapshot without both hits and
+    # misses has no rate.
+    named = Counters()
+    named.add("/label", 3)
+    assert named.snapshot() == {"/label": 3}
 
 
 def test_cache_counter_exact_under_concurrent_hammer():
     """8 threads hammering one counter must lose no increment.
 
-    The counters aggregate across thread-pool batch workers (and the
-    process backend's thread fallback); exact totals are the contract.
+    The counters aggregate across thread-pool batch workers; exact totals
+    are the contract.  A short switch interval makes a lost update likely
+    if the increment were not under the lock.
     """
+    import sys
     import threading
 
-    counter = CacheCounter("hammered")
+    counters = Counters("hits", "misses", "evictions")
     rounds = 2500
     workers = 8
 
     def hammer():
         for __ in range(rounds):
-            counter.hit()
-            counter.miss()
-            counter.evict(2)
+            counters.add("hits")
+            counters.add("misses")
+            counters.add("evictions", 2)
 
     threads = [threading.Thread(target=hammer) for __ in range(workers)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    snap = counter.snapshot()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    snap = counters.snapshot()
     assert snap["hits"] == workers * rounds
     assert snap["misses"] == workers * rounds
     assert snap["evictions"] == 2 * workers * rounds
     assert snap["hit_rate"] == 0.5
 
 
-def test_cache_counter_pickles_without_its_lock():
-    import pickle
-
-    counter = CacheCounter("picklable")
-    counter.hit()
-    counter.evict(3)
-    clone = pickle.loads(pickle.dumps(counter))
-    assert clone.snapshot() == counter.snapshot()
-    clone.hit()  # the restored lock works
-    assert clone.hits == counter.hits + 1
-
-
-def test_aggregate_stats_recomputes_hit_rate():
-    merged = aggregate_stats([
-        {"labels": {"hits": 9, "misses": 1, "hit_rate": 0.9}},
-        {"labels": {"hits": 0, "misses": 10, "hit_rate": 0.0}},
-    ])
-    assert merged["labels"]["hits"] == 9
-    assert merged["labels"]["misses"] == 11
-    # Recomputed from the sums, not summed (0.9 + 0.0 would be wrong).
-    assert merged["labels"]["hit_rate"] == pytest.approx(9 / 20)
+def test_engine_semantics_sum_recomputes_hit_rate():
+    """``engine.stats()`` sums each memo section over every comparator and
+    derives the rate from the sums, not by adding the rates."""
+    engine = LabelingEngine(cache_size=0)
+    engine.label({"domain": "auto", "seed": 0})
+    engine.label({"domain": "auto", "seed": 0})
+    engine.label({"domain": "auto", "seed": 0,
+                  "lexicon": {"synsets": [["qux", "zot"]]}})
+    semantics = engine.stats()["semantics"]
+    assert semantics["comparators"] == 2
+    parts = [engine.comparator.cache_stats(),
+             *(c.cache_stats() for c in engine._overlay_comparators.values())]
+    for section in ("labels", "relations", "predicates", "group_results"):
+        hits = sum(part[section]["hits"] for part in parts)
+        misses = sum(part[section]["misses"] for part in parts)
+        assert semantics[section]["hits"] == hits
+        assert semantics[section]["misses"] == misses
+        assert semantics[section]["size"] == sum(part[section]["size"] for part in parts)
+        assert semantics[section]["hit_rate"] == round(hits / (hits + misses), 4)
 
 
 # ----------------------------------------------------------------------
@@ -143,9 +152,9 @@ def test_labels_intern_on_canonical_identity():
 def test_interned_labels_are_repeat_cache_hits():
     analyzer = LabelAnalyzer(build_default_wordnet())
     analyzer.label("Departure City")
-    hits_before = analyzer.counter.hits
+    hits_before = analyzer.counter.snapshot()["hits"]
     analyzer.label("Departure City")
-    assert analyzer.counter.hits == hits_before + 1
+    assert analyzer.counter.snapshot()["hits"] == hits_before + 1
 
 
 # ----------------------------------------------------------------------
@@ -177,7 +186,7 @@ def test_cached_relation_between_matches_uncached(domain, seed):
         # derived entry; both must still agree with the ladder.
         assert cached.relation_between(a, b) is expected
         assert cached.relation_between(b, a) is reference._relation_uncached(b, a)
-    assert cached.relation_counter.hits > 0
+    assert cached.relation_counter.snapshot()["hits"] > 0
 
 
 def test_derived_predicates_match_relation_ladder():
@@ -226,7 +235,7 @@ def test_name_group_memo_returns_equal_results():
         assert _solution_view(cold) == _solution_view(warm)
         assert cold.consistent == warm.consistent
         assert cold.level == warm.level
-    assert comparator.group_counter.hits > 0
+    assert comparator.group_counter.snapshot()["hits"] > 0
 
 
 def test_name_group_memo_is_mutation_safe():

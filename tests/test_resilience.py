@@ -417,7 +417,7 @@ class TestResultCacheIntegrity:
         cache = ResultCache(capacity=4)
         cache.put("k", {"ok": True, "fingerprint": "k", "field_labels": {"c": "x"}})
         assert cache.get("k")["ok"] is True
-        assert cache.stats().corruptions == 0
+        assert cache.stats()["corruptions"] == 0
 
     def test_corrupted_entry_is_evicted_and_missed(self):
         cache = ResultCache(capacity=4)
@@ -427,8 +427,8 @@ class TestResultCacheIntegrity:
         assert cache.get("k") is None  # never served
         assert "k" not in cache
         stats = cache.stats()
-        assert stats.corruptions == 1
-        assert stats.misses >= 1
+        assert stats["corruptions"] == 1
+        assert stats["misses"] >= 1
 
     def test_recompute_after_corruption_restores_entry(self):
         cache = ResultCache(capacity=4)
@@ -461,7 +461,7 @@ class TestResultCacheIntegrity:
             cache.put(key, {"fingerprint": key})
         assert cache.get("a") is None
         assert cache.get("c")["fingerprint"] == "c"
-        assert cache.stats().evictions == 1
+        assert cache.stats()["evictions"] == 1
 
     def test_plain_lru_unchanged(self):
         cache = LRUCache(capacity=2)
@@ -625,7 +625,7 @@ class TestEngineResilience:
         # and the entry is recomputed rather than served.
         second = engine.label(payload)
         assert second["cached"] is False
-        assert engine.cache.stats().corruptions == 1
+        assert engine.cache.stats()["corruptions"] == 1
         assert canonical_response(second) == canonical_response(first)
         third = engine.label(payload)  # fault budget spent: a clean hit now
         assert third["cached"] is True

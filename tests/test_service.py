@@ -37,8 +37,8 @@ class TestLRUCache:
         cache.put("k", 1)
         assert cache.get("k") == 1
         stats = cache.stats()
-        assert (stats.hits, stats.misses) == (1, 1)
-        assert stats.hit_rate == pytest.approx(0.5)
+        assert (stats["hits"], stats["misses"]) == (1, 1)
+        assert stats["hit_rate"] == pytest.approx(0.5)
 
     def test_eviction_is_lru(self):
         cache = LRUCache(capacity=2)
@@ -49,7 +49,7 @@ class TestLRUCache:
         assert cache.get("b") is None
         assert cache.get("a") == 1
         assert cache.get("c") == 3
-        assert cache.stats().evictions == 1
+        assert cache.stats()["evictions"] == 1
         assert len(cache) == 2
 
     def test_same_key_replaces(self):
@@ -57,14 +57,14 @@ class TestLRUCache:
         cache.put("k", 1)
         cache.put("k", 2)
         assert cache.get("k") == 2
-        assert len(cache) == 1 and cache.stats().evictions == 0
+        assert len(cache) == 1 and cache.stats()["evictions"] == 0
 
     def test_zero_capacity_disables_storage(self):
         cache = LRUCache(capacity=0)
         cache.put("k", 1)
         assert cache.get("k") is None
         stats = cache.stats()
-        assert stats.misses == 1 and stats.size == 0
+        assert stats["misses"] == 1 and stats["size"] == 0
 
     def test_clear_keeps_counters(self):
         cache = LRUCache(capacity=4)
@@ -73,7 +73,7 @@ class TestLRUCache:
         cache.clear()
         assert cache.get("k") is None
         stats = cache.stats()
-        assert stats.hits == 1 and stats.size == 0
+        assert stats["hits"] == 1 and stats["size"] == 0
 
 
 class TestExecuteBatch:
