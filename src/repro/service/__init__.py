@@ -9,7 +9,7 @@ workload needs:
                  naming options) — the cache key;
 ``cache``        a thread-safe LRU result cache; :class:`ResultCache`
                  stores each entry as CRC-checked JSON bytes, so a hit is
-                 a fresh decode and a corrupted entry is evicted and
+                 those bytes and a corrupted entry is evicted and
                  recomputed, never served;
 ``engine``       :class:`LabelingEngine` — request validation, cache
                  consultation, pipeline execution, a batch executor with

@@ -8,13 +8,14 @@ concurrency the service runs with, and cheap enough that a hit costs
 microseconds against the pipeline's tens of milliseconds.
 
 :class:`ResultCache` stores each entry once, as immutable JSON bytes
-(insertion order kept) with a CRC-32 over exactly those bytes.  ``get``
-checks the CRC and decodes the bytes, so every hit is a fresh dict that
-aliases nothing the cache holds and no lookup re-serializes the entry.
-An entry whose bytes no longer match — a chaos ``corrupt`` fault, or real
-memory rot — is *evicted and reported as a miss*, so the engine
-recomputes instead of serving a silently wrong labeling.  The pipeline
-being deterministic makes that recovery exact.
+(insertion order kept, :func:`json_bytes`) with a CRC-32 over exactly
+those bytes.  ``get`` checks the CRC and returns the bytes themselves:
+the engine splices its per-request keys onto them, so a hit neither
+decodes nor re-serializes the entry, and nothing a caller holds aliases
+what the cache keeps.  An entry whose bytes no longer match — a chaos
+``corrupt`` fault, or real memory rot — is *evicted and reported as a
+miss*, so the engine recomputes instead of serving a silently wrong
+labeling.  The pipeline being deterministic makes that recovery exact.
 
 Counters (hits / misses / evictions / corruptions, one
 :class:`~repro.perf.Counters`) are part of the public contract —
@@ -31,9 +32,15 @@ from collections import OrderedDict
 
 from ..perf import Counters
 
-__all__ = ["LRUCache", "ResultCache"]
+__all__ = ["LRUCache", "ResultCache", "json_bytes"]
 
 _MISSING = object()
+
+
+def json_bytes(value) -> bytes:
+    """``value`` as compact JSON bytes, keys in insertion order: the one
+    form of a stored entry and of every server response."""
+    return json.dumps(value, separators=(",", ":")).encode("utf-8")
 
 
 class LRUCache:
@@ -104,9 +111,9 @@ class LRUCache:
 class ResultCache(LRUCache):
     """An :class:`LRUCache` of JSON values kept as checksummed bytes.
 
-    ``put`` stores ``(json bytes, crc32(bytes))``; ``get`` checks the CRC
-    under the lock and decodes the bytes outside it, a fresh dict per
-    call.  A mismatch is *eviction + miss* — a corrupted labeling is never
+    ``put`` stores ``(json bytes, crc32(bytes))`` and returns the bytes;
+    ``get`` checks the CRC under the lock and returns the stored bytes.
+    A mismatch is *eviction + miss* — a corrupted labeling is never
     served.  The ``corrupt`` method flips a stored bit; it exists for the
     chaos plan's ``cache.get``/``corrupt`` faults and the integrity tests,
     which use it to prove the read path catches exactly this.
@@ -123,16 +130,12 @@ class ResultCache(LRUCache):
         self.counters.add("corruptions")
         return _MISSING
 
-    def get(self, key: str):
-        """A fresh copy of the value cached for ``key``, or ``None``."""
-        blob = super().get(key)
-        return None if blob is None else json.loads(blob)
-
-    def put(self, key: str, value) -> None:
-        if self.capacity <= 0:
-            return
-        blob = json.dumps(value, separators=(",", ":")).encode("utf-8")
+    def put(self, key: str, value) -> bytes:
+        """Store ``value``'s :func:`json_bytes`; returns them (encoded even
+        when ``capacity <= 0`` stores nothing)."""
+        blob = json_bytes(value)
         super().put(key, (blob, zlib.crc32(blob)))
+        return blob
 
     def corrupt(self, key: str) -> bool:
         """Tamper with the stored entry for ``key`` (chaos/test hook).

@@ -15,18 +15,25 @@ deterministic, so entries never go stale — a request-key memo maps a valid
 ``{domain, seed}`` payload seen before to its fingerprint, and only a memo
 miss builds and hashes the corpus) → **dedupe** (a batch groups its items by
 fingerprint and answers each repeat from the entry its first occurrence
-returned) → **lookup** (:meth:`LabelingEngine._lookup`: the memory LRU,
-which decodes a fresh copy of its JSON bytes, then disk with promotion and
-one deep copy) → **compute** (:func:`compute`:
+returned) → **lookup** (:meth:`LabelingEngine._lookup`: the memory LRU's
+CRC-checked JSON bytes, then disk, whose hit is promoted into memory and
+served as the bytes that encoded) → **compute** (:func:`compute`:
 pipeline plus strict-mode oracles; builds the corpus if the memo skipped
-it) → **store** (:meth:`LabelingEngine._store`: memory and disk).  Lookup →
-compute → store runs inside the per-fingerprint breaker, fault scope and
-retry policy, on the calling thread or one of a batch's ``jobs`` threads.
+it) → **store** (:meth:`LabelingEngine._store`: memory and disk, encoded
+once).  Lookup → compute → store runs inside the per-fingerprint breaker,
+fault scope and retry policy, on the calling thread or one of a batch's
+``jobs`` threads.
 The executor decides only where ``compute`` runs: in that thread, or, under
 ``executor="process"``, in a worker of a process pool built for the batch
 (:class:`~repro.service.parallel.WorkerPool`).  Overlay-free requests share
 the engine's one comparator across all threads (its memos are append-only
 and thread-safe).
+
+Every answer is an entry's JSON bytes with the request's own keys
+(``cached``, ``lint``, ``resilience``, and the server's ``request_id``)
+spliced onto their end: :meth:`LabelingEngine.label_json` is what the
+server writes, and :meth:`LabelingEngine.label` is its decoded dict.  A
+hit therefore decodes nothing unless it asks for lint.
 
 :func:`execute_batch` fans thunks over threads with a per-item timeout and
 structured :class:`BatchOutcome` results: one bad corpus degrades to an
@@ -74,7 +81,7 @@ from ..schema.serialize import (
     mapping_from_dict,
     node_to_dict,
 )
-from .cache import LRUCache, ResultCache
+from .cache import LRUCache, ResultCache, json_bytes
 from .fingerprint import (
     RequestError,
     _canonical_lexicon,
@@ -561,17 +568,26 @@ def _fan_out(
     return execute_batch(runnable, jobs=jobs, timeout=timeout)
 
 
+#: Response keys that belong to one request, not to the stored entry.
+_REQUEST_KEYS = frozenset({"cached", "lint", "resilience"})
+
+
 def _entry_of(response: dict) -> dict:
     """``response`` without its per-request keys: the entry it was stored as."""
-    return {
-        k: v for k, v in response.items() if k not in ("cached", "lint", "resilience")
-    }
+    return {k: v for k, v in response.items() if k not in _REQUEST_KEYS}
+
+
+def _splice(entry: bytes, keys: dict) -> bytes:
+    """``entry``, a JSON object's bytes, with ``keys`` appended in order."""
+    if not keys:
+        return entry
+    return entry[:-1] + b"," + json_bytes(keys)[1:]
 
 
 def _entry(outcome: BatchOutcome) -> dict:
     """One batch slot: the response, or the classified error as JSON."""
     if outcome.ok:
-        return outcome.value
+        return json.loads(_splice(*outcome.value))
     entry = {
         "ok": False,
         "error": outcome.error,
@@ -698,10 +714,19 @@ class LabelingEngine:
     def label(self, payload) -> dict:
         """Execute one request payload (or prebuilt request); JSON-ready response.
 
-        Raises :class:`RequestError` on invalid payloads — batch execution
-        and the HTTP layer turn that into error entries / HTTP 400.  A
-        payload ``timeout`` is enforced by running the pipeline on a helper
-        thread and abandoning it past the deadline.
+        The decoded :meth:`label_json`.  Raises :class:`RequestError` on
+        invalid payloads — batch execution and the HTTP layer turn that
+        into error entries / HTTP 400.
+        """
+        return json.loads(self.label_json(payload))
+
+    def label_json(self, payload, request_id: str | None = None) -> bytes:
+        """Execute one request; its response as compact JSON bytes.
+
+        The stored entry's bytes with the per-request keys appended, then
+        ``request_id`` when one is given.  A payload ``timeout`` is
+        enforced by running the pipeline on a helper thread and abandoning
+        it past the deadline.
         """
         request = (
             payload
@@ -709,27 +734,35 @@ class LabelingEngine:
             else LabelingRequest.from_payload(payload, self._request_keys)
         )
         if request.timeout is None:
-            return self._label_request(request)
-        # The deadline helper thread must inherit the caller's context
-        # (active trace scope, fault scope) — ThreadPoolExecutor does not
-        # propagate contextvars on its own.
-        ctx = contextvars.copy_context()
-        outcome = execute_batch(
-            [lambda: ctx.run(self._label_request, request)],
-            jobs=1,
-            timeout=request.timeout,
-        )[0]
-        if not outcome.ok:
-            # Preserve the original type (CircuitOpenError, TransientFault,
-            # OracleError, ...) so the HTTP layer maps it faithfully.
-            raise outcome.exception
-        return outcome.value
+            entry, keys = self._label_request(request)
+        else:
+            # The deadline helper thread must inherit the caller's context
+            # (active trace scope, fault scope) — ThreadPoolExecutor does
+            # not propagate contextvars on its own.
+            ctx = contextvars.copy_context()
+            outcome = execute_batch(
+                [lambda: ctx.run(self._label_request, request)],
+                jobs=1,
+                timeout=request.timeout,
+            )[0]
+            if not outcome.ok:
+                # Preserve the original type (CircuitOpenError,
+                # TransientFault, OracleError, ...) so the HTTP layer maps
+                # it faithfully.
+                raise outcome.exception
+            entry, keys = outcome.value
+        if request_id is not None:
+            keys["request_id"] = request_id
+        return _splice(entry, keys)
 
-    def _label_request(self, request: LabelingRequest, pool=None) -> dict:
+    def _label_request(
+        self, request: LabelingRequest, pool=None
+    ) -> tuple[bytes, dict]:
         """One item, with the full resilience stack around the pipeline.
 
         Breaker check → fault scope → bounded retry → provenance; a cache
         miss computes in ``pool`` when one is given (see :meth:`_compute`).
+        Returns the entry's bytes and the keys this request adds to them.
         The ``resilience`` key is attached only when something actually
         happened (a retry or an injected fault), so fault-free responses
         stay byte-identical to those of an engine with no plan at all.
@@ -743,7 +776,7 @@ class LabelingEngine:
                 raise CircuitOpenError(request.fingerprint, breaker.retry_after())
         numbers = itertools.count(1)
 
-        def attempt() -> dict:
+        def attempt() -> tuple[bytes, dict]:
             with obs_span("engine.attempt", attempt=next(numbers)):
                 return self._label_once(request, pool)
 
@@ -753,7 +786,7 @@ class LabelingEngine:
 
         with fault_scope(self.fault_plan, request.fingerprint) as scope:
             try:
-                response, attempts = self.retry.call(
+                (entry, keys), attempts = self.retry.call(
                     attempt, key=request.fingerprint, sleep=sleep
                 )
             except Exception as exc:
@@ -767,11 +800,11 @@ class LabelingEngine:
         if breaker is not None:
             self._breaker_op(breaker, breaker.record_success)
         if attempts > 1 or events:
-            response["resilience"] = {
+            keys["resilience"] = {
                 "attempts": attempts,
                 "faults": [event.to_dict() for event in events],
             }
-        return response
+        return entry, keys
 
     @staticmethod
     def _breaker_op(breaker: CircuitBreaker, op: Callable):
@@ -783,14 +816,22 @@ class LabelingEngine:
             obs_event("breaker.transition", **{"from": before, "to": after})
         return result
 
-    def _label_once(self, request: LabelingRequest, pool=None) -> dict:
-        """Lookup, else compute and store — the unit the retry policy repeats."""
-        response = self._lookup(request)
-        if response is None:
-            self.counters.add("computations")
-            response = self._compute(request, pool)
-            self._store(request, response)
-        return response
+    def _label_once(
+        self, request: LabelingRequest, pool=None
+    ) -> tuple[bytes, dict]:
+        """Lookup, else compute and store — the unit the retry policy repeats.
+
+        The entry's bytes and the per-request keys, in the order each
+        response has: a miss's ``lint`` then ``cached``, a hit's ``cached``
+        then ``lint``.
+        """
+        entry = self._lookup(request)
+        if entry is not None:
+            return entry, self._hit(request, entry)
+        self.counters.add("computations")
+        response = self._compute(request, pool)
+        entry = self._store(request, response)
+        return entry, {k: v for k, v in response.items() if k in _REQUEST_KEYS}
 
     def _compute(self, request: LabelingRequest, pool=None) -> dict:
         """:func:`compute` here, or in a worker of ``pool`` (a
@@ -815,10 +856,12 @@ class LabelingEngine:
             parent.children.append(Span.from_dict(tree, base_s=start))
         return response
 
-    def _lookup(self, request: LabelingRequest) -> dict | None:
-        """Serve ``request`` from the cache tiers, or ``None`` on a miss.
+    def _lookup(self, request: LabelingRequest) -> bytes | None:
+        """The entry's bytes for ``request`` from the cache tiers, or
+        ``None`` on a miss.
 
-        Memory first, then disk — a disk hit is promoted into the memory LRU.
+        Memory first, then disk — a disk hit is promoted into the memory
+        LRU, and the bytes that encoded are served.
         """
         spec = maybe_inject("cache.get", key=request.fingerprint)
         if spec is not None and spec.kind == "corrupt":
@@ -826,34 +869,30 @@ class LabelingEngine:
         with obs_span("cache.lookup") as sp:
             entry, outcome = self.cache.get(request.fingerprint), "memory"
             if entry is None and self.disk is not None:
-                entry, outcome = self.disk.get(request.fingerprint), "disk"
-                if entry is not None:
-                    self.cache.put(request.fingerprint, entry)
-                    # The disk tier holds this very dict.
-                    entry = copy.deepcopy(entry)
+                stored, outcome = self.disk.get(request.fingerprint), "disk"
+                if stored is not None:
+                    entry = self.cache.put(request.fingerprint, stored)
             if entry is None:
                 outcome = "miss"
             if sp is not None:
                 sp.tags["outcome"] = outcome
-        return None if entry is None else self._hit(request, entry)
+        return entry
 
-    def _hit(self, request: LabelingRequest, response: dict) -> dict:
-        """A cached entry, shaped in place as ``request``'s hit response.
-
-        ``response`` must be a copy no cache tier holds (a memory hit
-        decodes a fresh one), so callers may mutate what they get; lint is
-        computed per request on top.
-        """
-        response["cached"] = True
+    def _hit(self, request: LabelingRequest, entry: bytes) -> dict:
+        """The keys ``request``'s hit adds to the cached ``entry``: the
+        ``cached`` flag, and lint computed per request (the one case that
+        decodes the entry)."""
+        keys: dict = {"cached": True}
         if request.include_lint:
             from ..lint import lint_node_dict
 
-            response["lint"] = _lint_findings_to_dicts(
-                lint_node_dict(response["tree"], self._comparator_for(request))
+            tree = json.loads(entry)["tree"]
+            keys["lint"] = _lint_findings_to_dicts(
+                lint_node_dict(tree, self._comparator_for(request))
             )
-        return response
+        return keys
 
-    def _store(self, request: LabelingRequest, response: dict) -> dict:
+    def _store(self, request: LabelingRequest, response: dict) -> bytes:
         """Put a fresh :func:`compute` response into memory and disk.
 
         A strict-mode oracle report is popped and tallied first; a labeling
@@ -862,7 +901,7 @@ class LabelingEngine:
         ``naming.truncated_closures``.
         The stored entry leaves out the request-specific keys (lint, the
         ``cached`` flag); retry provenance is attached only after this.
-        Returns the stored entry.
+        Returns the entry's bytes, encoded once by the memory tier.
         """
         report = response.pop("_oracle", None)
         if report is not None:
@@ -872,10 +911,10 @@ class LabelingEngine:
         truncated = len(response["stats"]["truncated_groups"])
         self.counters.add("truncated_closures", truncated)
         stored = copy.deepcopy(_entry_of(response))
-        self.cache.put(request.fingerprint, stored)
+        entry = self.cache.put(request.fingerprint, stored)
         if self.disk is not None:
             self.disk.put(request.fingerprint, stored)
-        return stored
+        return entry
 
     def _breaker_for(self, fingerprint: str) -> CircuitBreaker | None:
         if self.breaker_policy is None:
@@ -918,8 +957,9 @@ class LabelingEngine:
 
         Items are grouped by fingerprint here: the first of each group runs
         through :meth:`_label_request` on one of ``jobs`` threads, and its
-        repeats are answered ``cached: true`` from the entry it returned (or
-        share its error).  With caching disabled every item runs on its own.
+        repeats are answered ``cached: true`` spliced onto the entry bytes
+        it returned (or share its error).  With caching disabled every item
+        runs on its own.
         ``executor="process"`` only moves each miss's ``compute`` into a
         process pool built for this batch, started at the first miss with at
         most one worker per group; it stays in the threads when ``jobs <= 1``
@@ -970,13 +1010,12 @@ class LabelingEngine:
                 entries[first] = _entry(outcome)
                 failed += 0 if outcome.ok else len(rest)
                 for index in rest:
-                    entries[index] = (
-                        self._hit(
-                            requests[index], copy.deepcopy(_entry_of(outcome.value))
-                        )
-                        if outcome.ok
-                        else _entry(outcome)
-                    )
+                    if outcome.ok:
+                        entry = outcome.value[0]
+                        hit = self._hit(requests[index], entry)
+                        entries[index] = json.loads(_splice(entry, hit))
+                    else:
+                        entries[index] = _entry(outcome)
             self.counters.add("requests", len(requests) - len(groups))
             self.counters.add("errors", failed)
             return entries

@@ -20,9 +20,17 @@ Endpoints
 Every POST response (success, error, 429/503 shed alike) carries a
 ``request_id`` — honored from an ``X-Request-Id`` request header of 1-128
 visible ASCII characters, else generated — echoed both in the JSON payload
-and as an ``X-Request-Id`` response header.  A request the stdlib cannot
+and as an ``X-Request-Id`` response header.  ``POST /label`` answers with
+the bytes :meth:`~repro.service.engine.LabelingEngine.label_json` builds,
+written as they are; every other answer is encoded in the same compact
+form (:func:`~repro.service.cache.json_bytes`).  A request the server cannot
 parse (a garbled request line, an unsupported HTTP version, an oversized
-header line) gets the same JSON error shape, and its connection closes.
+header line, more than 100 header lines) gets the same JSON error shape,
+is counted in ``/metrics`` under ``other``, and its connection closes.
+
+The request line is parsed as ``http.server`` parses it; the header block
+is read by :func:`read_headers`, with ``http.client``'s limits and field
+values but without its ``email.parser`` pass.
 With tracing enabled (``tracing=True`` or a trace log configured), each
 POST runs under a request-scoped trace whose span tree lands in the LRU
 behind ``GET /trace/<id>`` and, with ``serve --trace-log DIR``, in a
@@ -58,16 +66,18 @@ import socket
 import threading
 import time
 from collections import deque
+from functools import partial
 from http import HTTPStatus
+from http.client import HTTPException, LineTooLong
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from ..obs import Trace, TraceLog, new_request_id
 from ..perf import Counters
 from ..resilience import AdmissionController
-from .cache import LRUCache
+from .cache import LRUCache, json_bytes
 from .engine import BatchOutcome, LabelingEngine, RequestError, parse_batch
 
-__all__ = ["LabelingServer", "MetricsRegistry", "PayloadTooLargeError"]
+__all__ = ["LabelingServer", "MetricsRegistry", "PayloadTooLargeError", "read_headers"]
 
 #: Seconds a connection may sit idle (waiting for its next request, or on
 #: a stalled sender mid-request) before its handler closes it.
@@ -75,6 +85,14 @@ IDLE_TIMEOUT_S = 30.0
 
 #: An ``X-Request-Id`` the server echoes: 1-128 visible ASCII characters.
 _REQUEST_ID = re.compile(r"[!-~]{1,128}")
+
+#: ``http.client``'s bounds on a header block: bytes per line, and lines
+#: (the blank line that ends the block counts as one).
+_MAX_LINE = 65536
+_MAX_HEADERS = 100
+
+#: A field name as ``email.parser`` accepts it: visible ASCII but ``:``.
+_FIELD_NAME = re.compile(r"[!-9;-~]+")
 
 #: HTTP status for each error type of :meth:`BatchOutcome.failure`.
 _ERROR_STATUS = {
@@ -97,6 +115,69 @@ class PayloadTooLargeError(RequestError):
         self.limit = limit
 
 
+class Headers(dict):
+    """A request's header fields by lower-cased name, first value of each.
+
+    ``get``, ``in`` and ``[]`` take a name in any case.
+    """
+
+    def __getitem__(self, name: str) -> str:
+        return super().__getitem__(name.lower())
+
+    def __contains__(self, name) -> bool:
+        return super().__contains__(name.lower())
+
+    def get(self, name: str, default=None):
+        return super().get(name.lower(), default)
+
+
+def read_headers(rfile) -> Headers:
+    """Read a header block from ``rfile`` through its blank line.
+
+    Reads as ``http.client.parse_headers`` does: a line longer than
+    65,536 bytes raises ``LineTooLong``, more than 100 lines raise
+    ``HTTPException``.  Each field's first value is kept, as
+    ``email.parser`` would give it: leading blanks stripped, an obs-fold
+    line joined on with one space.  A line that is not a field ends the
+    fields, as it ends ``email.parser``'s headers; a field with no name is
+    skipped.
+    """
+    lines = []
+    while True:
+        line = rfile.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise LineTooLong("header line")
+        lines.append(line)
+        if len(lines) > _MAX_HEADERS:
+            raise HTTPException(f"got more than {_MAX_HEADERS} headers")
+        if line in (b"\r\n", b"\n", b""):
+            break
+    values: dict[str, str] = {}
+    name = None  # the field an obs-fold line continues, if its value is kept
+    for raw in lines:
+        line = str(raw, "iso-8859-1").rstrip("\r\n")
+        if not line:
+            break
+        if line[0] in " \t":
+            if name is not None:
+                values[name] += " " + line.lstrip(" \t")
+            continue
+        key, colon, value = line.partition(":")
+        if not colon:
+            break
+        if not key:
+            name = None
+            continue
+        if not _FIELD_NAME.fullmatch(key):
+            break
+        name = key.lower()
+        if name in values:
+            name = None
+        else:
+            values[name] = value.lstrip(" \t")
+    return Headers(values)
+
+
 class MetricsRegistry:
     """Request counts per endpoint and status, and a latency ring buffer
     with percentiles."""
@@ -113,9 +194,14 @@ class MetricsRegistry:
         # so a reference handed out under the lock stays consistent).
         self._sorted: list[float] | None = None
 
-    def record(self, endpoint: str, status: int, elapsed_ms: float) -> None:
+    def record(
+        self, endpoint: str, status: int, elapsed_ms: float | None = None
+    ) -> None:
+        """Count one answer; its latency joins the ring when it was timed."""
         self.by_endpoint.add(endpoint)
         self.by_status.add(str(status))
+        if elapsed_ms is None:
+            return
         with self._lock:
             self._latencies.append(elapsed_ms)
             self._sorted = None
@@ -232,24 +318,105 @@ class _Handler(BaseHTTPRequestHandler):
         super().setup()
 
     def parse_request(self) -> bool:
+        """``http.server``'s request-line and version checks, then the
+        header block through :func:`read_headers`; ``Connection`` and
+        ``Expect: 100-continue`` act as they do in the stdlib."""
+        self.command = None
+        self.request_version = self.default_request_version
+        self.close_connection = True
         # A kept-alive connection gets no answer once the server stops.
         if self.server.stopping.is_set():
-            self.close_connection = True
             return False
-        return super().parse_request()
+        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        words = self.requestline.split()
+        if not words:
+            return False
+        if len(words) >= 3:
+            version = words[-1]
+            try:
+                if not version.startswith("HTTP/"):
+                    raise ValueError
+                numbers = version.split("/", 1)[1].split(".")
+                if len(numbers) != 2 or not all(
+                    n.isdigit() and len(n) <= 10 for n in numbers
+                ):
+                    raise ValueError
+                major, minor = int(numbers[0]), int(numbers[1])
+            except ValueError:
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})"
+                )
+                return False
+            if (major, minor) >= (1, 1):
+                self.close_connection = False
+            if major >= 2:
+                self.send_error(
+                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
+                    f"Invalid HTTP version ({version[5:]})",
+                )
+                return False
+            self.request_version = version
+        if not 2 <= len(words) <= 3:
+            self.send_error(
+                HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})"
+            )
+            return False
+        self.command, self.path = words[:2]
+        if len(words) == 2:
+            self.close_connection = True
+            if self.command != "GET":
+                self.send_error(
+                    HTTPStatus.BAD_REQUEST,
+                    f"Bad HTTP/0.9 request type ({self.command!r})",
+                )
+                return False
+        if self.path.startswith("//"):
+            self.path = "/" + self.path.lstrip("/")
+        try:
+            self.headers = read_headers(self.rfile)
+        except LineTooLong as err:
+            self.send_error(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long", str(err)
+            )
+            return False
+        except HTTPException as err:
+            self.send_error(
+                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers", str(err)
+            )
+            return False
+        connection = self.headers.get("Connection", "").lower()
+        if connection == "close":
+            self.close_connection = True
+        elif connection == "keep-alive":
+            self.close_connection = False
+        if (
+            self.headers.get("Expect", "").lower() == "100-continue"
+            and self.request_version >= "HTTP/1.1"
+        ):
+            return self.handle_expect_100()
+        return True
+
+    def handle_expect_100(self) -> bool:
+        # The interim answer must leave now: the client may hold the body
+        # back until it arrives, and wfile buffers until the response.
+        super().handle_expect_100()
+        self.wfile.flush()
+        return True
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if not self.server.quiet:  # pragma: no cover - operator logging
             super().log_message(format, *args)
 
     def send_error(self, code: int, message: str | None = None, explain=None) -> None:
-        """Answer a request the stdlib could not parse with the JSON error
-        shape (its status, ``Connection: close``) instead of an HTML page."""
+        """Answer a request the server could not parse with the JSON error
+        shape (its status, ``Connection: close``) instead of an HTML page,
+        counted under ``other``."""
         self.log_error("code %d, message %s", code, message)
         # An unparsed request line leaves the version at HTTP/0.9, which
         # would suppress the status line and headers.
         self.request_version = self.protocol_version
         request_id = new_request_id()
+        self.server.metrics.record("other", code)
         self._send_json(code, {
             "ok": False,
             "error": message or HTTPStatus(code).phrase,
@@ -258,16 +425,19 @@ class _Handler(BaseHTTPRequestHandler):
         }, {"X-Request-Id": request_id, "Connection": "close"})
 
     def _send_json(
-        self, status: int, payload: dict, headers: dict | None = None
+        self, status: int, payload: dict | bytes, headers: dict | None = None
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        """Answer ``payload``: JSON bytes as they are, or a dict encoded
+        compactly.  A ``HEAD`` answer carries the headers only."""
+        body = payload if isinstance(payload, bytes) else json_bytes(payload)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(body)
+        if self.command != "HEAD":
+            self.wfile.write(body)
 
     def _read_json(self):
         declared = self.headers.get("Content-Length")
@@ -334,7 +504,8 @@ class _Handler(BaseHTTPRequestHandler):
                 headers = {"Retry-After": f"{exc.retry_after:.3f}"}
         elapsed_ms = (time.perf_counter() - start) * 1000.0
         if request_id is not None:
-            payload["request_id"] = request_id
+            if isinstance(payload, dict):  # label_json's bytes carry it
+                payload["request_id"] = request_id
             headers = {**(headers or {}), "X-Request-Id": request_id}
         if trace is not None:
             trace.meta["endpoint"] = endpoint
@@ -375,7 +546,9 @@ class _Handler(BaseHTTPRequestHandler):
         given = (self.headers.get("X-Request-Id") or "").strip()
         request_id = given if _REQUEST_ID.fullmatch(given) else new_request_id()
         if self.path == "/label":
-            self._handle("/label", self._post_label, request_id=request_id)
+            self._handle(
+                "/label", partial(self._post_label, request_id), request_id=request_id
+            )
         elif self.path == "/batch":
             self._handle("/batch", self._post_batch, request_id=request_id)
         else:
@@ -403,10 +576,10 @@ class _Handler(BaseHTTPRequestHandler):
             }
         return 200, {"ok": True, "trace": record}
 
-    def _post_label(self):
+    def _post_label(self, request_id: str):
         payload = self._read_json()
         with self.server.admission.admit():
-            return 200, self.server.engine.label(payload)
+            return 200, self.server.engine.label_json(payload, request_id)
 
     def _post_batch(self):
         payloads, jobs, timeout = parse_batch(self._read_json())

@@ -6,6 +6,8 @@ server writes and when it closes — what ``http.client`` would hide.
 
 from __future__ import annotations
 
+import http.client
+import io
 import json
 import re
 import socket
@@ -13,10 +15,12 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.service.server as server_module
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import LabelingServer
+from repro.service.server import LabelingServer, read_headers
 
 GOOD_BODY = b'{"domain": "airline", "seed": 0}'
 
@@ -151,6 +155,174 @@ class TestMalformedRequestsGetJson:
         assert payload["request_id"] == headers["x-request-id"]
         # The server is fine afterwards.
         assert ServiceClient(server.url).healthz()["status"] == "ok"
+
+
+    def test_error_answers_are_counted_under_other(self):
+        requests = [
+            b"GARBAGE\r\n\r\n",
+            b"GET / HTTP/9.9\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Long: " + b"a" * 70_000 + b"\r\n\r\n",
+            b"HEAD /healthz HTTP/1.1\r\n\r\n",
+        ]
+        with LabelingServer(port=0) as server:
+            for request_bytes in requests:
+                with _connect(server) as sock:
+                    sock.sendall(request_bytes)
+                    _read_until_closed(sock)
+            http = ServiceClient(server.url).metrics()["http"]
+        assert http["by_status"] == {"400": 1, "431": 1, "501": 1, "505": 1}
+        assert http["by_endpoint"] == {"other": 4}
+        assert http["requests_total"] == 4
+        assert http["latency"]["window"] == 0  # untimed: nothing was handled
+
+    def test_head_gets_status_and_headers_only(self, server):
+        with _connect(server) as sock:
+            sock.sendall(b"HEAD /healthz HTTP/1.1\r\nHost: test\r\n\r\n")
+            raw = _read_until_closed(sock)
+        head, blank, rest = raw.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 501 ")
+        assert b"\r\nConnection: close" in head
+        assert blank and rest == b""
+
+
+# ----------------------------------------------------------------------
+# Request heads: the server reads the header block itself.
+# ----------------------------------------------------------------------
+
+
+class TestRequestHeads:
+    @pytest.mark.parametrize("lines, status", [(99, 200), (100, 431), (101, 431)])
+    def test_header_line_limit(self, server, lines, status):
+        # As in http.client, the blank line that ends the block counts too.
+        fields = b"".join(b"X-Field-%d: v\r\n" % i for i in range(lines - 1))
+        with _connect(server) as sock:
+            sock.sendall(
+                b"GET /healthz HTTP/1.1\r\n" + fields + b"Connection: close\r\n\r\n"
+            )
+            responses = _responses(_read_until_closed(sock))
+        assert [got for got, _, _ in responses] == [status]
+        if status == 431:
+            assert json.loads(responses[0][2])["error"] == "Too many headers"
+
+    @pytest.mark.parametrize(
+        "version, field, answered",
+        [
+            (b"HTTP/1.0", b"", 1),
+            (b"HTTP/1.0", b"Connection: keep-alive\r\n", 2),
+            (b"HTTP/1.1", b"", 2),
+            (b"HTTP/1.1", b"connection: Keep-Alive\r\n", 2),
+            (b"HTTP/1.1", b"Connection: close\r\n", 1),
+        ],
+        ids=["1.0", "1.0-keep-alive", "1.1", "1.1-keep-alive", "1.1-close"],
+    )
+    def test_connection_header(self, server, version, field, answered):
+        # A second request follows on the socket; it is answered only if
+        # the first one left the connection open.
+        with _connect(server) as sock:
+            sock.sendall(
+                b"GET /healthz " + version + b"\r\nHost: test\r\n" + field + b"\r\n"
+                + b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n"
+            )
+            responses = _responses(_read_until_closed(sock))
+        assert [got for got, _, _ in responses] == [200] * answered
+
+    def test_expect_100_continue_is_answered_before_the_body(self, server):
+        with _connect(server) as sock:
+            sock.sendall(
+                b"POST /label HTTP/1.1\r\nHost: test\r\nExpect: 100-continue\r\n"
+                b"Content-Length: " + str(len(GOOD_BODY)).encode() + b"\r\n\r\n"
+            )
+            interim = b""
+            try:
+                while not interim.endswith(b"\r\n\r\n"):
+                    interim += sock.recv(65536)
+            except socket.timeout:
+                pytest.fail(f"no interim answer before the body: {interim!r}")
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+            sock.sendall(GOOD_BODY)
+            sock.shutdown(socket.SHUT_WR)
+            responses = _responses(_read_until_closed(sock))
+        assert [got for got, _, _ in responses] == [200]
+        assert json.loads(responses[0][2])["ok"] is True
+
+
+# Header blocks as clients write them, plus the odd lines email.parser
+# treats specially: obs-folds, a nameless field, a line that is not a
+# field, a fold before any field.  A bare CR is left out: email.parser
+# splits lines on it, which no HTTP parser should copy; so is a line that
+# starts "From ", which it takes for an mbox envelope.
+_TCHAR = "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+_NAMES = st.one_of(
+    st.sampled_from(
+        ["Content-Length", "Connection", "Expect", "X-Request-Id", "Host", "X-A"]
+    ).flatmap(lambda name: st.sampled_from([name, name.lower(), name.upper()])),
+    st.text(_TCHAR, min_size=1, max_size=8),
+)
+_VALUES = st.text(
+    st.characters(min_codepoint=0, max_codepoint=0xFF, blacklist_characters="\r\n"),
+    max_size=12,
+)
+_EOL = st.sampled_from(["\r\n", "\n"])
+_BLANKS = st.sampled_from(["", " ", "  ", "\t"])
+_FOLD = st.builds(
+    lambda lead, value: lead + value, st.sampled_from([" ", "\t", " \t"]), _VALUES
+)
+_FIELD = st.builds(
+    lambda name, blank, value, folds: [f"{name}:{blank}{value}", *folds],
+    _NAMES, _BLANKS, _VALUES, st.lists(_FOLD, max_size=2),
+)
+_ODD = st.sampled_from(
+    [[":nameless"], ["no colon here"], ["Bad Name: v"], [" fold first"]]
+)
+_BLOCKS = st.builds(
+    lambda groups, eols, end: "".join(
+        line + eols[i % len(eols)] for i, line in enumerate(sum(groups, []))
+    ) + end,
+    st.lists(st.one_of(_FIELD, _FIELD, _FIELD, _ODD), max_size=12),
+    st.lists(_EOL, min_size=1, max_size=3),
+    _EOL,
+)
+
+
+def _email_fields(block: bytes) -> dict:
+    """``http.client.parse_headers``'s first value per lower-cased name, an
+    obs-fold joined with one space as RFC 9112 prescribes."""
+    message = http.client.parse_headers(io.BytesIO(block))
+    return {
+        name.lower(): re.sub(r"\r?\n[ \t]+", " ", message.get(name))
+        for name in message.keys()
+    }
+
+
+@settings(max_examples=400)
+@given(_BLOCKS, st.binary(max_size=8))
+def test_read_headers_matches_http_client(block, body):
+    raw = block.encode("latin-1")
+    stream = io.BytesIO(raw + body)
+    assert dict(read_headers(stream)) == _email_fields(raw)
+    assert stream.read() == body  # read through the blank line, no further
+
+
+@pytest.mark.parametrize(
+    "block, error",
+    [
+        (b"X-Long: " + b"a" * 65_536 + b"\r\n\r\n", http.client.LineTooLong),
+        (b"X: v\r\n" * 100 + b"\r\n", http.client.HTTPException),
+    ],
+    ids=["long-line", "101-lines"],
+)
+def test_read_headers_limits_match_http_client(block, error):
+    for parse in (read_headers, http.client.parse_headers):
+        with pytest.raises(error):
+            parse(io.BytesIO(block))
+
+
+def test_headers_lookup_ignores_case():
+    block = b"Content-Length: 5\r\ncontent-length: 6\r\n\r\n"
+    headers = read_headers(io.BytesIO(block))
+    assert headers.get("CONTENT-LENGTH") == headers["content-length"] == "5"
+    assert "Content-length" in headers and "X-Absent" not in headers
+    assert headers.get("X-Absent", "") == ""
 
 
 class TestRequestIdHeader:

@@ -10,6 +10,7 @@ seven seed domains.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
@@ -415,8 +416,10 @@ class TestAdmissionController:
 class TestResultCacheIntegrity:
     def test_roundtrip(self):
         cache = ResultCache(capacity=4)
-        cache.put("k", {"ok": True, "fingerprint": "k", "field_labels": {"c": "x"}})
-        assert cache.get("k")["ok"] is True
+        value = {"ok": True, "fingerprint": "k", "field_labels": {"c": "x"}}
+        stored = cache.put("k", value)
+        assert cache.get("k") == stored == b'{"ok":true,"fingerprint":"k","field_labels":{"c":"x"}}'
+        assert json.loads(cache.get("k")) == value
         assert cache.stats()["corruptions"] == 0
 
     def test_corrupted_entry_is_evicted_and_missed(self):
@@ -437,22 +440,24 @@ class TestResultCacheIntegrity:
         cache.corrupt("k")
         assert cache.get("k") is None
         cache.put("k", value)  # the engine's recompute path
-        assert cache.get("k") == value
+        assert json.loads(cache.get("k")) == value
 
     def test_every_hit_is_a_fresh_copy(self):
+        # A hit is the stored bytes: immutable, so what a caller decodes
+        # from one and then changes never reaches the cache.
         cache = ResultCache(capacity=4)
         cache.put("k", {"fingerprint": "k", "field_labels": {"c": "x"}})
-        first = cache.get("k")
+        first = json.loads(cache.get("k"))
         first["field_labels"]["c"] = "changed"
-        assert cache.get("k") == {"fingerprint": "k", "field_labels": {"c": "x"}}
-        assert cache.get("k") is not cache.get("k")
+        assert json.loads(cache.get("k")) == {"fingerprint": "k", "field_labels": {"c": "x"}}
+        assert isinstance(cache.get("k"), bytes)
 
     def test_corrupt_missing_key_is_false(self):
         assert ResultCache(capacity=4).corrupt("absent") is False
 
     def test_capacity_zero_disables(self):
         cache = ResultCache(capacity=0)
-        cache.put("k", {"ok": True})
+        assert cache.put("k", {"ok": True}) == b'{"ok":true}'
         assert cache.get("k") is None
 
     def test_lru_eviction_still_applies(self):
@@ -460,7 +465,7 @@ class TestResultCacheIntegrity:
         for key in ("a", "b", "c"):
             cache.put(key, {"fingerprint": key})
         assert cache.get("a") is None
-        assert cache.get("c")["fingerprint"] == "c"
+        assert json.loads(cache.get("c"))["fingerprint"] == "c"
         assert cache.stats()["evictions"] == 1
 
     def test_plain_lru_unchanged(self):
