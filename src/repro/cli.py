@@ -541,7 +541,8 @@ def _cmd_profile(args) -> int:
         stats = report["caches"][cache_name]
         print(
             f"  {cache_name:<18} {stats['hit_rate']:>7.1%}  "
-            f"({stats['hits']} hits / {stats['misses']} misses)"
+            f"({stats['hits']} hits / {stats['misses']} misses, "
+            f"{totals['warm_misses'][cache_name]} in warm passes)"
         )
     if args.out is not None:
         print(f"\nwrote {args.out}")

@@ -22,12 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..schema.groups import Group
-from .consistency import (
-    ConsistencyLevel,
-    Partition,
-    find_partitions,
-    partition_solutions,
-)
+from .consistency import CompiledRows, ConsistencyLevel, Partition
 from .group_relation import GroupRelation, GroupTuple
 from .label import LabelAnalyzer
 from .semantics import GROUP_CACHE_LIMIT, SemanticComparator
@@ -133,35 +128,22 @@ def rank_tuple_solutions(
     return ranked
 
 
-def _labelable_clusters(relation: GroupRelation) -> tuple[str, ...]:
-    """Clusters some source actually labels.
-
-    A cluster unlabeled on *every* source (the Real-Estate Lease-Rate case)
-    cannot receive a label by any algorithm; consistency is judged — as the
-    paper's Section 7 does — over the clusters that can be labeled, and the
-    impossible one stays null (and is charged to FldAcc, not to Def. 8).
-    """
-    return tuple(
-        c
-        for c in relation.clusters
-        if any(t.label_for(c) is not None for t in relation.tuples)
-    )
-
-
 def _solutions_at_level(
     result: GroupNamingResult,
+    compiled: CompiledRows,
     labelable: tuple[str, ...],
     level: ConsistencyLevel,
-    comparator: SemanticComparator,
     analyzer: LabelAnalyzer,
 ) -> list[GroupSolution]:
     """All ranked solutions from covering partitions at ``level`` (or [])."""
     relation = result.relation
-    partitions = find_partitions(relation, level, comparator)
-    covering = [p for p in partitions if p.covers(labelable)]
     solutions: list[GroupSolution] = []
-    for partition in covering:
-        tuple_solutions = partition_solutions(partition, labelable, comparator)
+    for rows in compiled.components(level):
+        # A partition covers the labelable clusters when it labels them all.
+        if compiled.covered(rows) != labelable:
+            continue
+        partition = compiled.partition(level, rows)
+        tuple_solutions = compiled.solutions(level, rows, labelable)
         result.truncated |= tuple_solutions.truncated
         for t, expr, freq, is_cand in rank_tuple_solutions(
             tuple_solutions.tuples, relation, analyzer
@@ -184,19 +166,17 @@ def _solutions_at_level(
 
 
 def _best_partition_solution(
-    partition: Partition,
+    compiled: CompiledRows,
+    rows: int,
     result: GroupNamingResult,
-    comparator: SemanticComparator,
     analyzer: LabelAnalyzer,
 ) -> GroupTuple | None:
-    """Best tuple-solution of ``partition`` over the clusters it covers."""
+    """Best tuple-solution of partition ``rows`` over the clusters it covers."""
     relation = result.relation
-    covered = tuple(
-        c for c in relation.clusters if c in partition.covered_clusters
-    )
+    covered = compiled.covered(rows)
     if not covered:
         return None
-    tuple_solutions = partition_solutions(partition, covered, comparator)
+    tuple_solutions = compiled.solutions(ConsistencyLevel.SYNONYMY, rows, covered)
     result.truncated |= tuple_solutions.truncated
     if not tuple_solutions.tuples:
         return None
@@ -211,15 +191,14 @@ def _best_partition_solution(
 
 def _partially_consistent(
     result: GroupNamingResult,
-    comparator: SemanticComparator,
+    compiled: CompiledRows,
     analyzer: LabelAnalyzer,
 ) -> GroupSolution:
     """Greedy concatenation of per-partition solutions (Section 4.2.2)."""
     relation = result.relation
-    partitions = find_partitions(relation, ConsistencyLevel.SYNONYMY, comparator)
     per_partition: list[GroupTuple] = []
-    for partition in partitions:
-        best = _best_partition_solution(partition, result, comparator, analyzer)
+    for rows in compiled.components(ConsistencyLevel.SYNONYMY):
+        best = _best_partition_solution(compiled, rows, result, analyzer)
         if best is not None:
             per_partition.append(best)
     per_partition.sort(
@@ -358,13 +337,21 @@ def _name_group_uncached(
         ]
         return result
 
-    labelable = _labelable_clusters(relation)
+    # One compile serves every level, every covering partition and the
+    # partially consistent fallback.  The clusters some source labels are
+    # the ones a solution can name: a cluster unlabeled on *every* source
+    # (the Real-Estate Lease-Rate case) cannot receive a label by any
+    # algorithm, so consistency is judged — as the paper's Section 7 does —
+    # over the labelable clusters, and the impossible one stays null (and is
+    # charged to FldAcc, not to Def. 8).
+    compiled = CompiledRows(relation.tuples, comparator)
+    labelable = compiled.covered(compiled.all_rows)
     if labelable:
         for level in ConsistencyLevel:
             if level > max_level:
                 break
             solutions = _solutions_at_level(
-                result, labelable, level, comparator, analyzer
+                result, compiled, labelable, level, analyzer
             )
             if solutions:
                 result.solutions = solutions
@@ -372,6 +359,6 @@ def _name_group_uncached(
                 result.level = level
                 return result
 
-    result.solutions = [_partially_consistent(result, comparator, analyzer)]
+    result.solutions = [_partially_consistent(result, compiled, analyzer)]
     result.consistent = False
     return result

@@ -22,11 +22,18 @@ described by a catalog:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import random
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
+from functools import cached_property
+from itertools import accumulate
+from types import MappingProxyType
 
 from ..schema.tree import FieldKind
 
-__all__ = ["LabelVariant", "Concept", "GroupSpec", "SuperGroupSpec", "DomainSpec"]
+__all__ = [
+    "LabelVariant", "VariantPicker", "Concept", "GroupSpec", "SuperGroupSpec", "DomainSpec",
+]
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,34 @@ class LabelVariant:
     text: str
     style: str | None = None
     weight: float = 1.0
+
+
+class VariantPicker:
+    """Weighted draws from one tuple of variants, optionally of one style.
+
+    The population and cumulative weights of every style are built once,
+    so a draw is one :meth:`random.Random.choices` call over prebuilt
+    tables — the same single ``random()`` call, and the same pick, as
+    ``choices(variants, weights=...)`` over the variants it selects.
+    """
+
+    __slots__ = ("_all", "_by_style")
+
+    def __init__(self, options: tuple[LabelVariant, ...]) -> None:
+        def table(population):
+            return population, list(accumulate(v.weight for v in population))
+
+        self._all = table(options)
+        self._by_style = {
+            v.style: table(tuple(u for u in options if u.style == v.style))
+            for v in options
+            if v.style is not None
+        }
+
+    def pick(self, rng: random.Random, style: str | None = None) -> LabelVariant:
+        """A variant of ``style`` when there is one, else any, by weight."""
+        population, cum_weights = self._by_style.get(style, self._all)
+        return rng.choices(population, cum_weights=cum_weights, k=1)[0]
 
 
 def variants(*specs) -> tuple[LabelVariant, ...]:
@@ -77,6 +112,10 @@ class Concept:
         if not self.variants:
             raise ValueError(f"concept {self.key} needs at least one label variant")
 
+    @cached_property
+    def picker(self) -> VariantPicker:
+        return VariantPicker(self.variants)
+
 
 @dataclass(frozen=True)
 class GroupSpec:
@@ -95,6 +134,32 @@ class GroupSpec:
     def cluster_names(self) -> tuple[str, ...]:
         return tuple(concept.key for concept in self.concepts)
 
+    @cached_property
+    def styles(self) -> tuple[str, ...]:
+        """The label styles the concepts' variants use, in first-use order."""
+        styles: list[str] = []
+        for concept in self.concepts:
+            for variant in concept.variants:
+                if variant.style is not None and variant.style not in styles:
+                    styles.append(variant.style)
+        return tuple(styles)
+
+    @cached_property
+    def eligible(self) -> dict[str | None, tuple[Concept, ...]]:
+        """Per style (``None`` when the group has none): the concepts an
+        interface of that style may show — all of them if none qualifies."""
+        return {
+            style: tuple(
+                c for c in self.concepts
+                if c.styles is None or (style is not None and style in c.styles)
+            ) or self.concepts
+            for style in (None, *self.styles)
+        }
+
+    @cached_property
+    def label_picker(self) -> VariantPicker:
+        return VariantPicker(self.group_labels)
+
 
 @dataclass(frozen=True)
 class SuperGroupSpec:
@@ -105,6 +170,10 @@ class SuperGroupSpec:
     labels: tuple[LabelVariant, ...] = ()
     labeled_prob: float = 0.7
     nest_prob: float = 0.8           # P(the super node materializes at all)
+
+    @cached_property
+    def label_picker(self) -> VariantPicker:
+        return VariantPicker(self.labels)
 
 
 @dataclass(frozen=True)
@@ -117,11 +186,26 @@ class DomainSpec:
     supergroups: tuple[SuperGroupSpec, ...] = ()
     root_concepts: tuple[Concept, ...] = ()
     description: str = ""
-    metadata: dict = field(default_factory=dict)
+    #: Read-only: a spec is built once per domain and shared.
+    metadata: Mapping = field(default_factory=dict)
     #: Global multiplier on concept prevalence — tunes the average number
     #: of fields per source toward the Table 6 column-2 value without
     #: re-authoring every concept.
     field_prevalence_scale: float = 1.0
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
+
+    # A mapping proxy does not pickle (process workers receive specs), so
+    # a spec travels as its fields with a plain metadata dict.
+    def __getstate__(self) -> dict:
+        state = {f.name: getattr(self, f.name) for f in fields(self)}
+        state["metadata"] = dict(self.metadata)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
 
     def group_by_key(self, key: str) -> GroupSpec:
         for group in self.groups:

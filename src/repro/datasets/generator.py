@@ -29,7 +29,7 @@ from ..merge import merge_interfaces
 from ..schema.clusters import Mapping
 from ..schema.interface import QueryInterface
 from ..schema.tree import FieldKind, SchemaNode
-from .catalog import Concept, DomainSpec, GroupSpec, LabelVariant
+from .catalog import Concept, DomainSpec, GroupSpec
 
 __all__ = ["DomainDataset", "generate_domain"]
 
@@ -60,27 +60,6 @@ class DomainDataset:
         return self._integrated
 
 
-def _pick_variant(
-    rng: random.Random, variants: tuple[LabelVariant, ...], style: str | None
-) -> LabelVariant:
-    """A variant matching ``style`` when available, else a weighted pick."""
-    if style is not None:
-        styled = [v for v in variants if v.style == style]
-        if styled:
-            variants = tuple(styled)
-    weights = [v.weight for v in variants]
-    return rng.choices(list(variants), weights=weights, k=1)[0]
-
-
-def _available_styles(group: GroupSpec) -> list[str]:
-    styles: list[str] = []
-    for concept in group.concepts:
-        for variant in concept.variants:
-            if variant.style is not None and variant.style not in styles:
-                styles.append(variant.style)
-    return styles
-
-
 def _make_field_node(
     rng: random.Random,
     concept: Concept,
@@ -94,7 +73,7 @@ def _make_field_node(
         # text boxes unlabeled (visual context carries them), not checkboxes.
         unlabeled_prob *= 0.15
     labeled = rng.random() >= unlabeled_prob
-    variant = _pick_variant(rng, concept.variants, style)
+    variant = concept.picker.pick(rng, style)
     instances: tuple[str, ...] = ()
     if concept.instances and rng.random() < concept.instance_prob:
         instances = concept.instances
@@ -137,18 +116,8 @@ def _sample_group(
             mapping.assign(concept.key, interface_name, node)
         return [node]
 
-    style: str | None = None
-    styles = _available_styles(group)
-    if styles:
-        style = rng.choice(styles)
-
-    eligible = [
-        c
-        for c in group.concepts
-        if c.styles is None or (style is not None and style in c.styles)
-    ]
-    if not eligible:
-        eligible = list(group.concepts)
+    style = rng.choice(group.styles) if group.styles else None
+    eligible = group.eligible[style]
     members = [c for c in eligible if rng.random() < c.prevalence]
     if not members:
         members = [rng.choice(eligible)]
@@ -165,7 +134,7 @@ def _sample_group(
 
     group_label = None
     if group.group_labels and rng.random() < group.labeled_prob:
-        group_label = _pick_variant(rng, group.group_labels, style).text
+        group_label = group.label_picker.pick(rng, style).text
     return [
         SchemaNode(group_label, fields, name=f"{interface_name}:{group.key}")
     ]
@@ -217,7 +186,7 @@ def _sample_interface(
         rng.shuffle(member_nodes)  # sources disagree on section order
         label = None
         if supergroup.labels and rng.random() < supergroup.labeled_prob:
-            label = _pick_variant(rng, supergroup.labels, None).text
+            label = supergroup.label_picker.pick(rng).text
         top_level.append(
             SchemaNode(
                 label, member_nodes, name=f"{interface_name}:{supergroup.key}"

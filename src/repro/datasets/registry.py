@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable
 
 from .airline import airline_spec
@@ -39,8 +40,14 @@ DOMAIN_TITLES: dict[str, str] = {
 }
 
 
+@functools.cache
 def domain_spec(name: str) -> DomainSpec:
-    """The catalog for ``name`` (raises ``KeyError`` on unknown domains)."""
+    """The catalog for ``name`` (raises ``KeyError`` on unknown domains).
+
+    Built once per name and shared: a spec is immutable, and its sampling
+    tables (see :class:`~repro.datasets.catalog.VariantPicker`) are built
+    on first use, so every later corpus of the domain reuses them.
+    """
     try:
         return DOMAINS[name]()
     except KeyError:

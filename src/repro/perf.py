@@ -83,6 +83,10 @@ def with_hit_rate(stats: dict) -> dict:
 # ----------------------------------------------------------------------
 
 
+#: The comparator memos a warm labeling must answer from entirely.
+_MEMOS = ("labels", "relations", "predicates", "group_results")
+
+
 def profile_labeling(
     domains=None,
     seed: int = 0,
@@ -100,6 +104,8 @@ def profile_labeling(
     merge + naming pipeline is measured.
 
     Returns a JSON-ready report: per-domain cold/warm latency and speedup,
+    the misses the warm passes added to each comparator memo
+    (``warm_misses``; zero when the memos carry the whole warm load),
     totals, and the comparator's final cache hit ratios.  This is exactly
     what ``repro profile -o BENCH_perf.json`` writes and what the perf
     benchmark asserts against.
@@ -115,12 +121,20 @@ def profile_labeling(
     repeats = max(1, int(repeats))
     comparator = comparator or SemanticComparator()
 
+    def misses() -> dict[str, int]:
+        return {
+            cache: stats["misses"]
+            for cache, stats in comparator.cache_stats().items()
+            if cache in _MEMOS
+        }
+
     per_domain: dict[str, dict] = {}
     total_cold = 0.0
     total_warm = 0.0
+    total_warm_misses = dict.fromkeys(_MEMOS, 0)
     for name in names:
         durations: list[float] = []
-        for __ in range(repeats + 1):
+        for run in range(repeats + 1):
             dataset = load_domain(name, seed=seed)
             start = time.perf_counter()
             label_corpus(
@@ -130,6 +144,13 @@ def profile_labeling(
                 domain=name,
             )
             durations.append(time.perf_counter() - start)
+            if run == 0:
+                after_cold = misses()
+        warm_misses = {
+            cache: count - after_cold[cache] for cache, count in misses().items()
+        }
+        for cache, count in warm_misses.items():
+            total_warm_misses[cache] += count
         cold_s = durations[0]
         warm_runs = durations[1:]
         warm_s = sum(warm_runs) / len(warm_runs)
@@ -139,6 +160,7 @@ def profile_labeling(
             "cold_ms": round(cold_s * 1000.0, 3),
             "warm_ms": round(warm_s * 1000.0, 3),
             "speedup": round(cold_s / warm_s, 2) if warm_s else 0.0,
+            "warm_misses": warm_misses,
         }
 
     totals = {
@@ -148,6 +170,7 @@ def profile_labeling(
         "warm_labelings_per_s": (
             round(len(names) / total_warm, 1) if total_warm else 0.0
         ),
+        "warm_misses": total_warm_misses,
     }
     return {
         "workload": "repeated label_corpus per domain, one shared comparator",

@@ -16,20 +16,34 @@ ever serving a result computed under different semantics.
 
 Design points:
 
-* **Append-only writes.**  A ``put`` appends one line and flushes; there
-  is no in-place mutation, so a crash mid-write can at worst leave one
-  truncated final line (which the CRC check then skips).
+* **Append-only writes.**  A ``put`` encodes its one record and appends
+  the line to the active segment through a handle the store keeps open,
+  then flushes; it globs nothing, stats nothing and re-encodes no other
+  record.  There is no in-place mutation, so a crash mid-write can at
+  worst leave one truncated final line (which the CRC check then skips;
+  the next append starts on a fresh line).
+* **Segments.**  Once the active segment holds more than ``max_bytes`` the
+  next ``put`` starts a new one, so ``max_bytes`` is the segment size.
 * **CRC-verified reads.**  Segments are read as bytes and every line is
   checked by :func:`repro.records.decode`; a damaged line (bit flip, bad
   UTF-8, truncation) is counted, reported via :meth:`stats`, and never
   served — the engine just recomputes.
-* **Compaction.**  When the live segment grows past ``max_bytes`` the
-  store rewrites one latest record per ``(e, k)`` pair into a fresh
-  segment (atomic ``os.replace``) and deletes the old ones.  Records
-  belonging to *other* engine configurations are preserved verbatim.
+* **Compaction (Bitcask's merge rule).**  The store counts its *live*
+  bytes (the latest record of each ``(e, k)`` pair) and its *dead* bytes
+  (superseded and corrupt lines).  When a ``put`` leaves the dead bytes at
+  least equal to the live ones, the store rewrites one latest record per
+  ``(e, k)`` pair into a fresh segment (fsync, atomic ``os.replace``) and
+  deletes the old ones.  Each compaction rewrites at most twice the bytes
+  put since the previous one, so its cost is amortized O(1) per ``put``;
+  distinct keys never trigger it.  The dead bytes must also fill one
+  segment (``max_bytes``), so a small store that re-puts a hot key does
+  not fsync a rewrite every other put.  Records belonging to *other*
+  engine configurations are copied verbatim.
 * **Startup load.**  The whole store is read once at construction into a
   plain dict, so a warm restart serves every previously computed corpus
-  with zero recomputation; ``load_ms`` is reported in ``/metrics``.
+  with zero recomputation; ``load_ms`` is reported in ``/metrics``.  One
+  store writes a directory at a time: the handle and byte counts are the
+  store's own.
 
 All mutating operations are lock-guarded; the engine may call ``put``
 from many batch worker threads at once.
@@ -41,6 +55,7 @@ import logging
 import os
 import threading
 import time
+import weakref
 from pathlib import Path
 
 from ..perf import Counters
@@ -68,11 +83,23 @@ class DiskCache:
         self.engine_fingerprint = engine_fingerprint
         self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
-        # Live entries for THIS engine configuration (corpus fp -> value)
-        # and the latest record per foreign (e, k) pair — carried through
-        # compaction so other configurations keep their warm starts.
+        # Live entries for THIS engine configuration (corpus fp -> value),
+        # the latest record line per foreign (e, k) pair — carried verbatim
+        # through compaction so other configurations keep their warm
+        # starts — and the byte length of every (e, k) pair's latest line.
         self._entries: dict[str, object] = {}
-        self._foreign: dict[tuple[str, str], dict] = {}
+        self._foreign: dict[tuple[str, str], bytes] = {}
+        self._sizes: dict[tuple[str, str], int] = {}
+        self._live_bytes = 0
+        self._dead_bytes = 0
+        self._size_bytes = 0
+        self._segments: list[Path] = []
+        # The active segment: its append handle (opened on the first put),
+        # its size, and whether it ends mid-line (a torn final write).
+        self._handle = None
+        self._closer = None
+        self._active_bytes = 0
+        self._torn = False
         self.counters = Counters("hits", "misses", "corrupt_records", "compactions")
         self._load_ms = 0.0
         self._load()
@@ -81,41 +108,54 @@ class DiskCache:
     # Load / read path.
     # ------------------------------------------------------------------
 
-    def _segments(self) -> list[Path]:
-        return sorted(
+    def _load(self) -> None:
+        start = time.perf_counter()
+        for segment in sorted(
             p
             for p in self.directory.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}")
             if p.is_file()
-        )
-
-    def _load(self) -> None:
-        start = time.perf_counter()
-        for segment in self._segments():
+        ):
             try:
-                lines = segment.read_bytes().split(b"\n")
+                data = segment.read_bytes()
             except OSError as exc:  # pragma: no cover - unreadable segment
                 log.warning("disk cache: cannot read %s: %s", segment, exc)
                 continue
-            for lineno, line in enumerate(lines, 1):
-                if not line.strip():
-                    continue
-                record = decode(line)
-                if not (
-                    isinstance(record, dict) and record.keys() == {"e", "k", "r"}
-                    and isinstance(record["e"], str) and isinstance(record["k"], str)
-                ):
-                    self.counters.add("corrupt_records")
-                    log.warning(
-                        "disk cache: skipping corrupt record %s:%d",
-                        segment.name,
-                        lineno,
-                    )
-                    continue
-                if record["e"] == self.engine_fingerprint:
-                    self._entries[record["k"]] = record["r"]
-                else:
-                    self._foreign[(record["e"], record["k"])] = record
+            self._segments.append(segment)
+            self._size_bytes += len(data)
+            self._active_bytes = len(data)
+            self._torn = bool(data) and not data.endswith(b"\n")
+            for lineno, line in enumerate(data.split(b"\n"), 1):
+                if line.strip():
+                    self._load_line(segment, lineno, line)
         self._load_ms = round((time.perf_counter() - start) * 1000.0, 3)
+
+    def _load_line(self, segment: Path, lineno: int, line: bytes) -> None:
+        size = len(line) + 1
+        record = decode(line)
+        if not (
+            isinstance(record, dict) and record.keys() == {"e", "k", "r"}
+            and isinstance(record["e"], str) and isinstance(record["k"], str)
+        ):
+            self.counters.add("corrupt_records")
+            self._dead_bytes += size
+            log.warning(
+                "disk cache: skipping corrupt record %s:%d", segment.name, lineno
+            )
+            return
+        if record["e"] == self.engine_fingerprint:
+            self._entries[record["k"]] = record["r"]
+        else:
+            self._foreign[(record["e"], record["k"])] = line
+        self._replace_live((record["e"], record["k"]), size)
+
+    def _replace_live(self, key: tuple[str, str], size: int) -> None:
+        """Account ``key``'s new line of ``size`` bytes; its old one dies."""
+        previous = self._sizes.get(key)
+        if previous is not None:
+            self._dead_bytes += previous
+            self._live_bytes -= previous
+        self._sizes[key] = size
+        self._live_bytes += size
 
     def get(self, key: str):
         """The stored value for ``key`` under this engine config, or ``None``.
@@ -141,41 +181,49 @@ class DiskCache:
     # Write path.
     # ------------------------------------------------------------------
 
-    def _active_segment(self) -> Path:
-        segments = self._segments()
-        if segments:
-            return segments[-1]
-        return self.directory / f"{_SEGMENT_PREFIX}00000{_SEGMENT_SUFFIX}"
-
     def _next_segment(self) -> Path:
-        segments = self._segments()
         index = 0
-        if segments:
-            stem = segments[-1].name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
+        if self._segments:
+            stem = self._segments[-1].name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
             try:
                 index = int(stem) + 1
             except ValueError:  # pragma: no cover - alien file name
-                index = len(segments)
+                index = len(self._segments)
         return self.directory / f"{_SEGMENT_PREFIX}{index:05d}{_SEGMENT_SUFFIX}"
 
     def _record(self, key: str, value) -> dict:
         return {"e": self.engine_fingerprint, "k": key, "r": value}
 
     def put(self, key: str, value) -> None:
-        """Append one record and remember it; compact past ``max_bytes``."""
-        line = encode(self._record(key, value))
+        """Append one record and remember it; compact once the dead bytes
+        reach both the live bytes and one segment (``max_bytes``)."""
+        line = (encode(self._record(key, value)) + "\n").encode("utf-8")
         with self._lock:
             self._entries[key] = value
-            segment = self._active_segment()
-            with segment.open("a", encoding="utf-8") as handle:
-                handle.write(line + "\n")
-                handle.flush()
-            try:
-                size = segment.stat().st_size
-            except OSError:  # pragma: no cover - raced deletion
-                size = 0
-            if size > self.max_bytes:
+            self._append(line)
+            self._replace_live((self.engine_fingerprint, key), len(line))
+            if self._dead_bytes and self._dead_bytes >= max(
+                self._live_bytes, self.max_bytes
+            ):
                 self._compact()
+
+    def _append(self, line: bytes) -> None:
+        """Write ``line`` to the active segment, starting a new one when
+        the active one is over ``max_bytes`` (caller holds the lock)."""
+        if not self._segments or self._active_bytes > self.max_bytes:
+            self._close_handle()
+            self._segments.append(self._next_segment())
+            self._active_bytes, self._torn = 0, False
+        if self._handle is None:
+            self._handle = self._segments[-1].open("ab")
+            self._closer = weakref.finalize(self, self._handle.close)
+        if self._torn:
+            line = b"\n" + line  # never extend a torn final line
+            self._torn = False
+        self._handle.write(line)
+        self._handle.flush()
+        self._active_bytes += len(line)
+        self._size_bytes += len(line)
 
     def _compact(self) -> None:
         """Rewrite one latest record per key into a fresh segment (atomic).
@@ -183,25 +231,42 @@ class DiskCache:
         Caller holds the lock.  The new segment is written to a temp file
         and ``os.replace``d into place before the old segments are removed,
         so a crash at any point leaves a loadable store.  Foreign records
-        re-encode to the very lines they were read from.
+        are copied as the very lines they were read from.
         """
-        old_segments = self._segments()
+        self._close_handle()
         target = self._next_segment()
         tmp = target.with_suffix(".tmp")
-        records = [self._record(key, self._entries[key]) for key in sorted(self._entries)]
-        with tmp.open("w", encoding="utf-8") as handle:
-            for record in records + list(self._foreign.values()):
-                handle.write(encode(record) + "\n")
+        size = 0
+        with tmp.open("wb") as handle:
+            for key in sorted(self._entries):
+                line = (encode(self._record(key, self._entries[key])) + "\n").encode("utf-8")
+                self._sizes[self.engine_fingerprint, key] = len(line)
+                size += handle.write(line)
+            for line in self._foreign.values():
+                size += handle.write(line + b"\n")
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, target)
-        for segment in old_segments:
-            if segment != target:
-                try:
-                    segment.unlink()
-                except OSError:  # pragma: no cover - raced deletion
-                    pass
+        for segment in self._segments:
+            try:
+                segment.unlink()
+            except OSError:  # pragma: no cover - raced deletion
+                pass
+        self._segments = [target]
+        self._live_bytes = self._size_bytes = self._active_bytes = size
+        self._dead_bytes = 0
+        self._torn = False
         self.counters.add("compactions")
+
+    def close(self) -> None:
+        """Close the active segment's handle (the next ``put`` reopens it)."""
+        with self._lock:
+            self._close_handle()
+
+    def _close_handle(self) -> None:
+        if self._handle is not None:
+            self._closer()
+            self._handle = None
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -210,17 +275,14 @@ class DiskCache:
     def stats(self) -> dict:
         """JSON-ready counters (the ``disk`` section of ``GET /metrics``)."""
         with self._lock:
-            segments = self._segments()
-            try:
-                size_bytes = sum(s.stat().st_size for s in segments)
-            except OSError:  # pragma: no cover - raced deletion
-                size_bytes = 0
             return {
                 "directory": str(self.directory),
                 "entries": len(self._entries),
                 "foreign_entries": len(self._foreign),
                 **self.counters.snapshot(),
-                "segments": len(segments),
-                "size_bytes": size_bytes,
+                "segments": len(self._segments),
+                "size_bytes": self._size_bytes,
+                "live_bytes": self._live_bytes,
+                "dead_bytes": self._dead_bytes,
                 "load_ms": self._load_ms,
             }

@@ -1077,5 +1077,8 @@ class LabelingEngine:
         return snapshot
 
     def close(self) -> None:
-        """Release cached results (symmetry with the server lifecycle)."""
+        """Release cached results and the disk tier's segment handle
+        (symmetry with the server lifecycle)."""
         self.cache.clear()
+        if self.disk is not None:
+            self.disk.close()

@@ -20,6 +20,7 @@ from repro.core.consistency import (
     tuples_consistent,
 )
 from repro.core.group_relation import GroupRelation, GroupTuple
+from repro.core.solutions import _expressiveness, name_group, rank_tuple_solutions
 from repro.datasets.registry import DOMAINS, load_domain
 from repro.schema.groups import partition_clusters
 
@@ -181,9 +182,25 @@ class TestCombineClosure:
         assert len(full) == 15
         assert len(closure) == 10
         assert _view(closure) == _view(full[:10])
-        compiled = CompiledRows(rows, ConsistencyLevel.STRING, comparator)
-        assert compiled.closure(10).truncated
-        assert not compiled.closure(16).truncated
+        compiled = CompiledRows(rows, comparator)
+        assert compiled.closure(ConsistencyLevel.STRING, limit=10).truncated
+        assert not compiled.closure(ConsistencyLevel.STRING, limit=16).truncated
+
+    def test_duplicate_rows_derive_nothing_new(self, comparator):
+        # Only the first of equal rows is paired; the others keep their
+        # place among the originals and their names never appear merged.
+        rows = [
+            row("a", "X", "Y", None),
+            row("b", "X", None, "Z"),
+            row("a2", "X", "Y", None),
+            row("c", "X", None, "W"),
+            row("b2", "X", None, "Z"),
+        ]
+        closure = combine_closure(rows, ConsistencyLevel.STRING, comparator)
+        assert _view(closure) == _view(
+            reference_combine_closure(rows, ConsistencyLevel.STRING, comparator)
+        )
+        assert not any("a2" in t.interface or "b2" in t.interface for t in closure)
 
     def test_inconsistent_rows_never_combined(self, comparator):
         rows = [row("a", "X", None, None), row("b", None, "Y", None)]
@@ -423,45 +440,71 @@ def _partition_view(partitions):
 LIMITS = (1, 2, 5, 10, CLOSURE_LIMIT)
 
 
+def _bits(mask):
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
 def assert_kernel_matches_reference(relation, comparator):
+    """One :class:`CompiledRows` per relation answers every question of the
+    ladder as the object-level reference does: the closure of all rows, the
+    partitions (all clusters and ``clusters[1:]``), and each partition's
+    closure and solutions over both projections, at every level and limit."""
     reference_combine_closure.cache_clear()
     rows = relation.tuples
+    compiled = CompiledRows(rows, comparator)
     for level in ConsistencyLevel:
-        compiled = CompiledRows(rows, level, comparator)
         for limit in LIMITS:
             expected = reference_combine_closure(rows, level, comparator, limit)
-            closure = compiled.closure(limit)
+            closure = compiled.closure(level, limit=limit)
             assert _view(closure.tuples()) == _view(expected)
             assert _view(combine_closure(rows, level, comparator, limit)) \
                 == _view(expected)
             assert closure.truncated == reference_truncated(expected, limit)
 
-        partitions = find_partitions(relation, level, comparator)
-        assert _partition_view(partitions) \
-            == _partition_view(reference_find_partitions(relation, level, comparator))
+        partitions = reference_find_partitions(relation, level, comparator)
+        assert _partition_view(compiled.partitions(level)) \
+            == _partition_view(partitions)
+        assert _partition_view(find_partitions(relation, level, comparator)) \
+            == _partition_view(partitions)
         restricted = relation.clusters[1:]
-        assert _partition_view(
-            find_partitions(relation, level, comparator, restricted)
-        ) == _partition_view(
+        expected_restricted = _partition_view(
             reference_find_partitions(relation, level, comparator, restricted)
         )
-        for partition in partitions:
+        assert _partition_view(compiled.partitions(level, restricted)) \
+            == expected_restricted
+        assert _partition_view(
+            find_partitions(relation, level, comparator, restricted)
+        ) == expected_restricted
+
+        masks = compiled.components(level)
+        assert len(masks) == len(partitions)
+        for partition, mask in zip(partitions, masks):
+            assert [rows[i] for i in _bits(mask)] == partition.tuples
             for clusters in (relation.clusters, relation.clusters[1:]):
+                projected = [
+                    t for t in (r.project(clusters) for r in partition.tuples)
+                    if t.non_null_count() > 0
+                ]
                 for limit in LIMITS:
-                    got = partition_solutions(partition, clusters, comparator, limit)
-                    assert _view(got.tuples) == _view(
+                    closure = compiled.closure(level, mask, clusters, limit)
+                    expected = (
+                        reference_combine_closure(projected, level, comparator, limit)
+                        if projected else []
+                    )
+                    assert _view(closure.tuples()) == _view(expected)
+                    truncated = bool(projected) and reference_truncated(expected, limit)
+                    assert closure.truncated == truncated
+
+                    solutions = _view(
                         reference_solutions_of_partition(
                             partition, clusters, comparator, limit
                         )
                     )
-                    projected = [
-                        t for t in (r.project(clusters) for r in partition.tuples)
-                        if t.non_null_count() > 0
-                    ]
-                    truncated = bool(projected) and reference_truncated(
-                        reference_combine_closure(projected, level, comparator, limit),
-                        limit,
-                    )
+                    got = compiled.solutions(level, mask, clusters, limit)
+                    assert _view(got.tuples) == solutions
+                    assert got.truncated == truncated
+                    got = partition_solutions(partition, clusters, comparator, limit)
+                    assert _view(got.tuples) == solutions
                     assert got.truncated == truncated
 
 
@@ -482,6 +525,9 @@ def small_relations(draw):
     clusters = tuple(f"c{k}" for k in range(width))
     cells = [st.sampled_from((*VOCABULARY[c], None)) for c in range(width)]
     label_rows = draw(st.lists(st.tuples(*cells), min_size=1, max_size=7))
+    # Sources often supply the very same row: repeat some.
+    repeats = draw(st.lists(st.sampled_from(label_rows), max_size=3))
+    label_rows += repeats
     rows = [
         GroupTuple(f"i{k}", labels, clusters)
         for k, labels in enumerate(label_rows)
@@ -511,3 +557,96 @@ def test_kernel_matches_reference_on_domain_relations(comparator, domain):
     for seed in (0, 1, 2):
         for relation in _group_relations(domain, seed):
             assert_kernel_matches_reference(relation, comparator)
+
+
+# ----------------------------------------------------------------------
+# name_group on the shared kernel against a ladder of reference_* calls.
+# ----------------------------------------------------------------------
+
+
+def _reference_solutions(partition, clusters, comparator):
+    projected = [
+        t for t in (r.project(clusters) for r in partition.tuples)
+        if t.non_null_count() > 0
+    ]
+    truncated = bool(projected) and reference_truncated(
+        reference_combine_closure(projected, partition.level, comparator),
+        CLOSURE_LIMIT,
+    )
+    return reference_solutions_of_partition(partition, clusters, comparator), truncated
+
+
+def reference_name_group(relation, comparator):
+    """Sections 4.2.1-4.2.2 as the pipeline ran them before the shared
+    kernel: one object-level partition graph per level, one closure per
+    covering partition, the synonymy partitions again for the fallback."""
+    analyzer = comparator.analyzer
+    truncated = False
+    labelable = tuple(
+        c for c in relation.clusters
+        if any(t.label_for(c) is not None for t in relation.tuples)
+    )
+    for level in ConsistencyLevel if labelable else ():
+        solutions = []
+        for partition in reference_find_partitions(relation, level, comparator):
+            if not partition.covers(labelable):
+                continue
+            tuples, cut = _reference_solutions(partition, labelable, comparator)
+            truncated |= cut
+            for t, expr, freq, is_cand in rank_tuple_solutions(tuples, relation, analyzer):
+                labels = dict.fromkeys(relation.clusters)
+                labels.update(zip(labelable, t.labels))
+                interfaces = [r.interface for r in partition.tuples]
+                solutions.append((labels, level, expr, freq, is_cand, interfaces))
+        solutions.sort(key=lambda s: (-s[2], -s[3]))
+        if solutions:
+            return True, level, truncated, solutions
+
+    per_partition = []
+    for partition in reference_find_partitions(
+        relation, ConsistencyLevel.SYNONYMY, comparator
+    ):
+        covered = tuple(c for c in relation.clusters if c in partition.covered_clusters)
+        if not covered:
+            continue
+        tuples, cut = _reference_solutions(partition, covered, comparator)
+        truncated |= cut
+        if tuples:
+            best = rank_tuple_solutions(tuples, relation, analyzer)[0][0]
+            labels = tuple(
+                best.label_for(c) if c in covered else None for c in relation.clusters
+            )
+            per_partition.append(GroupTuple(best.interface, labels, relation.clusters))
+    per_partition.sort(
+        key=lambda t: (
+            -t.non_null_count(),
+            -_expressiveness(t.labels, analyzer),
+            tuple(v or "" for v in t.key()),
+        )
+    )
+    labels = dict.fromkeys(relation.clusters)
+    for t in per_partition:
+        for cluster in relation.clusters:
+            if labels[cluster] is None:
+                labels[cluster] = t.label_for(cluster)
+    expressiveness = _expressiveness(tuple(labels.values()), analyzer)
+    return False, None, truncated, [(labels, None, expressiveness, 0, False, None)]
+
+
+def _naming_view(result):
+    return result.consistent, result.level, result.truncated, [
+        (
+            s.labels, s.level, s.expressiveness, s.frequency, s.is_candidate,
+            None if s.partition is None else [t.interface for t in s.partition.tuples],
+        )
+        for s in result.solutions
+    ]
+
+
+@pytest.mark.parametrize("domain", sorted(DOMAINS))
+def test_name_group_matches_reference_ladder(comparator, domain):
+    reference_combine_closure.cache_clear()
+    for seed in (0, 1, 2):
+        for relation in _group_relations(domain, seed):
+            assert _naming_view(name_group(relation, comparator)) \
+                == reference_name_group(relation, comparator)

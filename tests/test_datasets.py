@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 from repro.datasets import DOMAINS, domain_spec, load_all_domains, load_domain
@@ -34,6 +36,70 @@ class TestRegistry:
     def test_all_specs_validate(self):
         for name in DOMAINS:
             domain_spec(name).validate()
+
+
+#: ``corpus_fingerprint`` of every domain at seeds 0 and 1001, recorded
+#: before the sampling tables were built once per spec.  They are also the
+#: disk-cache keys of these corpora, so a change here orphans stored results.
+PINNED_FINGERPRINTS = {
+    ("airline", 0): "39cf8fb8e8564e07d246c3f3a9725d70a998b9821c292595ac0d8144b76164bd",
+    ("airline", 1001): "6b8653dc506aca6e03bf6eee260e2194d53e9d6a52be807e33f582b580d52cc1",
+    ("auto", 0): "da98e9208937263f59626cb541a6c8161da65ca8d454de82fc9709e1edce4a4b",
+    ("auto", 1001): "7448118637268c9043d738d355917bd45b5aab3b8494979efeb7e0cfa60a1f96",
+    ("book", 0): "7b086590c28171bd5472ce41fd0800df8d278527fa92d027e3a00e17ec288ded",
+    ("book", 1001): "a0ce8e5468d0e219de92814b978a22b5757abbe986f16d7e79da5572b7d72753",
+    ("job", 0): "7d3fd97417f5c80b7d8c1a156f1afc539197d7d2d56e80bcc860c9f52ee04a2c",
+    ("job", 1001): "186604db2e12ef41dc83d2c6220df65e6142f2d12aded01be4c71e2611f1c483",
+    ("realestate", 0): "fa93cb728d91b7d50c5ff7b2e9c01d3236cf751e7dec12693621fb87c53a195f",
+    ("realestate", 1001): "191f35fca1e02adb3415427221f40b14d021504169f8aafe38e99764c4eef0c7",
+    ("carrental", 0): "fbe30efcb142a3f66bd7ef346520b96d027f5e9fafee014ce6641c6f864075c7",
+    ("carrental", 1001): "abb4ed460dbf129886e7e0aca4d2cdae27fc0c5466308e585b2212f6e0cf7a63",
+    ("hotels", 0): "0764b8c2664db576aefb1be925adcf669aae73b7dee9260573f78f6cdd2e33c2",
+    ("hotels", 1001): "5aaf8def5964d87dc1f84ac45b0b5699099b6c068b22d9580e8978cc3af985ca",
+}
+
+
+@pytest.mark.parametrize("domain, seed", sorted(PINNED_FINGERPRINTS))
+def test_corpus_fingerprints_are_pinned(domain, seed):
+    from repro.service.fingerprint import corpus_fingerprint
+
+    dataset = load_domain(domain, seed=seed)
+    assert corpus_fingerprint(dataset.interfaces, dataset.mapping) \
+        == PINNED_FINGERPRINTS[domain, seed]
+
+
+class TestSharedSpecs:
+    def test_one_spec_per_domain(self):
+        for name in DOMAINS:
+            assert domain_spec(name) is domain_spec(name)
+            assert load_domain(name).spec is domain_spec(name)
+
+    def test_metadata_is_read_only(self):
+        spec = domain_spec("airline")
+        with pytest.raises(TypeError):
+            spec.metadata["note"] = "shared"
+        spec = DomainSpec("x", 1, (), metadata={"a": 1})
+        assert dict(spec.metadata) == {"a": 1}
+        copied = pickle.loads(pickle.dumps(spec))
+        assert copied == spec and dict(copied.metadata) == {"a": 1}
+        with pytest.raises(TypeError):
+            copied.metadata["a"] = 2
+
+    def test_variant_picks_match_weighted_choices(self):
+        import random
+
+        options = variants(("A", "s", 2.0), ("B", None, 0.5), ("C", "s", 1.0), ("D", "t"))
+        picker = GroupSpec("g", (Concept("c", options),)).concepts[0].picker
+        for style in (None, "s", "t", "missing"):
+            styled = options
+            if style is not None:
+                styled = tuple(v for v in options if v.style == style) or options
+            ours, theirs = random.Random(7), random.Random(7)
+            for __ in range(200):
+                expected = theirs.choices(
+                    list(styled), weights=[v.weight for v in styled], k=1
+                )[0]
+                assert picker.pick(ours, style) == expected
 
 
 class TestDeterminism:

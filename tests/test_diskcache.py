@@ -122,9 +122,120 @@ def test_records_of_the_old_layout_are_counted_then_compacted_away(tmp_path):
     cache = DiskCache(tmp_path, "engine-a", max_bytes=0)
     assert cache.get("old") is None
     assert cache.stats()["corrupt_records"] == 1
-    cache.put("new", {"value": 2})  # past max_bytes: compacts
+    cache.put("new", {"value": 2})
+    assert cache.stats()["compactions"] == 0  # dead bytes < live bytes
+    cache.put("new", {"value": 2})  # the superseded line tips the balance
+    assert cache.stats()["compactions"] == 1
     assert [decode(line)["k"] for line in _segment_lines(tmp_path)] == ["new"]
     assert DiskCache(tmp_path, "engine-a").stats()["corrupt_records"] == 0
+
+
+def test_distinct_keys_fill_segments_without_compacting(tmp_path, monkeypatch):
+    import repro.service.diskcache as diskcache
+
+    encodes = []
+    real_encode = diskcache.encode
+
+    def counting_encode(value):
+        encodes.append(value["k"])
+        return real_encode(value)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a put must not glob or stat the store")
+
+    cache = DiskCache(tmp_path, "engine-a", max_bytes=1024)
+    monkeypatch.setattr(diskcache, "encode", counting_encode)
+    monkeypatch.setattr(type(tmp_path), "glob", forbidden)
+    monkeypatch.setattr(type(tmp_path), "stat", forbidden)
+    keys = [f"key-{index:04d}" for index in range(400)]
+    for key in keys:
+        cache.put(key, {"payload": key * 4})
+    monkeypatch.undo()
+    stats = cache.stats()
+    assert stats["size_bytes"] >= 10 * 1024
+    assert stats["compactions"] == 0
+    assert stats["dead_bytes"] == 0
+    assert stats["segments"] > 1
+    assert encodes == keys  # one encode per put, no other record re-encoded
+    on_disk = sorted(tmp_path.glob("segment-*.jsonl"))
+    assert len(on_disk) == stats["segments"]
+    assert sum(p.stat().st_size for p in on_disk) == stats["size_bytes"]
+    assert all(p.stat().st_size <= 1024 + 200 for p in on_disk)
+
+
+def test_reload_reads_every_segment_and_the_later_record_wins(tmp_path):
+    cache = DiskCache(tmp_path, "engine-a", max_bytes=256)
+    for index in range(40):
+        cache.put(f"k{index}", {"first": index})
+    cache.put("k3", {"value": "later"})  # lands in a later segment
+    assert cache.stats()["segments"] > 1
+    assert cache.stats()["compactions"] == 0
+    reloaded = DiskCache(tmp_path, "engine-a", max_bytes=256)
+    assert len(reloaded) == 40
+    assert reloaded.get("k3") == {"value": "later"}
+    assert reloaded.get("k39") == {"first": 39}
+    assert reloaded.stats()["segments"] == cache.stats()["segments"]
+    assert reloaded.stats()["dead_bytes"] == cache.stats()["dead_bytes"] > 0
+
+
+def test_superseded_and_corrupt_lines_compact_to_one_segment(tmp_path):
+    DiskCache(tmp_path, "engine-b").put("foreign", {"keep": "me"})
+    cache = DiskCache(tmp_path, "engine-a", max_bytes=256)
+    latest = {}
+    for index in range(20):
+        latest[f"k{index}"] = {"value": index}
+        cache.put(f"k{index}", latest[f"k{index}"])
+    segments = sorted(tmp_path.glob("segment-*.jsonl"))
+    with segments[0].open("ab") as handle:
+        handle.write(b"{not a record}" * 10 + b"\n")
+    cache = DiskCache(tmp_path, "engine-a", max_bytes=256)
+    assert cache.stats()["corrupt_records"] == 1
+    assert cache.stats()["segments"] > 1
+    for index in range(20):  # supersede keys until half the bytes are dead
+        latest[f"k{index}"] = {"value": 100 + index}
+        cache.put(f"k{index}", latest[f"k{index}"])
+        stats = cache.stats()
+        if stats["compactions"]:
+            break
+        assert stats["dead_bytes"] < stats["live_bytes"]
+    assert stats["compactions"] == 1
+    assert stats["segments"] == 1 and stats["dead_bytes"] == 0
+    assert stats["size_bytes"] == stats["live_bytes"]
+    assert len(list(tmp_path.glob("segment-*.jsonl"))) == 1
+    records = [decode(line) for line in _segment_lines(tmp_path)]
+    assert all(records)
+    assert len({(r["e"], r["k"]) for r in records}) == len(records) == 21
+    reloaded = DiskCache(tmp_path, "engine-a")
+    assert {key: reloaded.get(key) for key in latest} == latest
+    assert reloaded.stats()["corrupt_records"] == 0
+    assert DiskCache(tmp_path, "engine-b").get("foreign") == {"keep": "me"}
+
+
+def test_a_hot_key_compacts_once_a_segment_of_bytes_is_dead(tmp_path):
+    cache = DiskCache(tmp_path, "engine-a", max_bytes=1024)
+    compactions = 0
+    for n in range(60):  # ~65-byte records: dead passes live at once
+        cache.put("hot", {"n": f"{n:02d}"})
+        stats = cache.stats()
+        if stats["compactions"] > compactions:
+            compactions = stats["compactions"]
+            assert stats["dead_bytes"] == 0 and stats["segments"] == 1
+        else:
+            assert stats["dead_bytes"] < 1024
+    assert 2 <= compactions <= 4
+    assert DiskCache(tmp_path, "engine-a").get("hot") == {"n": "59"}
+
+
+def test_append_after_a_torn_final_line_starts_a_fresh_line(tmp_path):
+    DiskCache(tmp_path, "engine-a").put("old", {"value": 1})
+    segment = sorted(tmp_path.glob("segment-*.jsonl"))[0]
+    segment.write_bytes(segment.read_bytes()[:-10])  # crash mid-write
+    cache = DiskCache(tmp_path, "engine-a")
+    assert cache.stats()["corrupt_records"] == 1
+    cache.put("new", {"value": 2})
+    reloaded = DiskCache(tmp_path, "engine-a")
+    assert reloaded.get("new") == {"value": 2}
+    assert reloaded.stats()["corrupt_records"] == 1
 
 
 def _flip(path, offset, mask):

@@ -57,7 +57,8 @@ EXPECTED_TREE = {
             "directory": None, "entries": None, "foreign_entries": None,
             "hits": None, "misses": None, "corrupt_records": None,
             "compactions": None, "hit_rate": None, "segments": None,
-            "size_bytes": None, "load_ms": None,
+            "size_bytes": None, "live_bytes": None, "dead_bytes": None,
+            "load_ms": None,
         },
     },
     "admission": {
