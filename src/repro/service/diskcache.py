@@ -30,20 +30,25 @@ Design points:
   served — the engine just recomputes.
 * **Compaction (Bitcask's merge rule).**  The store counts its *live*
   bytes (the latest record of each ``(e, k)`` pair) and its *dead* bytes
-  (superseded and corrupt lines).  When a ``put`` leaves the dead bytes at
-  least equal to the live ones, the store rewrites one latest record per
-  ``(e, k)`` pair into a fresh segment (fsync, atomic ``os.replace``) and
-  deletes the old ones.  Each compaction rewrites at most twice the bytes
-  put since the previous one, so its cost is amortized O(1) per ``put``;
-  distinct keys never trigger it.  The dead bytes must also fill one
-  segment (``max_bytes``), so a small store that re-puts a hot key does
-  not fsync a rewrite every other put.  Records belonging to *other*
-  engine configurations are copied verbatim.
+  (superseded, corrupt and blank lines); together they are the bytes of
+  its segments.  When a ``put`` leaves the dead bytes at least equal to
+  the live ones, the store re-reads the directory, rewrites one latest
+  record per ``(e, k)`` pair into a fresh segment (fsync, atomic
+  ``os.replace``) and deletes the segments it read.  Each compaction
+  rewrites at most twice the bytes put since the previous one, so its
+  cost is amortized O(1) per ``put``; distinct keys never trigger it.
+  Records belonging to *other* engine configurations are copied verbatim.
 * **Startup load.**  The whole store is read once at construction into a
   plain dict, so a warm restart serves every previously computed corpus
-  with zero recomputation; ``load_ms`` is reported in ``/metrics``.  One
-  store writes a directory at a time: the handle and byte counts are the
-  store's own.
+  with zero recomputation; ``load_ms`` is reported in ``/metrics``.
+* **Shared directories.**  Several stores (say, one per server process)
+  may share a directory.  A compaction re-reads the directory first, so
+  it keeps the records other stores appended, and names its segment after
+  the ones it found.  A store whose active segment another store's
+  compaction deleted sees it on its next ``put`` (the open file has no
+  links left), re-reads the directory and appends the record again.  A
+  record appended between another store's read and its delete can still
+  be lost; it is recomputed on its next miss.
 
 All mutating operations are lock-guarded; the engine may call ``put``
 from many batch worker threads at once.
@@ -92,7 +97,6 @@ class DiskCache:
         self._sizes: dict[tuple[str, str], int] = {}
         self._live_bytes = 0
         self._dead_bytes = 0
-        self._size_bytes = 0
         self._segments: list[Path] = []
         # The active segment: its append handle (opened on the first put),
         # its size, and whether it ends mid-line (a torn final write).
@@ -101,15 +105,21 @@ class DiskCache:
         self._active_bytes = 0
         self._torn = False
         self.counters = Counters("hits", "misses", "corrupt_records", "compactions")
-        self._load_ms = 0.0
-        self._load()
+        start = time.perf_counter()
+        self._load(report=True)
+        self._load_ms = round((time.perf_counter() - start) * 1000.0, 3)
 
     # ------------------------------------------------------------------
     # Load / read path.
     # ------------------------------------------------------------------
 
-    def _load(self) -> None:
-        start = time.perf_counter()
+    def _load(self, report: bool) -> None:
+        """Read every segment into fresh state (caller holds the lock, or
+        is ``__init__``).  Corrupt lines are counted and logged only when
+        ``report`` is set: a re-read meets the same lines again."""
+        self._entries, self._foreign, self._sizes = {}, {}, {}
+        self._live_bytes = self._dead_bytes = 0
+        self._segments, self._active_bytes, self._torn = [], 0, False
         for segment in sorted(
             p
             for p in self.directory.glob(f"{_SEGMENT_PREFIX}*{_SEGMENT_SUFFIX}")
@@ -121,26 +131,31 @@ class DiskCache:
                 log.warning("disk cache: cannot read %s: %s", segment, exc)
                 continue
             self._segments.append(segment)
-            self._size_bytes += len(data)
             self._active_bytes = len(data)
             self._torn = bool(data) and not data.endswith(b"\n")
-            for lineno, line in enumerate(data.split(b"\n"), 1):
+            lines = data.split(b"\n")
+            for lineno, line in enumerate(lines, 1):
+                # Every line but the last (torn or empty) ends in a newline.
+                size = len(line) + (lineno < len(lines))
                 if line.strip():
-                    self._load_line(segment, lineno, line)
-        self._load_ms = round((time.perf_counter() - start) * 1000.0, 3)
+                    self._load_line(segment, lineno, line, size, report)
+                else:
+                    self._dead_bytes += size
 
-    def _load_line(self, segment: Path, lineno: int, line: bytes) -> None:
-        size = len(line) + 1
+    def _load_line(
+        self, segment: Path, lineno: int, line: bytes, size: int, report: bool
+    ) -> None:
         record = decode(line)
         if not (
             isinstance(record, dict) and record.keys() == {"e", "k", "r"}
             and isinstance(record["e"], str) and isinstance(record["k"], str)
         ):
-            self.counters.add("corrupt_records")
             self._dead_bytes += size
-            log.warning(
-                "disk cache: skipping corrupt record %s:%d", segment.name, lineno
-            )
+            if report:
+                self.counters.add("corrupt_records")
+                log.warning(
+                    "disk cache: skipping corrupt record %s:%d", segment.name, lineno
+                )
             return
         if record["e"] == self.engine_fingerprint:
             self._entries[record["k"]] = record["r"]
@@ -196,15 +211,19 @@ class DiskCache:
 
     def put(self, key: str, value) -> None:
         """Append one record and remember it; compact once the dead bytes
-        reach both the live bytes and one segment (``max_bytes``)."""
+        reach the live bytes."""
         line = (encode(self._record(key, value)) + "\n").encode("utf-8")
         with self._lock:
-            self._entries[key] = value
             self._append(line)
+            if os.fstat(self._handle.fileno()).st_nlink == 0:
+                # Another store's compaction deleted the active segment:
+                # take up the directory as it left it and append again.
+                self._close_handle()
+                self._load(report=False)
+                self._append(line)
+            self._entries[key] = value
             self._replace_live((self.engine_fingerprint, key), len(line))
-            if self._dead_bytes and self._dead_bytes >= max(
-                self._live_bytes, self.max_bytes
-            ):
+            if self._dead_bytes and self._dead_bytes >= self._live_bytes:
                 self._compact()
 
     def _append(self, line: bytes) -> None:
@@ -218,22 +237,26 @@ class DiskCache:
             self._handle = self._segments[-1].open("ab")
             self._closer = weakref.finalize(self, self._handle.close)
         if self._torn:
-            line = b"\n" + line  # never extend a torn final line
+            # Never extend a torn final line: end it (a dead byte) first.
+            line = b"\n" + line
+            self._dead_bytes += 1
             self._torn = False
         self._handle.write(line)
         self._handle.flush()
         self._active_bytes += len(line)
-        self._size_bytes += len(line)
 
     def _compact(self) -> None:
         """Rewrite one latest record per key into a fresh segment (atomic).
 
-        Caller holds the lock.  The new segment is written to a temp file
-        and ``os.replace``d into place before the old segments are removed,
-        so a crash at any point leaves a loadable store.  Foreign records
-        are copied as the very lines they were read from.
+        Caller holds the lock.  The directory is re-read first, so records
+        other stores appended to it are kept and the new segment's name
+        follows every segment there.  The new segment is written to a temp
+        file and ``os.replace``d into place before the segments read are
+        removed, so a crash at any point leaves a loadable store.  Foreign
+        records are copied as the very lines they were read from.
         """
         self._close_handle()
+        self._load(report=False)
         target = self._next_segment()
         tmp = target.with_suffix(".tmp")
         size = 0
@@ -253,7 +276,7 @@ class DiskCache:
             except OSError:  # pragma: no cover - raced deletion
                 pass
         self._segments = [target]
-        self._live_bytes = self._size_bytes = self._active_bytes = size
+        self._live_bytes = self._active_bytes = size
         self._dead_bytes = 0
         self._torn = False
         self.counters.add("compactions")
@@ -281,7 +304,7 @@ class DiskCache:
                 "foreign_entries": len(self._foreign),
                 **self.counters.snapshot(),
                 "segments": len(self._segments),
-                "size_bytes": self._size_bytes,
+                "size_bytes": self._live_bytes + self._dead_bytes,
                 "live_bytes": self._live_bytes,
                 "dead_bytes": self._dead_bytes,
                 "load_ms": self._load_ms,
