@@ -27,8 +27,10 @@ workload needs:
                  queue (429 + ``Retry-After`` on overload), with
                  request-scoped tracing (:mod:`repro.obs`) and a
                  ``request_id`` echoed on every POST response;
-``client``       a keep-alive ``http.client`` client (one connection per
-                 thread) that honors the service's backpressure.
+``client``       a keep-alive HTTP/1.1 client on its own sockets (one
+                 connection per thread) that honors the service's
+                 backpressure;
+``wire``         the header-block reader server and client share.
 
 Start a server with ``python -m repro serve`` or in-process::
 

@@ -29,8 +29,8 @@ header line, more than 100 header lines) gets the same JSON error shape,
 is counted in ``/metrics`` under ``other``, and its connection closes.
 
 The request line is parsed as ``http.server`` parses it; the header block
-is read by :func:`read_headers`, with ``http.client``'s limits and field
-values but without its ``email.parser`` pass.
+is read by :func:`repro.service.wire.read_headers`, with ``http.client``'s
+limits and field values but without its ``email.parser`` pass.
 With tracing enabled (``tracing=True`` or a trace log configured), each
 POST runs under a request-scoped trace whose span tree lands in the LRU
 behind ``GET /trace/<id>`` and, with ``serve --trace-log DIR``, in a
@@ -76,8 +76,9 @@ from ..perf import Counters
 from ..resilience import AdmissionController
 from .cache import LRUCache, json_bytes
 from .engine import BatchOutcome, LabelingEngine, RequestError, parse_batch
+from .wire import read_headers
 
-__all__ = ["LabelingServer", "MetricsRegistry", "PayloadTooLargeError", "read_headers"]
+__all__ = ["LabelingServer", "MetricsRegistry", "PayloadTooLargeError"]
 
 #: Seconds a connection may sit idle (waiting for its next request, or on
 #: a stalled sender mid-request) before its handler closes it.
@@ -85,14 +86,6 @@ IDLE_TIMEOUT_S = 30.0
 
 #: An ``X-Request-Id`` the server echoes: 1-128 visible ASCII characters.
 _REQUEST_ID = re.compile(r"[!-~]{1,128}")
-
-#: ``http.client``'s bounds on a header block: bytes per line, and lines
-#: (the blank line that ends the block counts as one).
-_MAX_LINE = 65536
-_MAX_HEADERS = 100
-
-#: A field name as ``email.parser`` accepts it: visible ASCII but ``:``.
-_FIELD_NAME = re.compile(r"[!-9;-~]+")
 
 #: HTTP status for each error type of :meth:`BatchOutcome.failure`.
 _ERROR_STATUS = {
@@ -113,69 +106,6 @@ class PayloadTooLargeError(RequestError):
         )
         self.declared = declared
         self.limit = limit
-
-
-class Headers(dict):
-    """A request's header fields by lower-cased name, first value of each.
-
-    ``get``, ``in`` and ``[]`` take a name in any case.
-    """
-
-    def __getitem__(self, name: str) -> str:
-        return super().__getitem__(name.lower())
-
-    def __contains__(self, name) -> bool:
-        return super().__contains__(name.lower())
-
-    def get(self, name: str, default=None):
-        return super().get(name.lower(), default)
-
-
-def read_headers(rfile) -> Headers:
-    """Read a header block from ``rfile`` through its blank line.
-
-    Reads as ``http.client.parse_headers`` does: a line longer than
-    65,536 bytes raises ``LineTooLong``, more than 100 lines raise
-    ``HTTPException``.  Each field's first value is kept, as
-    ``email.parser`` would give it: leading blanks stripped, an obs-fold
-    line joined on with one space.  A line that is not a field ends the
-    fields, as it ends ``email.parser``'s headers; a field with no name is
-    skipped.
-    """
-    lines = []
-    while True:
-        line = rfile.readline(_MAX_LINE + 1)
-        if len(line) > _MAX_LINE:
-            raise LineTooLong("header line")
-        lines.append(line)
-        if len(lines) > _MAX_HEADERS:
-            raise HTTPException(f"got more than {_MAX_HEADERS} headers")
-        if line in (b"\r\n", b"\n", b""):
-            break
-    values: dict[str, str] = {}
-    name = None  # the field an obs-fold line continues, if its value is kept
-    for raw in lines:
-        line = str(raw, "iso-8859-1").rstrip("\r\n")
-        if not line:
-            break
-        if line[0] in " \t":
-            if name is not None:
-                values[name] += " " + line.lstrip(" \t")
-            continue
-        key, colon, value = line.partition(":")
-        if not colon:
-            break
-        if not key:
-            name = None
-            continue
-        if not _FIELD_NAME.fullmatch(key):
-            break
-        name = key.lower()
-        if name in values:
-            name = None
-        else:
-            values[name] = value.lstrip(" \t")
-    return Headers(values)
 
 
 class MetricsRegistry:

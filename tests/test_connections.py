@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import repro.service.server as server_module
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import LabelingServer, read_headers
+from repro.service.server import LabelingServer
+from repro.service.wire import read_headers
 
 GOOD_BODY = b'{"domain": "airline", "seed": 0}'
 
