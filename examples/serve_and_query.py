@@ -84,6 +84,7 @@ def main() -> None:
         cache = engine["cache"]
         print(f"cache: {cache['hits']} hit(s), {cache['misses']} miss(es), "
               f"hit rate {cache['hit_rate']:.0%}, size {cache['size']}")
+        client.close()  # release the kept-alive socket before the server stops
 
     print("\nserver stopped cleanly")
 

@@ -10,10 +10,10 @@ A record is one line of canonical JSON (sorted keys, no spaces,
 against accidental and injected damage (bit rot, torn writes, a chaos
 fault); it is not a cryptographic seal.
 
-The in-memory :class:`repro.service.cache.ResultCache` does not use these
-records.  It keeps each entry as JSON bytes in insertion order, so a hit
-keeps the response's key order, with a CRC-32 over exactly those bytes; a
-lookup checks them without serializing anything again.
+A disk-cache record carries an entry as its JSON text, a string, so the
+key sorting here never reaches it: the bytes the in-memory
+:class:`repro.service.cache.ResultCache` keeps (insertion order, CRC-32
+over exactly those bytes) come back from disk unchanged.
 
 This module imports nothing from the package, so ``repro.obs`` and
 ``repro.service`` can both use it.

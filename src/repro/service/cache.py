@@ -111,8 +111,8 @@ class LRUCache:
 class ResultCache(LRUCache):
     """An :class:`LRUCache` of JSON values kept as checksummed bytes.
 
-    ``put`` stores ``(json bytes, crc32(bytes))`` and returns the bytes;
-    ``get`` checks the CRC under the lock and returns the stored bytes.
+    ``put`` stores ``(json bytes, crc32(bytes))``; ``get`` checks the CRC
+    under the lock and returns the stored bytes.
     A mismatch is *eviction + miss* — a corrupted labeling is never
     served.  The ``corrupt`` method flips a stored bit; it exists for the
     chaos plan's ``cache.get``/``corrupt`` faults and the integrity tests,
@@ -130,12 +130,9 @@ class ResultCache(LRUCache):
         self.counters.add("corruptions")
         return _MISSING
 
-    def put(self, key: str, value) -> bytes:
-        """Store ``value``'s :func:`json_bytes`; returns them (encoded even
-        when ``capacity <= 0`` stores nothing)."""
-        blob = json_bytes(value)
+    def put(self, key: str, blob: bytes) -> None:
+        """Store an entry's JSON bytes (:func:`json_bytes`) under ``key``."""
         super().put(key, (blob, zlib.crc32(blob)))
-        return blob
 
     def corrupt(self, key: str) -> bool:
         """Tamper with the stored entry for ``key`` (chaos/test hook).

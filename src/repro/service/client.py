@@ -15,12 +15,13 @@ head is read by :func:`repro.service.wire.read_headers`, the server's own
 reader; the body is framed by ``Content-Length``, by ``Transfer-Encoding:
 chunked``, or by the close when neither is given.  Interim ``1xx``
 answers are skipped.  The socket is closed after an answer that says
-``Connection: close`` or is HTTP/1.0, and after any failure.  An
-``https://`` base URL wraps the socket with ``ssl.create_default_context()``
-for the URL's host, as ``http.client.HTTPSConnection`` does.  When the
-server has closed a kept-alive socket in the meantime (its idle timeout, a
-restart), the request fails before any response byte arrives; it is then
-sent once more on a fresh connection, and that does not count as a retry.
+``Connection: close`` or is HTTP/1.0, after any failure, when its thread
+ends, and by :meth:`ServiceClient.close`.  An ``https://`` base URL wraps
+the socket with ``ssl.create_default_context()`` for the URL's host, as
+``http.client.HTTPSConnection`` does.  When the server has closed a
+kept-alive socket in the meantime (its idle timeout, a restart), the
+request fails before any response byte arrives; it is then sent once more
+on a fresh connection, and that does not count as a retry.
 
 The client cooperates with the service's backpressure: an HTTP 429
 (admission shed) or 503 (open circuit breaker / transient exhaustion)
@@ -42,6 +43,7 @@ import socket
 import ssl
 import threading
 import time
+import weakref
 from http.client import (
     BadStatusLine,
     HTTPException,
@@ -90,7 +92,7 @@ class _Unreachable(ServiceError):
 class _Connection:
     """One thread's socket to the service and the buffered reader over it."""
 
-    __slots__ = ("sock", "rfile")
+    __slots__ = ("sock", "rfile", "__weakref__")
 
     def __init__(self) -> None:
         self.sock: socket.socket | None = None
@@ -103,6 +105,9 @@ class _Connection:
             rfile.close()
         if sock is not None:
             sock.close()
+
+    def __del__(self) -> None:  # its thread ended: release the socket
+        self.close()
 
 
 def _host_port(netloc: str, default_port: int) -> tuple[str, int, str]:
@@ -236,6 +241,9 @@ class ServiceClient:
             "Accept: application/json\r\n"
         )
         self._local = threading.local()
+        # Every thread's connection, for close(); weakly, as each closes itself.
+        self._connections: weakref.WeakSet[_Connection] = weakref.WeakSet()
+        self._connections_lock = threading.Lock()
         self.timeout = timeout
         self.retries = max(0, int(retries))
         self.backoff_s = float(backoff_s)
@@ -293,7 +301,16 @@ class ServiceClient:
         connection = getattr(self._local, "connection", None)
         if connection is None:
             connection = self._local.connection = _Connection()
+            with self._connections_lock:
+                self._connections.add(connection)
         return connection
+
+    def close(self) -> None:
+        """Close every thread's kept-alive socket (a later request opens a
+        fresh one); call it when none of this client's requests is in flight."""
+        with self._connections_lock:
+            for connection in self._connections:
+                connection.close()
 
     def _connect(self, connection: _Connection) -> None:
         try:

@@ -16,8 +16,8 @@ deterministic, so entries never go stale — a request-key memo maps a valid
 miss builds and hashes the corpus) → **dedupe** (a batch groups its items by
 fingerprint and answers each repeat from the entry its first occurrence
 returned) → **lookup** (:meth:`LabelingEngine._lookup`: the memory LRU's
-CRC-checked JSON bytes, then disk, whose hit is promoted into memory and
-served as the bytes that encoded) → **compute** (:func:`compute`:
+CRC-checked JSON bytes, then disk, whose hit is served as the bytes it
+stored and promoted into memory) → **compute** (:func:`compute`:
 pipeline plus strict-mode oracles; builds the corpus if the memo skipped
 it) → **store** (:meth:`LabelingEngine._store`: memory and disk, encoded
 once).  Lookup → compute → store runs inside the per-fingerprint breaker,
@@ -696,15 +696,11 @@ class LabelingEngine:
         """
         import hashlib
 
-        material = json.dumps(
-            {
-                "format": self.RESPONSE_FORMAT,
-                "verify": self.verify,
-                "lexicon": self.comparator.wordnet.fingerprint,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        material = canonical_json({
+            "format": self.RESPONSE_FORMAT,
+            "verify": self.verify,
+            "lexicon": self.comparator.wordnet.fingerprint,
+        })
         return hashlib.sha256(material.encode("utf-8")).hexdigest()
 
     # ------------------------------------------------------------------
@@ -860,8 +856,8 @@ class LabelingEngine:
         """The entry's bytes for ``request`` from the cache tiers, or
         ``None`` on a miss.
 
-        Memory first, then disk — a disk hit is promoted into the memory
-        LRU, and the bytes that encoded are served.
+        Memory first, then disk — a disk hit's bytes are served and put
+        into the memory LRU as they are.
         """
         spec = maybe_inject("cache.get", key=request.fingerprint)
         if spec is not None and spec.kind == "corrupt":
@@ -869,9 +865,9 @@ class LabelingEngine:
         with obs_span("cache.lookup") as sp:
             entry, outcome = self.cache.get(request.fingerprint), "memory"
             if entry is None and self.disk is not None:
-                stored, outcome = self.disk.get(request.fingerprint), "disk"
-                if stored is not None:
-                    entry = self.cache.put(request.fingerprint, stored)
+                entry, outcome = self.disk.get(request.fingerprint), "disk"
+                if entry is not None:
+                    self.cache.put(request.fingerprint, entry)
             if entry is None:
                 outcome = "miss"
             if sp is not None:
@@ -901,7 +897,7 @@ class LabelingEngine:
         ``naming.truncated_closures``.
         The stored entry leaves out the request-specific keys (lint, the
         ``cached`` flag); retry provenance is attached only after this.
-        Returns the entry's bytes, encoded once by the memory tier.
+        Returns the entry's bytes, encoded once and stored in both tiers.
         """
         report = response.pop("_oracle", None)
         if report is not None:
@@ -910,10 +906,11 @@ class LabelingEngine:
             report.raise_if_failed()
         truncated = len(response["stats"]["truncated_groups"])
         self.counters.add("truncated_closures", truncated)
-        stored = copy.deepcopy(_entry_of(response))
-        entry = self.cache.put(request.fingerprint, stored)
+        # Only httpbench/layers.py needs the copy: it times cache.copy_ms.
+        entry = json_bytes(copy.deepcopy(_entry_of(response)))
+        self.cache.put(request.fingerprint, entry)
         if self.disk is not None:
-            self.disk.put(request.fingerprint, stored)
+            self.disk.put(request.fingerprint, entry)
         return entry
 
     def _breaker_for(self, fingerprint: str) -> CircuitBreaker | None:

@@ -1,4 +1,5 @@
-"""Shared fixtures: lexicon, comparator, and the paper's worked examples."""
+"""Shared fixtures: lexicon, comparator, the paper's worked examples, and
+service clients that close their sockets."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from repro.schema.groups import Group, GroupKind
 from repro.schema.interface import QueryInterface, make_field, make_group
 from repro.schema.serialize import corpus_to_dict
 from repro.schema.tree import SchemaNode
+from repro.service.client import ServiceClient
 
 # Every property test draws the same examples on every run: no example
 # database, no deadline (a slow shared host is not a failure).
@@ -28,6 +30,20 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+@pytest.fixture
+def client_for():
+    """Make :class:`ServiceClient` objects that are closed when the test ends."""
+    made = []
+
+    def make(*args, **kwargs) -> ServiceClient:
+        made.append(ServiceClient(*args, **kwargs))
+        return made[-1]
+
+    yield make
+    for client in made:
+        client.close()
 
 
 @pytest.fixture(scope="session")

@@ -112,7 +112,7 @@ def _length_reply(payload: dict, *fields: str, status: str = "200 OK") -> bytes:
 
 
 class TestFraming:
-    def test_chunked_body_keeps_the_connection(self):
+    def test_chunked_body_keeps_the_connection(self, client_for):
         body = b'{"framing": "chunked", "n": [1, 2, 3]}'
         chunks = b"".join(
             b"%x;ext=1\r\n%s\r\n" % (len(part), part) for part in (body[:5], body[5:])
@@ -120,39 +120,39 @@ class TestFraming:
         reply = _reply("200 OK", chunks + b"0\r\nX-Trailer: t\r\n\r\n",
                        "Transfer-Encoding: chunked")
         with _raw_server(lambda conn, *_: conn.sendall(reply)) as (port, log):
-            client = ServiceClient(f"http://127.0.0.1:{port}", retries=0)
+            client = client_for(f"http://127.0.0.1:{port}", retries=0)
             assert client.healthz() == json.loads(body)
             sock = client._connection().sock
             assert client.healthz() == json.loads(body)
             assert client._connection().sock is sock
         assert log["accepted"] == 1 and len(log["requests"]) == 2
 
-    def test_close_delimited_body(self):
+    def test_close_delimited_body(self, client_for):
         def answer(conn, *_):
             conn.sendall(_reply("200 OK", b'{"framing": "close"}'))
             return False
 
         with _raw_server(answer) as (port, log):
-            client = ServiceClient(f"http://127.0.0.1:{port}", retries=0)
+            client = client_for(f"http://127.0.0.1:{port}", retries=0)
             assert client.healthz() == {"framing": "close"}
             assert client._connection().sock is None
             assert client.healthz() == {"framing": "close"}
         assert log["accepted"] == 2
 
-    def test_connection_close_then_reconnect(self):
+    def test_connection_close_then_reconnect(self, client_for):
         def answer(conn, *_):
             conn.sendall(_length_reply({"ok": True}, "Connection: close"))
             return False
 
         with _raw_server(answer) as (port, log):
-            client = ServiceClient(f"http://127.0.0.1:{port}", retries=0)
+            client = client_for(f"http://127.0.0.1:{port}", retries=0)
             assert client.healthz() == {"ok": True}
             assert client._connection().sock is None
             assert client.healthz() == {"ok": True}
             assert client.last_attempts == 1
         assert [number for number, _ in log["requests"]] == [1, 2]
 
-    def test_http_1_0_answer_closes_the_socket(self):
+    def test_http_1_0_answer_closes_the_socket(self, client_for):
         # The server leaves its end open; the client still closes its own.
         def answer(conn, *_):
             body = b'{"version": "1.0"}'
@@ -161,24 +161,24 @@ class TestFraming:
             )
 
         with _raw_server(answer) as (port, log):
-            client = ServiceClient(f"http://127.0.0.1:{port}", retries=0)
+            client = client_for(f"http://127.0.0.1:{port}", retries=0)
             assert client.healthz() == {"version": "1.0"}
             assert client._connection().sock is None
             assert client.healthz() == {"version": "1.0"}
         assert log["accepted"] == 2
 
-    def test_interim_answers_are_skipped(self):
+    def test_interim_answers_are_skipped(self, client_for):
         reply = (
             b"HTTP/1.1 100 Continue\r\n\r\n"
             b"HTTP/1.1 103 Early Hints\r\nLink: </a>; rel=preload\r\n\r\n"
             + _length_reply({"final": True}, "X-Final: yes")
         )
         with _raw_server(lambda conn, *_: conn.sendall(reply)) as (port, _):
-            client = ServiceClient(f"http://127.0.0.1:{port}", retries=0)
+            client = client_for(f"http://127.0.0.1:{port}", retries=0)
             assert client.label(domain="airline") == {"final": True}
             assert client.label(domain="airline") == {"final": True}
 
-    def test_response_dribbled_one_byte_per_write(self):
+    def test_response_dribbled_one_byte_per_write(self, client_for):
         reply = _reply(
             "200 OK", b'{"slow": "dribble"}', "Content-Length: 19", "X-Pad: abc"
         )
@@ -190,18 +190,18 @@ class TestFraming:
                 time.sleep(0.0005)
 
         with _raw_server(answer) as (port, log):
-            client = ServiceClient(f"http://127.0.0.1:{port}", retries=0)
+            client = client_for(f"http://127.0.0.1:{port}", retries=0)
             assert client.healthz() == {"slow": "dribble"}
             assert client.healthz() == {"slow": "dribble"}
         assert log["accepted"] == 1
 
-    def test_body_shorter_than_its_length_is_status_zero(self):
+    def test_body_shorter_than_its_length_is_status_zero(self, client_for):
         def answer(conn, *_):
             conn.sendall(_reply("200 OK", b'{"cut": ', "Content-Length: 50"))
             return False
 
         with _raw_server(answer) as (port, log):
-            client = ServiceClient(f"http://127.0.0.1:{port}", retries=2)
+            client = client_for(f"http://127.0.0.1:{port}", retries=2)
             with pytest.raises(ServiceError) as excinfo:
                 client.healthz()
             assert excinfo.value.status == 0
@@ -210,11 +210,11 @@ class TestFraming:
             assert client.last_attempts == 1
         assert len(log["requests"]) == 1
 
-    def test_more_than_100_header_lines_is_status_zero(self):
+    def test_more_than_100_header_lines_is_status_zero(self, client_for):
         fields = [f"X-Field-{i}: v" for i in range(101)]
         reply = _reply("200 OK", b"{}", "Content-Length: 2", *fields)
         with _raw_server(lambda conn, *_: conn.sendall(reply)) as (port, _):
-            client = ServiceClient(f"http://127.0.0.1:{port}", retries=0)
+            client = client_for(f"http://127.0.0.1:{port}", retries=0)
             with pytest.raises(ServiceError) as excinfo:
                 client.healthz()
             assert excinfo.value.status == 0
@@ -227,13 +227,13 @@ class TestFraming:
          b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\nzz\r\n"],
         ids=["status", "protocol", "version", "chunk-size"],
     )
-    def test_malformed_response_is_status_zero(self, reply):
+    def test_malformed_response_is_status_zero(self, reply, client_for):
         def answer(conn, *_):
             conn.sendall(reply)
             return False
 
         with _raw_server(answer) as (port, log):
-            client = ServiceClient(f"http://127.0.0.1:{port}", retries=2)
+            client = client_for(f"http://127.0.0.1:{port}", retries=2)
             with pytest.raises(ServiceError) as excinfo:
                 client.healthz()
             assert excinfo.value.status == 0
@@ -246,9 +246,9 @@ class TestFraming:
 
 
 class TestRequests:
-    def test_request_is_one_write_under_a_base_path(self):
+    def test_request_is_one_write_under_a_base_path(self, client_for):
         with _raw_server(lambda conn, *_: conn.sendall(_length_reply({}))) as (port, log):
-            client = ServiceClient(f"http://127.0.0.1:{port}/prefix/", retries=0)
+            client = client_for(f"http://127.0.0.1:{port}/prefix/", retries=0)
             client.label(domain="airline", request_id="rid-1")
             client.metrics()
         (_, post), (_, get) = log["requests"]
@@ -288,9 +288,9 @@ class TestRequests:
         with pytest.raises(ValueError, match="nonnumeric port"):
             ServiceClient("http://example.com:abc")
 
-    def test_invalid_target_is_not_sent(self):
+    def test_invalid_target_is_not_sent(self, client_for):
         with _raw_server(lambda conn, *_: conn.sendall(_length_reply({}))) as (port, log):
-            client = ServiceClient(f"http://127.0.0.1:{port}", retries=2)
+            client = client_for(f"http://127.0.0.1:{port}", retries=2)
             with pytest.raises(ServiceError) as excinfo:
                 client.trace("two words")
             assert excinfo.value.status == 0
@@ -304,14 +304,14 @@ class TestRequests:
 # ----------------------------------------------------------------------
 
 
-def test_read_timeout_is_not_resent():
+def test_read_timeout_is_not_resent(client_for):
     # The server accepts and reads the request, and never answers.
     def answer(conn, *_):
         time.sleep(5)
         return False
 
     with _raw_server(answer) as (port, log):
-        client = ServiceClient(
+        client = client_for(
             f"http://127.0.0.1:{port}", timeout=0.3, retries=2, backoff_s=0.01
         )
         start = time.monotonic()
@@ -324,18 +324,18 @@ def test_read_timeout_is_not_resent():
         assert len(log["requests"]) == 1
 
 
-def test_non_json_success_is_not_resent():
+def test_non_json_success_is_not_resent(client_for):
     with _raw_server(
         lambda conn, *_: conn.sendall(_reply("200 OK", b"<html/>", "Content-Length: 7"))
     ) as (port, log):
-        client = ServiceClient(f"http://127.0.0.1:{port}", retries=2, backoff_s=0.01)
+        client = client_for(f"http://127.0.0.1:{port}", retries=2, backoff_s=0.01)
         with pytest.raises(ServiceError, match="not valid JSON"):
             client.healthz()
         assert client.last_attempts == 1
     assert len(log["requests"]) == 1
 
 
-def test_last_attempts_is_kept_per_thread():
+def test_last_attempts_is_kept_per_thread(client_for):
     # Thread A's path is shed twice; thread B's call lands between A's
     # attempts, and each thread reads its own count afterwards.
     a_shed = threading.Event()
@@ -355,7 +355,7 @@ def test_last_attempts_is_kept_per_thread():
 
     got = {}
     with _raw_server(answer) as (port, log):
-        client = ServiceClient(f"http://127.0.0.1:{port}", retries=2)
+        client = client_for(f"http://127.0.0.1:{port}", retries=2)
 
         def thread_a():
             got["a_response"] = client.request("GET", "/a")
@@ -401,7 +401,7 @@ def certificate(tmp_path_factory):
     return cert, key
 
 
-def test_https_url_speaks_tls_to_the_url_host(certificate, monkeypatch):
+def test_https_url_speaks_tls_to_the_url_host(certificate, monkeypatch, client_for):
     cert, key = certificate
     server_context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
     server_context.load_cert_chain(cert, key)
@@ -419,14 +419,14 @@ def test_https_url_speaks_tls_to_the_url_host(certificate, monkeypatch):
     wrap = lambda conn: server_context.wrap_socket(conn, server_side=True)  # noqa: E731
     with _raw_server(lambda conn, *_: conn.sendall(_length_reply({"tls": True})),
                      wrap=wrap) as (port, log):
-        client = ServiceClient(f"https://localhost:{port}", retries=0)
+        client = client_for(f"https://localhost:{port}", retries=0)
         assert client.healthz() == {"tls": True}
         assert isinstance(client._connection().sock, ssl.SSLSocket)
         assert client.healthz() == {"tls": True}
         assert made and made[0].check_hostname
         client._connection().close()
         # Verified against the URL's host: another name fails the handshake.
-        other = ServiceClient(f"https://127.0.0.1:{port}", retries=0)
+        other = client_for(f"https://127.0.0.1:{port}", retries=0)
         with pytest.raises(ServiceError) as excinfo:
             other.healthz()
         assert excinfo.value.status == 0
@@ -476,7 +476,7 @@ def _client_outcome(port: int) -> tuple:
         return ("error", exc.status, exc.payload,
                 getattr(exc, "retry_after_header", None))
     finally:
-        client._connection().close()
+        client.close()
 
 
 _JSON = st.recursive(

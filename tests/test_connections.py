@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.service.server as server_module
-from repro.service.client import ServiceClient, ServiceError
+from repro.service.client import ServiceError
 from repro.service.server import LabelingServer
 from repro.service.wire import read_headers
 
@@ -92,7 +92,9 @@ class TestUnreadBodyClosesTheConnection:
         [("banana", 400), ("-3", 400), (str(64 * 1024 * 1024), 413)],
         ids=["garbage-length", "negative-length", "oversized-length"],
     )
-    def test_bad_length_then_good_request_on_one_socket(self, server, length, status):
+    def test_bad_length_then_good_request_on_one_socket(
+        self, server, length, status, client_for
+    ):
         # Before, the unread body was parsed as the next request line: the
         # stdlib answered it with an HTML 400 and dropped the good request.
         with _connect(server) as sock:
@@ -104,7 +106,7 @@ class TestUnreadBodyClosesTheConnection:
         assert headers["connection"] == "close"
         assert json.loads(body)["ok"] is False
         # The server is fine: a new connection gets the good request answered.
-        assert ServiceClient(server.url).label(domain="airline")["ok"]
+        assert client_for(server.url).label(domain="airline")["ok"]
 
     def test_truncated_body_is_400_and_closes(self, server):
         with _connect(server) as sock:
@@ -140,7 +142,9 @@ class TestMalformedRequestsGetJson:
         ],
         ids=["garbled-request-line", "http-9.9", "long-header-line"],
     )
-    def test_stdlib_errors_use_the_json_error_shape(self, server, request_bytes, status):
+    def test_stdlib_errors_use_the_json_error_shape(
+        self, server, request_bytes, status, client_for
+    ):
         with _connect(server) as sock:
             sock.sendall(request_bytes)
             responses = _responses(_read_until_closed(sock))
@@ -155,10 +159,10 @@ class TestMalformedRequestsGetJson:
         assert payload["error_type"] == "invalid_request"
         assert payload["request_id"] == headers["x-request-id"]
         # The server is fine afterwards.
-        assert ServiceClient(server.url).healthz()["status"] == "ok"
+        assert client_for(server.url).healthz()["status"] == "ok"
 
 
-    def test_error_answers_are_counted_under_other(self):
+    def test_error_answers_are_counted_under_other(self, client_for):
         requests = [
             b"GARBAGE\r\n\r\n",
             b"GET / HTTP/9.9\r\n\r\n",
@@ -170,7 +174,7 @@ class TestMalformedRequestsGetJson:
                 with _connect(server) as sock:
                     sock.sendall(request_bytes)
                     _read_until_closed(sock)
-            http = ServiceClient(server.url).metrics()["http"]
+            http = client_for(server.url).metrics()["http"]
         assert http["by_status"] == {"400": 1, "431": 1, "501": 1, "505": 1}
         assert http["by_endpoint"] == {"other": 4}
         assert http["requests_total"] == 4
@@ -399,8 +403,8 @@ def test_idle_timeout_closes_a_stalled_sender(monkeypatch, server):
 
 
 class TestClientConnections:
-    def test_one_threads_calls_reuse_one_connection(self, server):
-        client = ServiceClient(server.url)
+    def test_one_threads_calls_reuse_one_connection(self, server, client_for):
+        client = client_for(server.url)
         client.healthz()
         sock = client._connection().sock
         for _ in range(5):
@@ -415,9 +419,40 @@ class TestClientConnections:
         thread.join()
         assert other["sock"] is not None and other["sock"] is not sock
 
-    def test_server_idle_close_is_healed_transparently(self, monkeypatch, server):
+    def test_close_ends_every_threads_connection(self, server, client_for):
+        client = client_for(server.url)
+        client.healthz()
+        socks = [client._connection().sock]
+        called, done = threading.Event(), threading.Event()
+
+        def other_thread():  # stays alive, connection open, until done
+            client.healthz()
+            socks.append(client._connection().sock)
+            called.set()
+            done.wait(10)
+
+        thread = threading.Thread(target=other_thread)
+        thread.start()
+        try:
+            assert called.wait(10)
+            assert len(server._httpd._connections) == 2
+            client.close()
+            assert all(sock.fileno() == -1 for sock in socks)
+            # The server's handlers see the close and end at once, not at
+            # the idle timeout.
+            deadline = time.monotonic() + 5.0
+            while server._httpd._connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not server._httpd._connections
+        finally:
+            done.set()
+            thread.join()
+        assert client.healthz()["status"] == "ok"  # on a fresh socket
+        assert client._connection().sock not in socks
+
+    def test_server_idle_close_is_healed_transparently(self, monkeypatch, server, client_for):
         monkeypatch.setattr(server_module, "IDLE_TIMEOUT_S", 0.2)
-        client = ServiceClient(server.url, retries=0)
+        client = client_for(server.url, retries=0)
         client.healthz()
         stale = client._connection().sock
         time.sleep(0.6)  # the server closes the idle connection
@@ -425,19 +460,19 @@ class TestClientConnections:
         assert client.last_attempts == 1
         assert client._connection().sock is not stale
 
-    def test_kept_alive_round_trips_do_not_wait_on_delayed_acks(self, server):
+    def test_kept_alive_round_trips_do_not_wait_on_delayed_acks(self, server, client_for):
         # Headers and body sent apart stall each response ~40 ms behind the
         # client's delayed ACK (Nagle); 20 hits would then take >= 0.8 s.
-        client = ServiceClient(server.url)
+        client = client_for(server.url)
         client.label(domain="hotels")
         start = time.perf_counter()
         for _ in range(20):
             assert client.label(domain="hotels")["cached"] is True
         assert time.perf_counter() - start < 20 * 0.040 / 2
 
-    def test_stopped_server_is_a_connection_error(self):
+    def test_stopped_server_is_a_connection_error(self, client_for):
         server = LabelingServer(port=0, cache_size=4).start()
-        client = ServiceClient(server.url, retries=0)
+        client = client_for(server.url, retries=0)
         client.healthz()
         server.stop()
         with pytest.raises(ServiceError) as excinfo:

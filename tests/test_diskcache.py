@@ -12,7 +12,8 @@ import json
 
 import pytest
 
-from repro.records import decode
+from repro.records import decode, encode
+from repro.service.cache import json_bytes
 from repro.service.diskcache import DiskCache
 from repro.service.engine import LabelingEngine
 from repro.service.server import LabelingServer
@@ -33,9 +34,8 @@ def _segment_lines(directory):
 def test_put_get_roundtrip_and_counters(tmp_path):
     cache = DiskCache(tmp_path, "engine-a")
     assert cache.get("k1") is None
-    cache.put("k1", {"answer": 42})
-    assert cache.get("k1") == {"answer": 42}
-    assert "k1" in cache and len(cache) == 1
+    cache.put("k1", b'{"answer":42}')
+    assert cache.get("k1") == b'{"answer":42}'
     stats = cache.stats()
     assert stats["hits"] == 1 and stats["misses"] == 1
     assert stats["entries"] == 1 and stats["segments"] == 1
@@ -44,59 +44,59 @@ def test_put_get_roundtrip_and_counters(tmp_path):
 def test_reload_survives_restart(tmp_path):
     first = DiskCache(tmp_path, "engine-a")
     for index in range(5):
-        first.put(f"k{index}", {"value": index})
+        first.put(f"k{index}", json_bytes({"value": index}))
     second = DiskCache(tmp_path, "engine-a")
-    assert len(second) == 5
-    assert second.get("k3") == {"value": 3}
+    assert second.stats()["entries"] == 5
+    assert second.get("k3") == b'{"value":3}'
     assert second.stats()["load_ms"] >= 0
 
 
 def test_last_write_wins_on_reload(tmp_path):
     cache = DiskCache(tmp_path, "engine-a")
-    cache.put("k", {"value": "old"})
-    cache.put("k", {"value": "new"})
-    assert DiskCache(tmp_path, "engine-a").get("k") == {"value": "new"}
+    cache.put("k", b'{"value":"old"}')
+    cache.put("k", b'{"value":"new"}')
+    assert DiskCache(tmp_path, "engine-a").get("k") == b'{"value":"new"}'
 
 
 def test_engine_fingerprint_partitions_entries(tmp_path):
-    DiskCache(tmp_path, "engine-a").put("k", {"from": "a"})
+    DiskCache(tmp_path, "engine-a").put("k", b'{"from":"a"}')
     cache_b = DiskCache(tmp_path, "engine-b")
     assert cache_b.get("k") is None  # other config's entry is invisible...
     assert cache_b.stats()["foreign_entries"] == 1  # ...but not lost
-    cache_b.put("k", {"from": "b"})
+    cache_b.put("k", b'{"from":"b"}')
     # Each config reads back its own value from the shared directory.
-    assert DiskCache(tmp_path, "engine-a").get("k") == {"from": "a"}
-    assert DiskCache(tmp_path, "engine-b").get("k") == {"from": "b"}
+    assert DiskCache(tmp_path, "engine-a").get("k") == b'{"from":"a"}'
+    assert DiskCache(tmp_path, "engine-b").get("k") == b'{"from":"b"}'
 
 
 def test_corrupt_records_skipped_and_counted(tmp_path, caplog):
     cache = DiskCache(tmp_path, "engine-a")
-    cache.put("good", {"value": 1})
-    cache.put("bad", {"value": 2})
+    cache.put("good", b'{"value":1}')
+    cache.put("bad", b'{"value":2}')
     segment = sorted(tmp_path.glob("segment-*.jsonl"))[0]
     lines = segment.read_text().splitlines()
     tampered = json.loads(lines[1])
-    tampered["v"]["r"]["value"] = 999  # flip the payload, keep the stale CRC
+    tampered["v"]["r"] = '{"value":999}'  # flip the payload, keep the stale CRC
     lines[1] = json.dumps(tampered, sort_keys=True, separators=(",", ":"))
     lines.append("{truncated mid-wri")  # crash-torn final line
     segment.write_text("\n".join(lines) + "\n")
 
     with caplog.at_level("WARNING", logger="repro.service.diskcache"):
         reloaded = DiskCache(tmp_path, "engine-a")
-    assert reloaded.get("good") == {"value": 1}
+    assert reloaded.get("good") == b'{"value":1}'
     assert reloaded.get("bad") is None  # never served corrupt
     assert reloaded.stats()["corrupt_records"] == 2
     assert sum("corrupt record" in r.message for r in caplog.records) == 2
 
 
 def test_compaction_rewrites_one_record_per_key(tmp_path):
-    DiskCache(tmp_path, "engine-b").put("foreign", {"keep": "me"})
+    DiskCache(tmp_path, "engine-b").put("foreign", b'{"keep":"me"}')
     cache_a = DiskCache(tmp_path, "engine-a", max_bytes=512)
     latest, compactions = {}, 0
     for round_index in range(30):
         for key in ("hot-key", f"key-{round_index % 3}"):
-            cache_a.put(key, {"round": round_index})
-            latest[key] = {"round": round_index}
+            cache_a.put(key, json_bytes({"round": round_index}))
+            latest[key] = json_bytes({"round": round_index}).decode()
             stats = cache_a.stats()
             if stats["compactions"] == compactions:
                 continue
@@ -111,23 +111,32 @@ def test_compaction_rewrites_one_record_per_key(tmp_path):
             assert ("engine-b", "foreign") in keys
     assert compactions >= 1
     reloaded = DiskCache(tmp_path, "engine-a")
-    assert reloaded.get("hot-key") == {"round": 29}
-    assert DiskCache(tmp_path, "engine-b").get("foreign") == {"keep": "me"}
+    assert reloaded.get("hot-key") == b'{"round":29}'
+    assert DiskCache(tmp_path, "engine-b").get("foreign") == b'{"keep":"me"}'
 
 
 def test_records_of_the_old_layout_are_counted_then_compacted_away(tmp_path):
-    # Before the key moved under the CRC a record was {"crc","e","k","v"}.
-    old = {"crc": 0, "e": "engine-a", "k": "old", "v": {"value": 1}}
-    (tmp_path / "segment-00000.jsonl").write_text(json.dumps(old) + "\n")
-    cache = DiskCache(tmp_path, "engine-a", max_bytes=0)
-    assert cache.get("old") is None
-    assert cache.stats()["corrupt_records"] == 1
-    cache.put("new", {"value": 2})
-    assert cache.stats()["compactions"] == 0  # dead bytes < live bytes
-    cache.put("new", {"value": 2})  # the superseded line tips the balance
-    assert cache.stats()["compactions"] == 1
-    assert [decode(line)["k"] for line in _segment_lines(tmp_path)] == ["new"]
-    assert DiskCache(tmp_path, "engine-a").stats()["corrupt_records"] == 0
+    old_layouts = {
+        # Before the key moved under the CRC a record was {"crc","e","k","v"}.
+        "key-outside-crc": json.dumps(
+            {"crc": 0, "e": "engine-a", "k": "old", "v": {"value": 1}}
+        ),
+        # Before entries were kept as their JSON text, "r" was an object.
+        "object-entry": encode({"e": "engine-a", "k": "old", "r": {"value": 1}}),
+    }
+    for name, line in old_layouts.items():
+        directory = tmp_path / name
+        directory.mkdir()
+        (directory / "segment-00000.jsonl").write_text(line + "\n")
+        cache = DiskCache(directory, "engine-a", max_bytes=0)
+        assert cache.get("old") is None
+        assert cache.stats()["corrupt_records"] == 1
+        cache.put("new", b'{"value":2}')
+        assert cache.stats()["compactions"] == 0  # dead bytes < live bytes
+        cache.put("new", b'{"value":2}')  # the superseded line tips the balance
+        assert cache.stats()["compactions"] == 1
+        assert [decode(line)["k"] for line in _segment_lines(directory)] == ["new"]
+        assert DiskCache(directory, "engine-a").stats()["corrupt_records"] == 0
 
 
 def test_distinct_keys_fill_segments_without_compacting(tmp_path, monkeypatch):
@@ -149,7 +158,7 @@ def test_distinct_keys_fill_segments_without_compacting(tmp_path, monkeypatch):
     monkeypatch.setattr(type(tmp_path), "stat", forbidden)
     keys = [f"key-{index:04d}" for index in range(400)]
     for key in keys:
-        cache.put(key, {"payload": key * 4})
+        cache.put(key, json_bytes({"payload": key * 4}))
     monkeypatch.undo()
     stats = cache.stats()
     assert stats["size_bytes"] >= 10 * 1024
@@ -163,27 +172,45 @@ def test_distinct_keys_fill_segments_without_compacting(tmp_path, monkeypatch):
     assert all(p.stat().st_size <= 1024 + 200 for p in on_disk)
 
 
+def test_the_store_keeps_no_entry_values(tmp_path):
+    # Only the index stays in memory: each put's ~5 KiB entry is freed.
+    import tracemalloc
+
+    cache = DiskCache(tmp_path, "engine-a")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for n in range(400):
+            cache.put(f"key-{n:04d}", json_bytes({"n": n, "text": f"{n:05d}" * 1000}))
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 400 * 1024
+    assert cache.get("key-0123") == json_bytes({"n": 123, "text": "00123" * 1000})
+    assert cache.stats()["entries"] == 400
+
+
 def test_reload_reads_every_segment_and_the_later_record_wins(tmp_path):
     cache = DiskCache(tmp_path, "engine-a", max_bytes=256)
     for index in range(40):
-        cache.put(f"k{index}", {"first": index})
-    cache.put("k3", {"value": "later"})  # lands in a later segment
+        cache.put(f"k{index}", json_bytes({"first": index}))
+    cache.put("k3", json_bytes({"value": "later"}))  # lands in a later segment
     assert cache.stats()["segments"] > 1
     assert cache.stats()["compactions"] == 0
     reloaded = DiskCache(tmp_path, "engine-a", max_bytes=256)
-    assert len(reloaded) == 40
-    assert reloaded.get("k3") == {"value": "later"}
-    assert reloaded.get("k39") == {"first": 39}
+    assert reloaded.stats()["entries"] == 40
+    assert reloaded.get("k3") == json_bytes({"value": "later"})
+    assert reloaded.get("k39") == json_bytes({"first": 39})
     assert reloaded.stats()["segments"] == cache.stats()["segments"]
     assert reloaded.stats()["dead_bytes"] == cache.stats()["dead_bytes"] > 0
 
 
 def test_superseded_and_corrupt_lines_compact_to_one_segment(tmp_path):
-    DiskCache(tmp_path, "engine-b").put("foreign", {"keep": "me"})
+    DiskCache(tmp_path, "engine-b").put("foreign", json_bytes({"keep": "me"}))
     cache = DiskCache(tmp_path, "engine-a", max_bytes=256)
     latest = {}
     for index in range(20):
-        latest[f"k{index}"] = {"value": index}
+        latest[f"k{index}"] = json_bytes({"value": index})
         cache.put(f"k{index}", latest[f"k{index}"])
     segments = sorted(tmp_path.glob("segment-*.jsonl"))
     with segments[0].open("ab") as handle:
@@ -193,7 +220,7 @@ def test_superseded_and_corrupt_lines_compact_to_one_segment(tmp_path):
     assert cache.stats()["size_bytes"] == sum(p.stat().st_size for p in segments)
     assert cache.stats()["segments"] > 1
     for index in range(20):  # supersede keys until half the bytes are dead
-        latest[f"k{index}"] = {"value": 100 + index}
+        latest[f"k{index}"] = json_bytes({"value": 100 + index})
         cache.put(f"k{index}", latest[f"k{index}"])
         stats = cache.stats()
         if stats["compactions"]:
@@ -209,7 +236,7 @@ def test_superseded_and_corrupt_lines_compact_to_one_segment(tmp_path):
     reloaded = DiskCache(tmp_path, "engine-a")
     assert {key: reloaded.get(key) for key in latest} == latest
     assert reloaded.stats()["corrupt_records"] == 0
-    assert DiskCache(tmp_path, "engine-b").get("foreign") == {"keep": "me"}
+    assert DiskCache(tmp_path, "engine-b").get("foreign") == json_bytes({"keep": "me"})
 
 
 def test_a_hot_key_compacts_once_its_dead_bytes_reach_the_live_bytes(tmp_path):
@@ -217,7 +244,7 @@ def test_a_hot_key_compacts_once_its_dead_bytes_reach_the_live_bytes(tmp_path):
     compactions = 0
     for n in range(60):  # ~65-byte records: a re-put kills about half the bytes
         before = cache.stats()
-        cache.put("hot", {"n": f"{n:02d}"})
+        cache.put("hot", json_bytes({"n": f"{n:02d}"}))
         stats = cache.stats()
         if stats["compactions"] > compactions:
             compactions = stats["compactions"]
@@ -225,7 +252,7 @@ def test_a_hot_key_compacts_once_its_dead_bytes_reach_the_live_bytes(tmp_path):
         else:  # the superseded record is smaller than the new one
             assert stats["dead_bytes"] == before["live_bytes"] < stats["live_bytes"]
     assert compactions >= 30
-    assert DiskCache(tmp_path, "engine-a").get("hot") == {"n": "59"}
+    assert DiskCache(tmp_path, "engine-a").get("hot") == json_bytes({"n": "59"})
 
 
 def test_stores_sharing_a_directory_keep_each_others_records(tmp_path):
@@ -233,32 +260,34 @@ def test_stores_sharing_a_directory_keep_each_others_records(tmp_path):
     a = DiskCache(tmp_path, "engine-a", max_bytes=10_000)
     b = DiskCache(tmp_path, "engine-a", max_bytes=10_000)
     for index in range(20):
-        a.put(f"a{index}", {"v": "x" * 100})
+        a.put(f"a{index}", json_bytes({"v": "x" * 100}))
     for _ in range(10):  # b re-puts one key: its compactions delete a's segment
-        b.put("same", {"v": "y" * 100})
+        b.put("same", json_bytes({"v": "y" * 100}))
     assert b.stats()["compactions"] >= 1
+    # a's index still names its deleted segment: a miss, not an error.
+    assert a.get("a0") is None
     for index in range(5):
-        a.put(f"late{index}", {"v": "z" * 100})
+        a.put(f"late{index}", json_bytes({"v": "z" * 100}))
     reloaded = DiskCache(tmp_path, "engine-a")
     assert all(reloaded.get(f"a{index}") for index in range(20))
     assert all(reloaded.get(f"late{index}") for index in range(5))
-    assert reloaded.get("same") == {"v": "y" * 100}
-    assert a.get("same") == {"v": "y" * 100}  # a took up b's rewrite
+    assert reloaded.get("same") == json_bytes({"v": "y" * 100})
+    assert a.get("same") == json_bytes({"v": "y" * 100})  # a took up b's rewrite
     on_disk = sorted(tmp_path.glob("segment-*.jsonl"))
     assert sum(p.stat().st_size for p in on_disk) == a.stats()["size_bytes"]
 
 
 def test_append_after_a_torn_final_line_starts_a_fresh_line(tmp_path):
-    DiskCache(tmp_path, "engine-a").put("old", {"value": 1})
+    DiskCache(tmp_path, "engine-a").put("old", json_bytes({"value": 1}))
     segment = sorted(tmp_path.glob("segment-*.jsonl"))[0]
     segment.write_bytes(segment.read_bytes()[:-10])  # crash mid-write
     cache = DiskCache(tmp_path, "engine-a")
     assert cache.stats()["corrupt_records"] == 1
     assert cache.stats()["size_bytes"] == segment.stat().st_size
-    cache.put("new", {"value": 2})
+    cache.put("new", json_bytes({"value": 2}))
     assert cache.stats()["size_bytes"] == segment.stat().st_size
     reloaded = DiskCache(tmp_path, "engine-a")
-    assert reloaded.get("new") == {"value": 2}
+    assert reloaded.get("new") == json_bytes({"value": 2})
     assert reloaded.stats()["corrupt_records"] == 1
 
 
@@ -269,7 +298,7 @@ def _flip(path, offset, mask):
 
 
 def test_flipped_key_bit_is_not_served_under_another_key(tmp_path):
-    DiskCache(tmp_path, "engine-a").put("f1", {"owner": "f1"})
+    DiskCache(tmp_path, "engine-a").put("f1", json_bytes({"owner": "f1"}))
     segment = sorted(tmp_path.glob("segment-*.jsonl"))[0]
     _flip(segment, segment.read_bytes().index(b'"k":"f1"') + 6, 0x01)  # f1 -> f0
     reloaded = DiskCache(tmp_path, "engine-a")
@@ -364,11 +393,9 @@ def test_flipped_high_bit_costs_one_record_not_the_startup(tmp_path):
 # ----------------------------------------------------------------------
 
 
-def test_metrics_reports_disk_section(tmp_path):
-    from repro.service.client import ServiceClient
-
+def test_metrics_reports_disk_section(tmp_path, client_for):
     with LabelingServer(port=0, disk_cache=tmp_path) as server:
-        client = ServiceClient(server.url, timeout=60)
+        client = client_for(server.url, timeout=60)
         client.label(domain="job", seed=0)
         disk = client.metrics()["engine"]["disk"]
     assert disk["entries"] == 1
@@ -377,7 +404,7 @@ def test_metrics_reports_disk_section(tmp_path):
 
     # Warm restart of the whole server: served from disk, no recompute.
     with LabelingServer(port=0, disk_cache=tmp_path) as server:
-        client = ServiceClient(server.url, timeout=60)
+        client = client_for(server.url, timeout=60)
         assert client.label(domain="job", seed=0)["cached"] is True
         metrics = client.metrics()["engine"]
     assert metrics["computations"] == 0

@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from repro.obs import TraceLog
 from repro.records import decode, encode
+from repro.service.cache import json_bytes
 from repro.service.diskcache import DiskCache
 
 # ----------------------------------------------------------------------
@@ -124,16 +125,18 @@ WRITES = st.lists(
 def test_damaged_segment_loses_only_damaged_records(tmp_path_factory, writes, damages):
     directory = tmp_path_factory.mktemp("segments")
     for n, (engine, key, text) in enumerate(writes):
-        DiskCache(directory, engine).put(key, {"engine": engine, "key": key, "n": n, "text": text})
+        entry = json_bytes({"engine": engine, "key": key, "n": n, "text": text})
+        DiskCache(directory, engine).put(key, entry)
     (segment,) = directory.glob("segment-*.jsonl")
     written = set(segment.read_bytes().split(b"\n"))
     segment.write_bytes(_damage(segment.read_bytes(), damages))
 
     cache = DiskCache(directory, "engine-a")
     intact, damaged = _model(segment.read_bytes(), written)
-    latest = {(r["e"], r["k"]): r["r"] for r in intact}
+    latest = {(r["e"], r["k"]): r["r"].encode() for r in intact}
     served = {key: cache.get(key) for key in KEYS}
-    for key, value in served.items():
+    for key, entry in served.items():
+        value = json.loads(entry) if entry is not None else None
         assert value is None or (value["key"], value["engine"]) == (key, "engine-a")
     assert served == {key: latest.get(("engine-a", key)) for key in KEYS}
     stats = cache.stats()

@@ -36,7 +36,7 @@ from repro.resilience import (
     maybe_inject,
 )
 from repro.schema.serialize import corpus_to_dict
-from repro.service.cache import LRUCache, ResultCache
+from repro.service.cache import LRUCache, ResultCache, json_bytes
 from repro.service.engine import LabelingEngine
 from repro.testing.chaos import run_chaos_sweep
 from repro.testing.oracles import canonical_response
@@ -417,15 +417,15 @@ class TestResultCacheIntegrity:
     def test_roundtrip(self):
         cache = ResultCache(capacity=4)
         value = {"ok": True, "fingerprint": "k", "field_labels": {"c": "x"}}
-        stored = cache.put("k", value)
-        assert cache.get("k") == stored == b'{"ok":true,"fingerprint":"k","field_labels":{"c":"x"}}'
+        cache.put("k", json_bytes(value))
+        assert cache.get("k") == b'{"ok":true,"fingerprint":"k","field_labels":{"c":"x"}}'
         assert json.loads(cache.get("k")) == value
         assert cache.stats()["corruptions"] == 0
 
     def test_corrupted_entry_is_evicted_and_missed(self):
         cache = ResultCache(capacity=4)
         value = {"ok": True, "fingerprint": "k", "field_labels": {"c": "x"}}
-        cache.put("k", value)
+        cache.put("k", json_bytes(value))
         assert cache.corrupt("k")
         assert cache.get("k") is None  # never served
         assert "k" not in cache
@@ -436,17 +436,17 @@ class TestResultCacheIntegrity:
     def test_recompute_after_corruption_restores_entry(self):
         cache = ResultCache(capacity=4)
         value = {"ok": True, "fingerprint": "k"}
-        cache.put("k", value)
+        cache.put("k", json_bytes(value))
         cache.corrupt("k")
         assert cache.get("k") is None
-        cache.put("k", value)  # the engine's recompute path
+        cache.put("k", json_bytes(value))  # the engine's recompute path
         assert json.loads(cache.get("k")) == value
 
     def test_every_hit_is_a_fresh_copy(self):
         # A hit is the stored bytes: immutable, so what a caller decodes
         # from one and then changes never reaches the cache.
         cache = ResultCache(capacity=4)
-        cache.put("k", {"fingerprint": "k", "field_labels": {"c": "x"}})
+        cache.put("k", json_bytes({"fingerprint": "k", "field_labels": {"c": "x"}}))
         first = json.loads(cache.get("k"))
         first["field_labels"]["c"] = "changed"
         assert json.loads(cache.get("k")) == {"fingerprint": "k", "field_labels": {"c": "x"}}
@@ -457,13 +457,14 @@ class TestResultCacheIntegrity:
 
     def test_capacity_zero_disables(self):
         cache = ResultCache(capacity=0)
-        assert cache.put("k", {"ok": True}) == b'{"ok":true}'
+        cache.put("k", b'{"ok":true}')
         assert cache.get("k") is None
+        assert len(cache) == 0
 
     def test_lru_eviction_still_applies(self):
         cache = ResultCache(capacity=2)
         for key in ("a", "b", "c"):
-            cache.put(key, {"fingerprint": key})
+            cache.put(key, json_bytes({"fingerprint": key}))
         assert cache.get("a") is None
         assert json.loads(cache.get("c"))["fingerprint"] == "c"
         assert cache.stats()["evictions"] == 1
