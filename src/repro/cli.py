@@ -537,12 +537,12 @@ def _cmd_profile(args) -> int:
     )
     print(f"warm labelings/s: {totals['warm_labelings_per_s']}")
     print("\ncache hit rates (one shared comparator):")
-    for cache_name in ("labels", "relations", "predicates", "group_results"):
+    for cache_name, warm_misses in totals["warm_misses"].items():
         stats = report["caches"][cache_name]
         print(
             f"  {cache_name:<18} {stats['hit_rate']:>7.1%}  "
             f"({stats['hits']} hits / {stats['misses']} misses, "
-            f"{totals['warm_misses'][cache_name]} in warm passes)"
+            f"{warm_misses} in warm passes)"
         )
     if args.out is not None:
         print(f"\nwrote {args.out}")

@@ -40,6 +40,10 @@ The lexicon underneath is an immutable
 :class:`~repro.lexicon.compiled.CompiledLexicon`, so no memo here is ever
 invalidated.  Caches are bounded by :data:`RELATION_CACHE_LIMIT` against
 unbounded service vocabularies.
+
+Whole group-naming results are not memoised: a group relation seldom
+recurs outside its own corpus, and the service answers a repeated corpus
+from its result cache before the pipeline runs.
 """
 
 from __future__ import annotations
@@ -55,9 +59,6 @@ __all__ = ["LabelRelation", "SemanticComparator"]
 
 #: Per-memo entry bound; past it the memo is cleared (counted as evictions).
 RELATION_CACHE_LIMIT = 1 << 18
-
-#: Bound on memoised group-naming results (fewer, larger entries).
-GROUP_CACHE_LIMIT = 1 << 11
 
 
 class LabelRelation(IntEnum):
@@ -85,14 +86,8 @@ class SemanticComparator:
         self._relation_cache: dict = {}
         self._synonym_cache: dict = {}
         self._hypernym_cache: dict = {}
-        #: Memoised ``name_group`` results keyed on the relation's content
-        #: fingerprint (owned here because the comparator's lifetime defines
-        #: the memoization scope; read and written by
-        #: :func:`repro.core.solutions.name_group`).
-        self._group_cache: dict = {}
         self.relation_counter = Counters("hits", "misses", "evictions")
         self.predicate_counter = Counters("hits", "misses", "evictions")
-        self.group_counter = Counters("hits", "misses", "evictions")
 
     # ------------------------------------------------------------------
     # Coercion and cache plumbing.
@@ -316,9 +311,5 @@ class SemanticComparator:
             "predicates": {
                 **self.predicate_counter.snapshot(),
                 "size": len(self._synonym_cache) + len(self._hypernym_cache),
-            },
-            "group_results": {
-                **self.group_counter.snapshot(),
-                "size": len(self._group_cache),
             },
         }

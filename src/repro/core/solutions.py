@@ -15,6 +15,11 @@ first.
 The result object mirrors Section 4.3: "the naming algorithm returns a set
 of pairs (p, CLabels)" — partition plus labels — so the tree-level phase can
 later pick the pair that correlates best with internal-node labels.
+
+:func:`name_group` is a pure function of its relation and runs the ladder
+on every call; what it repeats across calls is label comparison, which the
+comparator's pairwise memos answer.  Each result is the caller's to keep:
+homonym repair rewrites the chosen solution's labels in place.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from ..schema.groups import Group
 from .consistency import CompiledRows, ConsistencyLevel, Partition
 from .group_relation import GroupRelation, GroupTuple
 from .label import LabelAnalyzer
-from .semantics import GROUP_CACHE_LIMIT, SemanticComparator
+from .semantics import SemanticComparator
 
 __all__ = ["GroupSolution", "GroupNamingResult", "rank_tuple_solutions", "name_group"]
 
@@ -226,57 +231,6 @@ def _partially_consistent(
     )
 
 
-def _relation_fingerprint(
-    relation: GroupRelation, max_level: ConsistencyLevel
-) -> tuple:
-    """Everything ``name_group``'s output depends on besides the lexicon.
-
-    The group's identity (name, kind, clusters) plus the relation's rows in
-    order, plus the ladder truncation.  Two relations with equal
-    fingerprints produce equal naming results under the same lexicon
-    version, which is what makes the comparator's group-result memo sound.
-    """
-    group = relation.group
-    return (
-        group.name,
-        group.kind,
-        group.clusters,
-        relation.clusters,
-        tuple((t.interface, t.labels) for t in relation.tuples),
-        max_level,
-    )
-
-
-def _copy_group_result(result: GroupNamingResult) -> GroupNamingResult:
-    """A mutation-safe copy of a naming result.
-
-    Downstream phases mutate exactly one thing: homonym repair rewrites the
-    chosen solution's ``labels`` dict in place.  Fresh ``GroupSolution``
-    shells with copied label dicts protect the memoised master; partitions
-    and the relation are read-only after construction and stay shared.
-    """
-    solutions = [
-        GroupSolution(
-            group=s.group,
-            labels=dict(s.labels),
-            level=s.level,
-            partition=s.partition,
-            expressiveness=s.expressiveness,
-            frequency=s.frequency,
-            is_candidate=s.is_candidate,
-        )
-        for s in result.solutions
-    ]
-    return GroupNamingResult(
-        group=result.group,
-        relation=result.relation,
-        solutions=solutions,
-        consistent=result.consistent,
-        level=result.level,
-        truncated=result.truncated,
-    )
-
-
 def name_group(
     relation: GroupRelation,
     comparator: SemanticComparator,
@@ -287,42 +241,8 @@ def name_group(
 
     ``max_level`` exists for the ablation experiments (truncating the ladder
     at STRING or EQUALITY); the paper's algorithm uses the full ladder.
-
-    Results are memoised on the comparator keyed by the relation's content
-    fingerprint: repeated labeling of the same domain (the service's steady
-    state) skips the whole ladder/closure computation.  The memo only
-    engages when the ranking analyzer is the comparator's own (a foreign
-    analyzer could rank expressiveness differently).
     """
-    memo = None
-    if analyzer is None or analyzer is comparator.analyzer:
-        memo = comparator._group_cache
-        fingerprint = _relation_fingerprint(relation, max_level)
-        cached = memo.get(fingerprint)
-        if cached is not None:
-            comparator.group_counter.add("hits")
-            return _copy_group_result(cached)
-        comparator.group_counter.add("misses")
-
-    result = _name_group_uncached(
-        relation, comparator, analyzer or comparator.analyzer, max_level
-    )
-    if memo is not None:
-        if len(memo) >= GROUP_CACHE_LIMIT:
-            comparator.group_counter.add("evictions", len(memo))
-            memo.clear()
-        # Store a pristine copy: the caller's copy is theirs to mutate
-        # (homonym repair rewrites the chosen solution's labels in place).
-        memo[fingerprint] = _copy_group_result(result)
-    return result
-
-
-def _name_group_uncached(
-    relation: GroupRelation,
-    comparator: SemanticComparator,
-    analyzer: LabelAnalyzer,
-    max_level: ConsistencyLevel,
-) -> GroupNamingResult:
+    analyzer = analyzer or comparator.analyzer
     result = GroupNamingResult(group=relation.group, relation=relation)
 
     if not relation.tuples:

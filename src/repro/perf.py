@@ -84,7 +84,7 @@ def with_hit_rate(stats: dict) -> dict:
 
 
 #: The comparator memos a warm labeling must answer from entirely.
-_MEMOS = ("labels", "relations", "predicates", "group_results")
+_MEMOS = ("labels", "relations", "predicates")
 
 
 def profile_labeling(
@@ -99,9 +99,10 @@ def profile_labeling(
     :func:`repro.core.pipeline.label_corpus` with one long-lived
     :class:`~repro.core.semantics.SemanticComparator` — the first pass is
     *cold* (caches empty for that domain's vocabulary), the rest are *warm*
-    (label analyses, pairwise relations and group results answer from
-    cache).  Dataset generation is excluded from the timings; only the
-    merge + naming pipeline is measured.
+    (label analyses and pairwise relations answer from cache; the naming
+    ladder itself reruns on every pass, since group naming keeps no memo).
+    Dataset generation is excluded from the timings; only the merge +
+    naming pipeline is measured.
 
     Returns a JSON-ready report: per-domain cold/warm latency and speedup,
     the misses the warm passes added to each comparator memo

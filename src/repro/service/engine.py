@@ -668,6 +668,7 @@ class LabelingEngine:
         self.counters = Counters(
             "requests", "errors", "computations",
             "oracle_checks", "oracle_failures", "truncated_closures",
+            "breakers_shed",
         )
         self._started = time.time()
         self.comparator = (
@@ -920,12 +921,16 @@ class LabelingEngine:
             breaker = self._breakers.get(fingerprint)
             if breaker is None:
                 if len(self._breakers) >= self.MAX_BREAKERS:
-                    # Shed the oldest closed breaker; an open one is live
-                    # protection and stays.
-                    for key, candidate in list(self._breakers.items()):
-                        if candidate.state == CircuitBreaker.CLOSED:
-                            del self._breakers[key]
-                            break
+                    # Shed the oldest closed breaker.  An open one is live
+                    # protection, shed (oldest first) only when no closed
+                    # one is left, so the map never outgrows the bound.
+                    shed = next(
+                        (key for key, candidate in self._breakers.items()
+                         if candidate.state == CircuitBreaker.CLOSED),
+                        next(iter(self._breakers)),
+                    )
+                    del self._breakers[shed]
+                    self.counters.add("breakers_shed")
                 breaker = self.breaker_policy.build(clock=self._clock)
                 self._breakers[fingerprint] = breaker
         return breaker
@@ -1047,6 +1052,7 @@ class LabelingEngine:
                 "open": sum(1 for b in breaker_stats if b["state"] != "closed"),
                 "rejections": sum(b["rejections"] for b in breaker_stats),
                 "trips": sum(b["trips"] for b in breaker_stats),
+                "shed": counts["breakers_shed"],
             },
             "verify": self.verify,
             "oracle": {

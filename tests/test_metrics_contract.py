@@ -42,14 +42,13 @@ EXPECTED_TREE = {
                        "distinct_displays": None, "interned": None},
             "relations": {**_COUNTS, "hit_rate": None, "size": None},
             "predicates": {**_COUNTS, "hit_rate": None, "size": None},
-            "group_results": {**_COUNTS, "hit_rate": None, "size": None},
             "comparators": None,
             "overlay_comparators": None,
         },
         "resilience": {
             "retry": {"max_attempts": None},
             "breakers": {"count": None, "open": None, "rejections": None,
-                         "trips": None},
+                         "trips": None, "shed": None},
             "verify": None,
             "oracle": {"checks": None, "failures": None},
         },
@@ -113,7 +112,7 @@ def test_metrics_counts(metrics):
     assert disk["hit_rate"] == 0.0
     semantics = engine["semantics"]
     assert semantics["comparators"] == 1
-    for section in ("labels", "relations", "predicates", "group_results"):
+    for section in ("labels", "relations", "predicates"):
         stats = semantics[section]
         lookups = stats["hits"] + stats["misses"]
         assert lookups > 0

@@ -2,8 +2,8 @@
 
 Covers the perf instrumentation primitives (:mod:`repro.perf`), the
 lexicon-mutation invalidation discipline that every cache in the hierarchy
-follows, the correctness contract of the relation/group memos (cached
-answers must be exactly the uncached ones), and the comparator sharing the
+follows, the correctness contract of the relation memos (cached answers
+must be exactly the uncached ones), and the comparator sharing the
 labeling engine does across requests with the same lexicon overlay.
 """
 
@@ -14,14 +14,11 @@ import random
 
 import pytest
 
-from repro.core.group_relation import GroupRelation
 from repro.core.label import LabelAnalyzer
 from repro.core.semantics import LabelRelation, SemanticComparator
-from repro.core.solutions import name_group
-from repro.datasets.registry import load_domain
+from repro.datasets.registry import DOMAINS, load_domain
 from repro.lexicon.data import build_default_wordnet
 from repro.perf import Counters
-from repro.schema.groups import partition_clusters
 from repro.service.engine import LabelingEngine, LabelingRequest
 
 
@@ -100,7 +97,7 @@ def test_engine_semantics_sum_recomputes_hit_rate():
     assert semantics["comparators"] == 2
     parts = [engine.comparator.cache_stats(),
              *(c.cache_stats() for c in engine._overlay_comparators.values())]
-    for section in ("labels", "relations", "predicates", "group_results"):
+    for section in ("labels", "relations", "predicates"):
         hits = sum(part[section]["hits"] for part in parts)
         misses = sum(part[section]["misses"] for part in parts)
         assert semantics[section]["hits"] == hits
@@ -202,53 +199,43 @@ def test_derived_predicates_match_relation_ladder():
         )
 
 
-# ----------------------------------------------------------------------
-# The group-result memo: warm answers equal cold ones, copies protect it.
-# ----------------------------------------------------------------------
+def test_a_miss_leaves_no_naming_state_behind():
+    """Labeling fresh corpora keeps no per-corpus naming state.
 
+    The lexical memos (label analyses, pairwise relations, predicates) do
+    grow with fresh vocabulary; they have their own bound and their tables
+    resize in steps, so their allocations are filtered out.  Everything
+    else a miss builds (group relations, partitions, solutions, responses)
+    must be freed once the response is out.
+    """
+    import gc
+    import tracemalloc
 
-def _group_relations(domain: str, seed: int) -> list[GroupRelation]:
-    dataset = load_domain(domain, seed=seed)
-    dataset.prepare()
-    partition = partition_clusters(dataset.integrated())
-    groups = list(partition.regular)
-    if partition.root_group is not None:
-        groups.append(partition.root_group)
-    return [GroupRelation.from_mapping(g, dataset.mapping) for g in groups]
-
-
-def _solution_view(result):
-    return [
-        (dict(s.labels), s.level, s.expressiveness, s.frequency, s.is_candidate)
-        for s in result.solutions
+    domains = list(DOMAINS)
+    engine = LabelingEngine(cache_size=0, breaker=None)
+    for index, domain in enumerate(domains):
+        engine.label({"domain": domain, "seed": 1000 + index})
+    lexical_memos = [
+        tracemalloc.Filter(False, pattern)
+        for pattern in (
+            "*/repro/core/semantics.py", "*/repro/core/label.py",
+            "*/repro/lexicon/*",
+        )
     ]
-
-
-def test_name_group_memo_returns_equal_results():
-    comparator = SemanticComparator()
-    for relation in _group_relations("hotels", seed=0):
-        twin = GroupRelation.from_mapping(relation.group, load_domain(
-            "hotels", seed=0
-        ).prepare().mapping)
-        cold = name_group(relation, comparator)
-        warm = name_group(twin, comparator)
-        assert _solution_view(cold) == _solution_view(warm)
-        assert cold.consistent == warm.consistent
-        assert cold.level == warm.level
-    assert comparator.group_counter.snapshot()["hits"] > 0
-
-
-def test_name_group_memo_is_mutation_safe():
-    comparator = SemanticComparator()
-    relation = _group_relations("airline", seed=0)[0]
-    first = name_group(relation, comparator)
-    pristine = _solution_view(first)
-    # Homonym repair mutates the chosen solution's labels in place; the memo
-    # must hand out copies so later hits still see the pristine result.
-    cluster = next(iter(first.solutions[0].labels))
-    first.solutions[0].labels[cluster] = "CORRUPTED"
-    second = name_group(relation, comparator)
-    assert _solution_view(second) == pristine
+    corpora = 2 * len(domains)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces(lexical_memos)
+        for index in range(corpora):
+            domain = domains[index % len(domains)]
+            engine.label({"domain": domain, "seed": 5000 + index})
+        gc.collect()
+        after = tracemalloc.take_snapshot().filter_traces(lexical_memos)
+    finally:
+        tracemalloc.stop()
+    grown = sum(stat.size_diff for stat in after.compare_to(before, "filename"))
+    assert grown < corpora * 8 * 1024
 
 
 def test_warm_labeling_is_byte_identical(tmp_path):
@@ -359,11 +346,11 @@ def test_engine_stats_expose_semantics_caches():
     engine.label({"domain": "auto", "seed": 0})
     semantics = engine.stats()["semantics"]
     assert semantics["comparators"] == 1
-    assert semantics["group_results"]["hits"] > 0
+    assert semantics["relations"]["hits"] > 0
     assert 0.0 <= semantics["labels"]["hit_rate"] <= 1.0
     # The compiled lexicon has no memo to report: comparator caches only.
     assert set(semantics) == {
-        "labels", "relations", "predicates", "group_results",
+        "labels", "relations", "predicates",
         "comparators", "overlay_comparators",
     }
 
@@ -386,7 +373,7 @@ def test_profile_cli_writes_report(tmp_path, capsys):
     report = json.loads(out.read_text())
     assert set(report) >= {"workload", "domains", "totals", "caches"}
     assert report["domains"]["auto"]["cold_ms"] > 0
-    assert report["caches"]["group_results"]["hits"] >= 0
+    assert report["caches"]["relations"]["hits"] >= 0
 
 
 def test_profile_rejects_unknown_domain():
@@ -421,7 +408,7 @@ def test_bench_perf_smoke(tmp_path, monkeypatch):
     bench.test_perf_report()
     report = json.loads((tmp_path / "BENCH_perf.json").read_text())
     assert report["totals"]["warm_misses"] == dict.fromkeys(
-        ("labels", "relations", "predicates", "group_results"), 0
+        ("labels", "relations", "predicates"), 0
     )
     assert report["totals"]["speedup"] > 0
     assert (tmp_path / "perf.txt").read_text().startswith("Memoization layer")

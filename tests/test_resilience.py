@@ -596,6 +596,52 @@ class TestEngineResilience:
         assert response["ok"]
         assert engine.stats()["resilience"]["breakers"]["open"] == 0
 
+    def test_breakers_stay_bounded_when_every_one_is_open(
+        self, chaos_comparator
+    ):
+        plan = FaultPlan(
+            [FaultSpec(point="engine.execute", kind="error", rate=1.0,
+                       max_fires=None)]
+        )
+        engine = LabelingEngine(
+            cache_size=0,
+            fault_plan=plan,
+            retry=RetryPolicy(max_attempts=1),
+            breaker=BreakerPolicy(failure_threshold=1, reset_after_s=30.0),
+            comparator=chaos_comparator,
+            clock=FakeClock(),
+        )
+        engine.MAX_BREAKERS = 3
+        for seed in range(7):
+            with pytest.raises(TransientFault):
+                engine.label({"domain": "airline", "seed": seed})
+        breakers = engine.stats()["resilience"]["breakers"]
+        assert (breakers["count"], breakers["open"]) == (3, 3)
+        assert breakers["shed"] == 4
+        # The newest fingerprint kept its open breaker.
+        with pytest.raises(CircuitOpenError):
+            engine.label({"domain": "airline", "seed": 6})
+
+    def test_breaker_shedding_prefers_the_oldest_closed_one(
+        self, chaos_comparator
+    ):
+        engine = LabelingEngine(
+            cache_size=0,
+            breaker=BreakerPolicy(failure_threshold=1, reset_after_s=30.0),
+            comparator=chaos_comparator,
+            clock=FakeClock(),
+        )
+        engine.MAX_BREAKERS = 3
+        engine._breaker_for("a").record_failure()
+        engine._breaker_for("b")
+        engine._breaker_for("c").record_failure()
+        engine._breaker_for("d")
+        assert list(engine._breakers) == ["a", "c", "d"]
+        engine._breakers["d"].record_failure()
+        engine._breaker_for("e")
+        assert list(engine._breakers) == ["c", "d", "e"]
+        assert engine.stats()["resilience"]["breakers"]["shed"] == 2
+
     def test_batch_classifies_circuit_open(self, chaos_comparator):
         plan = FaultPlan(
             [FaultSpec(point="pipeline.merge", kind="error", rate=1.0,
