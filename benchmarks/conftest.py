@@ -12,9 +12,8 @@ def pytest_addoption(parser):
         "--bench-quick",
         action="store_true",
         default=False,
-        help="shrink benchmark workloads for CI smoke runs; wall-clock "
-             "speedup assertions that need real parallel hardware are "
-             "skipped",
+        help="shrink benchmark workloads for CI smoke runs; timing "
+             "assertions that depend on the host are skipped",
     )
 
 

@@ -1,13 +1,19 @@
-"""The process-parallel backend + disk cache — batch speedup and warm start.
+"""Batch width + disk cache — what ``jobs`` buys, and warm start.
 
-Two claims are measured:
+Three things are measured:
 
-* **Parallel speedup** — the all-domain batch (`run_all_domains`) at
-  ``executor="process", jobs=4`` against the sequential ``jobs=1`` path.
-  The ≥2x floor is asserted only on hardware that can deliver it (at
-  least 2 usable CPUs, not ``--bench-quick``); the measured numbers and
-  the CPU count are recorded either way, so the artifact is honest about
-  the machine it ran on.
+* **Batch width** — one batch of 6 fresh non-Job corpora (one per domain,
+  new corpus seeds every round) through ``LabelingEngine.label_batch`` at
+  sequential ``jobs=1`` and at ``jobs=2`` threads, over
+  :data:`ROUNDS` interleaved rounds (the order alternates each round)
+  after :data:`WARMUP_ROUNDS` untimed ones.  Each mode keeps one engine,
+  as a server does.  The median and quartiles of each mode are recorded,
+  with the median of the per-round ``jobs=2 / jobs=1`` ratios (both modes
+  label the same corpora in a round).  Nothing is asserted: the pipeline
+  holds the GIL, and the answer depends on the host.
+* **All-domain sequential** — ``run_all_domains`` at ``jobs=1``, best of
+  a few runs: the figure ``benchmarks/test_bench_obs.py`` re-times as its
+  trace-off baseline (``batch.sequential_s``).
 * **Warm start** — a cold engine labels every domain into a disk cache;
   a fresh engine against the same directory must serve the identical
   batch with **zero recomputations**.  That assertion is
@@ -17,14 +23,15 @@ Artifacts:
 
 * ``benchmarks/results/parallel.txt`` — human-readable table;
 * ``benchmarks/results/BENCH_parallel.json`` — machine-readable record
-  (sequential/process wall time, speedup, CPU count, disk-cache warm
-  restart counters) future PRs diff against.
+  (per-mode batch times, all-domain sequential time, CPU count, disk-cache
+  warm restart counters) future PRs diff against.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -35,12 +42,16 @@ from repro.service.engine import LabelingEngine
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
-#: Parallel speedup floor for the all-domain process batch at jobs=4 vs
-#: the sequential path — asserted only with >= 2 usable CPUs and a full
-#: (non --bench-quick) run.
-MIN_PROCESS_SPEEDUP = 2.0
+#: Timed and untimed rounds of the batch-width comparison.
+ROUNDS = 14
+WARMUP_ROUNDS = 2
 
-PARALLEL_JOBS = 4
+#: The batch: one fresh corpus of each domain but Job, whose truncated
+#: closure would set the time instead of the batch path.
+BATCH_DOMAINS = [name for name in DOMAINS if name != "job"]
+
+#: The modes compared, by ``jobs``.
+MODES = (1, 2)
 
 DOMAIN_PAYLOADS = [{"domain": name, "seed": 0} for name in DOMAINS]
 
@@ -61,25 +72,42 @@ def _best_of(runs: int, fn) -> float:
     return best
 
 
+def _summary(samples_ms: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(samples_ms, n=4)
+    return {"median_ms": round(median, 2), "q1_ms": round(q1, 2),
+            "q3_ms": round(q3, 2)}
+
+
+def _batch_width() -> dict[int, list[float]]:
+    """Milliseconds per batch for each mode, interleaved round by round."""
+    engines = {jobs: LabelingEngine(cache_size=0, breaker=None) for jobs in MODES}
+    samples: dict[int, list[float]] = {jobs: [] for jobs in MODES}
+    for round_no in range(WARMUP_ROUNDS + ROUNDS):
+        batch = [{"domain": name, "seed": 5000 + round_no} for name in BATCH_DOMAINS]
+        order = MODES if round_no % 2 == 0 else MODES[::-1]
+        for jobs in order:
+            start = time.perf_counter()
+            results = engines[jobs].label_batch(batch, jobs=jobs)
+            elapsed_ms = (time.perf_counter() - start) * 1000.0
+            assert all(r["ok"] for r in results)
+            if round_no >= WARMUP_ROUNDS:
+                samples[jobs].append(elapsed_ms)
+    return samples
+
+
 def test_parallel_report(bench_quick, tmp_path):
     respondents = 3 if bench_quick else 11
     runs = 1 if bench_quick else 2
     cpus = _usable_cpus()
 
+    samples = _batch_width()
+    width = {f"jobs{jobs}": _summary(samples[jobs]) for jobs in MODES}
+    ratio = statistics.median(b / a for a, b in zip(samples[1], samples[2]))
+
     sequential_s = _best_of(
         runs,
         lambda: run_all_domains(seed=0, respondent_count=respondents, jobs=1),
     )
-    process_s = _best_of(
-        runs,
-        lambda: run_all_domains(
-            seed=0,
-            respondent_count=respondents,
-            jobs=PARALLEL_JOBS,
-            executor="process",
-        ),
-    )
-    speedup = sequential_s / process_s if process_s else 0.0
 
     # Warm start: cold engine fills the disk cache, a restarted engine
     # must answer the same batch without a single pipeline run.
@@ -98,21 +126,22 @@ def test_parallel_report(bench_quick, tmp_path):
 
     report = {
         "workload": (
-            "run_all_domains seed 0: sequential vs "
-            f"process executor jobs={PARALLEL_JOBS}; plus disk-cache warm "
-            "restart over the 7-domain batch"
+            f"label_batch of {len(BATCH_DOMAINS)} fresh non-Job corpora at "
+            f"jobs=1 vs jobs=2 threads, {ROUNDS} interleaved rounds; "
+            "run_all_domains seed 0 at jobs=1; plus disk-cache warm restart "
+            "over the 7-domain batch"
         ),
         "cpus_usable": cpus,
         "bench_quick": bench_quick,
         "respondents": respondents,
-        "batch": {
-            "sequential_s": round(sequential_s, 3),
-            "process_s": round(process_s, 3),
-            "jobs": PARALLEL_JOBS,
-            "speedup": round(speedup, 2),
-            "floor": MIN_PROCESS_SPEEDUP,
-            "floor_asserted": cpus >= 2 and not bench_quick,
+        "batch_width": {
+            "rounds": ROUNDS,
+            "warmup_rounds": WARMUP_ROUNDS,
+            "corpora": len(BATCH_DOMAINS),
+            **width,
+            "jobs2_over_jobs1": round(ratio, 3),
         },
+        "batch": {"sequential_s": round(sequential_s, 3)},
         "disk_cache": {
             "domains": len(DOMAIN_PAYLOADS),
             "cold_s": round(cold_s, 3),
@@ -125,12 +154,16 @@ def test_parallel_report(bench_quick, tmp_path):
     }
 
     rows = [
-        ["batch sequential (jobs=1)", f"{sequential_s * 1000:.0f} ms", ""],
         [
-            f"batch process (jobs={PARALLEL_JOBS})",
-            f"{process_s * 1000:.0f} ms",
-            f"{speedup:.2f}x vs sequential",
-        ],
+            f"batch of {len(BATCH_DOMAINS)}, jobs={jobs}",
+            f"{width[f'jobs{jobs}']['median_ms']:.1f} ms",
+            f"quartiles {width[f'jobs{jobs}']['q1_ms']:.1f}-"
+            f"{width[f'jobs{jobs}']['q3_ms']:.1f} ms"
+            + (f", {ratio:.2f}x jobs=1" if jobs != 1 else ""),
+        ]
+        for jobs in MODES
+    ] + [
+        ["all domains sequential", f"{sequential_s * 1000:.0f} ms", ""],
         ["disk-cache cold run", f"{cold_s * 1000:.0f} ms",
          f"{report['disk_cache']['cold_computations']} computations"],
         ["disk-cache warm restart", f"{warm_s * 1000:.0f} ms",
@@ -138,11 +171,11 @@ def test_parallel_report(bench_quick, tmp_path):
          f"{report['disk_cache']['warm_disk_hits']} disk hits"],
     ]
     table = format_table(
-        ["path", "wall time", "notes"],
+        ["path", "wall time (median)", "notes"],
         rows,
         title=(
-            "Process-parallel batch + persistent warm start "
-            f"(seed 0, {cpus} usable CPU(s)"
+            "Batch width + persistent warm start "
+            f"({ROUNDS} rounds, {cpus} usable CPU(s)"
             + (", --bench-quick" if bench_quick else "")
             + ")"
         ),
@@ -160,8 +193,3 @@ def test_parallel_report(bench_quick, tmp_path):
     for cold_response, warm_response in zip(cold_results, warm_results):
         assert cold_response["fingerprint"] == warm_response["fingerprint"]
         assert cold_response["field_labels"] == warm_response["field_labels"]
-
-    # The speedup floor needs real parallel hardware; on a 1-CPU box the
-    # report records the honest measurement instead.
-    if report["batch"]["floor_asserted"]:
-        assert speedup >= MIN_PROCESS_SPEEDUP, report["batch"]

@@ -50,15 +50,6 @@ def _jobs_arg(value: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _add_executor_arg(subparser) -> None:
-    subparser.add_argument(
-        "--executor", choices=EXECUTORS, default="thread",
-        help="batch backend: 'thread' (default) or 'process' "
-             "(worker processes warmed with the compiled lexicon; "
-             "identical output)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -79,7 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs", type=_jobs_arg, default=1,
         help="domains labeled concurrently (1 = sequential, identical output)",
     )
-    _add_executor_arg(table6)
 
     figure10 = sub.add_parser("figure10", help="inference-rule involvement")
     figure10.add_argument("--seed", type=int, default=0)
@@ -140,7 +130,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--jobs", type=_jobs_arg, default=DEFAULT_JOBS,
                        help="default batch concurrency for POST /batch "
                             "(default: usable CPUs, capped at 8)")
-    _add_executor_arg(serve)
+    serve.add_argument("--executor", choices=EXECUTORS, default="thread",
+                       help="accepted for compatibility and ignored: every "
+                            "batch computes in the server process")
     serve.add_argument("--disk-cache", type=Path, default=None,
                        help="persistent result-cache directory (warm "
                             "restarts answer from disk)")
@@ -166,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument("--jobs", type=_jobs_arg, default=DEFAULT_JOBS,
                        help="corpora labeled concurrently "
                             "(default: usable CPUs, capped at 8)")
-    _add_executor_arg(batch)
     batch.add_argument("--timeout", type=float, default=None,
                        help="per-corpus time budget in seconds")
     batch.add_argument("--lint", action="store_true",
@@ -235,7 +226,6 @@ def _cmd_table6(args) -> int:
         seed=args.seed,
         respondent_count=args.respondents,
         jobs=args.jobs,
-        executor=args.executor,
     )
     header = (
         f"{'Domain':<12} {'srcL':>5} {'LQ':>4} {'intL':>5} {'grp':>4} "
@@ -437,8 +427,10 @@ def _cmd_serve(args) -> int:
           + ("   GET /trace/<id>" if args.trace or args.trace_log else ""))
     if args.trace_log is not None:
         print(f"  trace log: {server.trace_log.path}")
-    print(f"  cache capacity {args.cache_size}, default batch jobs {args.jobs} "
-          f"({args.executor} executor)")
+    print(f"  cache capacity {args.cache_size}, default batch jobs {args.jobs}")
+    if args.executor != "thread":
+        print(f"  --executor {args.executor} is ignored: batches compute in "
+              "this process")
     if args.disk_cache is not None:
         disk = server.engine.disk.stats()
         print(f"  disk cache: {disk['entries']} warm entr(ies) from "
@@ -472,7 +464,6 @@ def _cmd_batch(args) -> int:
         [p for p in payloads if "__error__" not in p],
         jobs=args.jobs,
         timeout=args.timeout,
-        executor=args.executor,
     )
     # Re-interleave unreadable files with engine results, in input order.
     merged: list[dict] = []

@@ -115,59 +115,19 @@ def run_domain(
     return run
 
 
-class _DomainTask:
-    """One ``run_domain`` call as a picklable zero-argument callable.
-
-    The process executor ships tasks to worker interpreters by pickling,
-    which rules out closures — this class carries the same bindings as the
-    thread path's lambda.  Inside a pool worker the warm comparator built
-    by :func:`repro.service.parallel.init_worker` is reused; outside one,
-    a fresh comparator is built per task, exactly like the thread path.
-    Both answer from the same compiled default lexicon.
-    """
-
-    __slots__ = ("name", "seed", "options", "respondent_count")
-
-    def __init__(self, name, seed, options, respondent_count) -> None:
-        self.name = name
-        self.seed = seed
-        self.options = options
-        self.respondent_count = respondent_count
-
-    def __call__(self) -> DomainRunResult:
-        from .service.parallel import worker_comparator
-
-        return run_domain(
-            self.name,
-            seed=self.seed,
-            options=self.options,
-            comparator=worker_comparator() or SemanticComparator(),
-            respondent_count=self.respondent_count,
-        )
-
-
 def run_all_domains(
     seed: int = 0,
     options: NamingOptions | None = None,
     respondent_count: int = 11,
     jobs: int = 1,
-    executor: str = "thread",
 ) -> dict[str, DomainRunResult]:
     """All seven Table 6 rows, in the paper's order.
 
-    ``jobs > 1`` fans the domains over the service layer's batch executor
-    (:func:`repro.service.engine.execute_batch`); each worker labels with
+    ``jobs > 1`` fans the domains over the service layer's batch threads
+    (:func:`repro.service.engine.execute_batch`); each domain labels with
     its own comparator, so results are identical to the sequential path —
     the default ``jobs=1`` keeps today's byte-for-byte behavior.
-    ``executor="process"`` runs each domain in a worker of the pool the
-    engine's process batches use (:class:`repro.service.parallel.WorkerPool`,
-    each worker warmed once with the compiled lexicon); if that pool breaks,
-    the remaining domains run on the threads with a logged warning.  The
-    pipeline is deterministic, so all three paths yield identical tables.
     """
-    from .service.parallel import validate_executor
-
-    validate_executor(executor)
     if jobs <= 1:
         comparator = SemanticComparator()
         return {
@@ -185,20 +145,17 @@ def run_all_domains(
 
     names = list(DOMAINS)
     tasks = [
-        _DomainTask(name, seed, options, respondent_count) for name in names
+        partial(
+            run_domain,
+            name,
+            seed=seed,
+            options=options,
+            comparator=SemanticComparator(),
+            respondent_count=respondent_count,
+        )
+        for name in names
     ]
-    pool = None
-    if executor == "process":
-        from .lexicon.compiled import default_compiled
-        from .service.parallel import WorkerPool
-
-        pool = WorkerPool(min(jobs, len(tasks)), default_compiled())
-        tasks = [partial(pool.call, task) for task in tasks]
-    try:
-        outcomes = execute_batch(tasks, jobs=jobs)
-    finally:
-        if pool is not None:
-            pool.close()
+    outcomes = execute_batch(tasks, jobs=jobs)
     failed = [
         f"{name}: {outcome.error}"
         for name, outcome in zip(names, outcomes)

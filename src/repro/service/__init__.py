@@ -12,13 +12,13 @@ workload needs:
                  those bytes and a corrupted entry is evicted and
                  recomputed, never served;
 ``engine``       :class:`LabelingEngine` — request validation, cache
-                 consultation, pipeline execution, a batch executor with
-                 per-item timeout and error isolation, plus the resilience
-                 stack (retry, per-corpus circuit breaker, fault-plan
-                 scope, strict oracle verification);
-``parallel``     worker warm-up and the shared CPU-derived ``--jobs``
-                 default for the process batch backend
-                 (``executor="process"``);
+                 consultation, pipeline execution, a thread batch executor
+                 with per-item timeout and error isolation, plus the
+                 resilience stack (retry, per-corpus circuit breaker,
+                 fault-plan scope, strict oracle verification);
+``parallel``     the shared CPU-derived ``--jobs`` default and the
+                 ``executor`` names still accepted (every batch computes
+                 in this process);
 ``diskcache``    a persistent, CRC-checked JSONL warm-start layer under
                  the in-memory result cache;
 ``server``       a stdlib-only HTTP JSON API (``POST /label``,

@@ -1,4 +1,4 @@
-"""The long-lived labeling engine: one request path for every executor.
+"""The long-lived labeling engine: one request path for requests and batches.
 
 One :class:`LabelingEngine` wraps the naming pipeline
 (:func:`repro.core.pipeline.label_corpus`) as a service: a request names a
@@ -7,9 +7,9 @@ corpus document (the ``save_corpus`` shape), plus optional naming options,
 a lexicon overlay and a lint flag; the response is a JSON-ready dict with
 the labeled tree, per-cluster labels and the Definition-8 classification.
 
-Single requests and batch items on every executor take the same steps,
-each written once: **parse** (:meth:`LabelingRequest.from_payload`, in the
-calling process; every check runs on every request) → **key** (the corpus
+Single requests and batch items take the same steps, each written once:
+**parse** (:meth:`LabelingRequest.from_payload`, in the calling thread;
+every check runs on every request) → **key** (the corpus
 fingerprint, :mod:`repro.service.fingerprint`; the pipeline is
 deterministic, so entries never go stale — a request-key memo maps a valid
 ``{domain, seed}`` payload seen before to its fingerprint, and only a memo
@@ -22,12 +22,9 @@ pipeline plus strict-mode oracles; builds the corpus if the memo skipped
 it) → **store** (:meth:`LabelingEngine._store`: memory and disk, encoded
 once).  Lookup → compute → store runs inside the per-fingerprint breaker,
 fault scope and retry policy, on the calling thread or one of a batch's
-``jobs`` threads.
-The executor decides only where ``compute`` runs: in that thread, or, under
-``executor="process"``, in a worker of a process pool built for the batch
-(:class:`~repro.service.parallel.WorkerPool`).  Overlay-free requests share
-the engine's one comparator across all threads (its memos are append-only
-and thread-safe).
+``jobs`` threads, and ``compute`` runs in that same thread.  Overlay-free
+requests share the engine's one comparator across all threads (its memos
+are append-only and thread-safe).
 
 Every answer is an entry's JSON bytes with the request's own keys
 (``cached``, ``lint``, ``resilience``, and the server's ``request_id``)
@@ -225,9 +222,9 @@ class LabelingRequest:
 
     ``interfaces`` and ``mapping`` are built from ``source`` on first access,
     at most once per request object (which has one owner at a time: the
-    thread labeling it, or the pool worker it was pickled to).  A request
-    whose fingerprint came from the request-key memo therefore never builds
-    its corpus unless it is computed.
+    thread labeling it).  A request whose fingerprint came from the
+    request-key memo therefore never builds its corpus unless it is
+    computed.
     """
 
     options: NamingOptions
@@ -253,12 +250,6 @@ class LabelingRequest:
         if self._corpus is None:
             self._corpus = _build_corpus(self.source)
         return self._corpus
-
-    def __getstate__(self) -> dict:
-        # A built corpus supersedes its source: pickle only one of them.
-        if self._corpus is None:
-            return self.__dict__
-        return {**self.__dict__, "source": {}}
 
     @classmethod
     def from_payload(
@@ -346,11 +337,6 @@ class BatchOutcome:
         return cls(ok=False, error=error, error_type=error_type,
                    elapsed_ms=elapsed_ms, detail=detail, exception=exc)
 
-    def __getstate__(self) -> dict:
-        # Exception objects are not reliably picklable: only the classified
-        # error crosses a process boundary.
-        return {**self.__dict__, "exception": None}
-
 
 def _run_timed(task: Callable[[], object]) -> BatchOutcome:
     start = time.perf_counter()
@@ -418,11 +404,11 @@ def compute(
 ) -> dict:
     """Label one parsed request: the fresh, JSON-ready response.
 
-    The compute step of every executor (pool workers call it through
-    :class:`~repro.service.parallel.PayloadTask`).  With ``verify="strict"``
-    the paper-invariant oracles (:mod:`repro.testing.oracles`) re-check the
-    labeling and their report rides along under ``"_oracle"`` for
-    :meth:`LabelingEngine._store` to tally, from any process.
+    The compute step of every miss, run in the thread serving the request
+    or batch item.  With ``verify="strict"`` the paper-invariant oracles
+    (:mod:`repro.testing.oracles`) re-check the labeling and their report
+    rides along under ``"_oracle"`` for :meth:`LabelingEngine._store` to
+    tally.
     """
     start = time.perf_counter()
     maybe_inject("engine.execute", key=request.fingerprint)
@@ -484,50 +470,6 @@ def compute(
     if report is not None:
         response["_oracle"] = report
     return response
-
-
-#: How many lexicon-overlay comparators to keep warm; overlays beyond this
-#: evict the least recently used one (its caches go with it).
-OVERLAY_COMPARATORS = 8
-
-
-def comparator_for(
-    request: LabelingRequest,
-    default: SemanticComparator,
-    overlays: dict[str, SemanticComparator],
-    lock,
-    limit: int = OVERLAY_COMPARATORS,
-) -> SemanticComparator:
-    """The comparator for ``request``: ``default``, or one shared per overlay.
-
-    Requests (and batch items) carrying the same lexicon overlay share one
-    comparator from ``overlays`` (an LRU of at most ``limit``, keyed by the
-    request's canonical overlay, guarded by ``lock``) — and therefore its
-    label/relation/group caches.  The overlay lexicon is built and
-    compiled once per key, when its comparator is.  The engine and every
-    pool worker choose through here, so an item gets the same lexicon on
-    every executor.  The comparator's memos are safe under concurrent use
-    (append-only maps of deterministic values), so one instance can serve
-    parallel workers.
-    """
-    lexicon = request.lexicon
-    if lexicon is None:
-        return default
-    key = canonical_json(lexicon)
-    with lock:
-        comparator = overlays.pop(key, None)
-        if comparator is not None:
-            overlays[key] = comparator  # refresh its LRU position
-            return comparator
-    from ..core.label import LabelAnalyzer
-    from ..lexicon.io import wordnet_from_dict
-
-    comparator = SemanticComparator(LabelAnalyzer(wordnet_from_dict(lexicon)))
-    with lock:
-        while key not in overlays and len(overlays) >= limit:
-            del overlays[next(iter(overlays))]
-        # A lost build race shares the winner.
-        return overlays.setdefault(key, comparator)
 
 
 def _parse(payload, keys: LRUCache) -> LabelingRequest | Exception:
@@ -624,10 +566,14 @@ class LabelingEngine:
         the comparator every overlay-free request uses, shared across all
         threads; built at construction when not given.  Passing one lets
         test/chaos sweeps reuse warm caches across engines.
+    ``executor``
+        ``"thread"`` or ``"process"``, and nothing else; both compute every
+        miss in this process.  Kept only so existing callers still start.
     """
 
-    #: Bound on the overlay comparator LRU (see :func:`comparator_for`).
-    OVERLAY_COMPARATORS = OVERLAY_COMPARATORS
+    #: How many lexicon-overlay comparators to keep warm; overlays beyond
+    #: this evict the least recently used one (its caches go with it).
+    OVERLAY_COMPARATORS = 8
 
     #: Response schema version, part of :meth:`engine_fingerprint` — bump on
     #: any change to the response dict's shape or semantics.
@@ -657,7 +603,7 @@ class LabelingEngine:
         # Request key -> corpus fingerprint (see LabelingRequest.from_payload).
         self._request_keys = LRUCache(capacity=cache_size)
         self.default_jobs = normalize_jobs(jobs)
-        self.default_executor = validate_executor(executor)
+        validate_executor(executor)
         self.fault_plan = fault_plan
         self.retry = retry or RetryPolicy()
         self.breaker_policy = breaker
@@ -752,15 +698,12 @@ class LabelingEngine:
             keys["request_id"] = request_id
         return _splice(entry, keys)
 
-    def _label_request(
-        self, request: LabelingRequest, pool=None
-    ) -> tuple[bytes, dict]:
+    def _label_request(self, request: LabelingRequest) -> tuple[bytes, dict]:
         """One item, with the full resilience stack around the pipeline.
 
-        Breaker check → fault scope → bounded retry → provenance; a cache
-        miss computes in ``pool`` when one is given (see :meth:`_compute`).
-        Returns the entry's bytes and the keys this request adds to them.
-        The ``resilience`` key is attached only when something actually
+        Breaker check → fault scope → bounded retry → provenance.  Returns
+        the entry's bytes and the keys this request adds to them.  The
+        ``resilience`` key is attached only when something actually
         happened (a retry or an injected fault), so fault-free responses
         stay byte-identical to those of an engine with no plan at all.
         """
@@ -775,7 +718,7 @@ class LabelingEngine:
 
         def attempt() -> tuple[bytes, dict]:
             with obs_span("engine.attempt", attempt=next(numbers)):
-                return self._label_once(request, pool)
+                return self._label_once(request)
 
         def sleep(delay: float) -> None:
             obs_event("retry.backoff", delay_ms=round(delay * 1000.0, 3))
@@ -813,9 +756,7 @@ class LabelingEngine:
             obs_event("breaker.transition", **{"from": before, "to": after})
         return result
 
-    def _label_once(
-        self, request: LabelingRequest, pool=None
-    ) -> tuple[bytes, dict]:
+    def _label_once(self, request: LabelingRequest) -> tuple[bytes, dict]:
         """Lookup, else compute and store — the unit the retry policy repeats.
 
         The entry's bytes and the per-request keys, in the order each
@@ -826,32 +767,9 @@ class LabelingEngine:
         if entry is not None:
             return entry, self._hit(request, entry)
         self.counters.add("computations")
-        response = self._compute(request, pool)
+        response = compute(request, self._comparator_for(request), self.verify)
         entry = self._store(request, response)
         return entry, {k: v for k, v in response.items() if k in _REQUEST_KEYS}
-
-    def _compute(self, request: LabelingRequest, pool=None) -> dict:
-        """:func:`compute` here, or in a worker of ``pool`` (a
-        :class:`~repro.service.parallel.WorkerPool`).
-
-        A worker's span tree is grafted under the current span; a pool that
-        cannot run the task computes here instead.
-        """
-        def here() -> dict:
-            return compute(request, self._comparator_for(request), self.verify)
-
-        if pool is None:
-            return here()
-        from .parallel import PayloadTask
-
-        trace, parent = current_trace(), current_span()
-        traced = trace is not None and parent is not None
-        start = trace.clock() if traced else 0.0
-        response = pool.call(PayloadTask(request, self.verify, traced), here)
-        tree = response.pop("_obs_trace", None)
-        if tree:
-            parent.children.append(Span.from_dict(tree, base_s=start))
-        return response
 
     def _lookup(self, request: LabelingRequest) -> bytes | None:
         """The entry's bytes for ``request`` from the cache tiers, or
@@ -936,10 +854,34 @@ class LabelingEngine:
         return breaker
 
     def _comparator_for(self, request: LabelingRequest) -> SemanticComparator:
-        return comparator_for(
-            request, self.comparator, self._overlay_comparators, self._lock,
-            self.OVERLAY_COMPARATORS,
-        )
+        """The comparator for ``request``: the engine's, or one per overlay.
+
+        Requests (and batch items) carrying the same lexicon overlay share
+        one comparator from an LRU of at most :attr:`OVERLAY_COMPARATORS`,
+        keyed by the canonical overlay, and so share its label and relation
+        memos.  The overlay lexicon is built and compiled once per key.  A
+        comparator's memos are safe under concurrent use (append-only maps
+        of deterministic values), so one instance serves every thread.
+        """
+        lexicon = request.lexicon
+        if lexicon is None:
+            return self.comparator
+        key = canonical_json(lexicon)
+        overlays = self._overlay_comparators
+        with self._lock:
+            comparator = overlays.pop(key, None)
+            if comparator is not None:
+                overlays[key] = comparator  # refresh its LRU position
+                return comparator
+        from ..core.label import LabelAnalyzer
+        from ..lexicon.io import wordnet_from_dict
+
+        comparator = SemanticComparator(LabelAnalyzer(wordnet_from_dict(lexicon)))
+        with self._lock:
+            while key not in overlays and len(overlays) >= self.OVERLAY_COMPARATORS:
+                del overlays[next(iter(overlays))]
+            # A lost build race shares the winner.
+            return overlays.setdefault(key, comparator)
 
     # ------------------------------------------------------------------
     # Batches.
@@ -950,7 +892,6 @@ class LabelingEngine:
         payloads: Sequence,
         jobs: int | None = None,
         timeout: float | None = None,
-        executor: str | None = None,
     ) -> list[dict]:
         """Label many payloads concurrently; one response dict per payload.
 
@@ -961,23 +902,13 @@ class LabelingEngine:
         through :meth:`_label_request` on one of ``jobs`` threads, and its
         repeats are answered ``cached: true`` spliced onto the entry bytes
         it returned (or share its error).  With caching disabled every item
-        runs on its own.
-        ``executor="process"`` only moves each miss's ``compute`` into a
-        process pool built for this batch, started at the first miss with at
-        most one worker per group; it stays in the threads when ``jobs <= 1``
-        (nothing to parallelize) or a ``fault_plan`` is active (the plan's
-        fire counts live in this process).
+        runs on its own.  A miss computes in its item's thread, as a
+        single request does, so the engine's memos and counters see it.
         """
-        from .parallel import WorkerPool, normalize_jobs, validate_executor
+        from .parallel import normalize_jobs
 
         jobs = self.default_jobs if jobs is None else normalize_jobs(jobs)
-        if executor is None:
-            executor = self.default_executor
-        else:
-            executor = validate_executor(executor)
-        with obs_span(
-            "engine.batch", items=len(payloads), jobs=jobs, executor=executor
-        ):
+        with obs_span("engine.batch", items=len(payloads), jobs=jobs):
             requests = [_parse(payload, self._request_keys) for payload in payloads]
             # An invalid item, or any item when caching is off (a cache-less
             # engine recomputes repeats), is a group of its own.
@@ -986,26 +917,18 @@ class LabelingEngine:
                 shared = isinstance(request, LabelingRequest) and self.cache.capacity > 0
                 key = request.fingerprint if shared else index
                 groups.setdefault(key, []).append(index)
-            pool = None
-            if executor == "process" and jobs > 1 and self.fault_plan is None:
-                pool = WorkerPool(min(jobs, len(groups)), self.comparator.wordnet)
             # An invalid payload still gets its slot (and item span); its
             # task re-raises the parse error for the shared classifier.
             tasks = [
                 (
                     first,
-                    partial(self._label_request, requests[first], pool)
+                    partial(self._label_request, requests[first])
                     if isinstance(requests[first], LabelingRequest)
                     else partial(_raise, requests[first]),
                 )
                 for first, *_ in groups.values()
             ]
-            try:
-                outcomes = _fan_out(tasks, jobs, timeout)
-            finally:
-                if pool is not None:
-                    # A timed-out item's task may still be running.
-                    pool.close(wait=timeout is None)
+            outcomes = _fan_out(tasks, jobs, timeout)
             entries: list[dict | None] = [None] * len(requests)
             failed = 0
             for (first, *rest), outcome in zip(groups.values(), outcomes):
@@ -1068,7 +991,7 @@ class LabelingEngine:
             "computations": counts["computations"],
             "uptime_s": round(time.time() - self._started, 3),
             "default_jobs": self.default_jobs,
-            "default_executor": self.default_executor,
+            "default_executor": "thread",
             "cache": self.cache.stats(),
             "request_keys": self._request_keys.stats(),
             "naming": {"truncated_closures": counts["truncated_closures"]},

@@ -333,13 +333,13 @@ def test_warm_restart_serves_from_disk_with_zero_recomputation(tmp_path):
         assert a == b
 
 
-def test_warm_restart_with_process_backend(tmp_path):
+def test_warm_restart_with_batch_threads(tmp_path):
     cold = LabelingEngine(disk_cache=tmp_path)
-    cold.label_batch(PAYLOADS, jobs=2, executor="process")
+    cold.label_batch(PAYLOADS, jobs=2)
     assert cold.stats()["computations"] == len(PAYLOADS)
 
     warm = LabelingEngine(disk_cache=tmp_path)
-    results = warm.label_batch(PAYLOADS, jobs=2, executor="process")
+    results = warm.label_batch(PAYLOADS, jobs=2)
     assert all(r["cached"] is True for r in results)
     assert warm.stats()["computations"] == 0
 

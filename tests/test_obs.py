@@ -382,31 +382,9 @@ class TestTracingChangesNothing:
         assert [c.name for c in batch_span.children] == [
             "item[0]", "item[1]", "item[2]",
         ]
-
-    def test_process_batch_byte_identical_and_grafts_worker_spans(self):
-        payloads = [{"domain": "airline"}, {"domain": "book"}]
-        plain = LabelingEngine(cache_size=0).label_batch(
-            payloads, jobs=2, executor="process"
-        )
-        trace = Trace()
-        with trace.scope():
-            traced = LabelingEngine(cache_size=0).label_batch(
-                payloads, jobs=2, executor="process"
-            )
-        assert [_canon(r) for r in traced] == [
-            _canon(r) for r in plain
-        ]
-        # No worker implementation detail leaks into the responses.
-        assert all("_obs_trace" not in r for r in traced)
-        # Each item span carries the re-based worker tree with the phases.
-        item_spans = [
-            s for s in trace.root.iter_spans() if s.name.startswith("item[")
-        ]
-        assert len(item_spans) == 2
-        for item in item_spans:
-            (worker,) = item.find("worker")
-            assert worker.find("phase:combine_closure")
-            assert item.start_s <= worker.start_s <= worker.end_s <= item.end_s
+        # Each valid item's pipeline phases sit under its own item span.
+        for item in batch_span.children[:2]:
+            assert item.find("phase:combine_closure")
 
     def test_cached_and_traced_hits_stay_identical(self):
         engine = LabelingEngine(cache_size=8)

@@ -1,32 +1,29 @@
-"""The process-parallel batch backend: equivalence, isolation, fallback.
+"""Batches in the serving process: equivalence, isolation, sizing.
 
-The contract under test: ``executor="process"`` is a pure performance
-knob that decides only where ``compute`` runs.  Same responses as the
-thread backend (modulo the timing field), same error classification, same
-stdout for ``repro table6`` byte for byte — and ``compute`` stays in the
-parent whenever the process pool cannot apply (``jobs <= 1``, an active
-fault plan, or a broken pool).
+The contract under test: a batch's items fan out over at most ``jobs``
+threads, and each miss computes in its item's thread.  Same responses as
+a sequential batch (modulo the timing field), same error classification,
+same stdout for ``repro table6`` byte for byte.  ``executor="process"``
+is still accepted by ``LabelingEngine`` and ``repro serve``, and starts no
+process.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
-from functools import partial
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.core.pipeline import label_corpus
+from repro.datasets.registry import DOMAINS
 from repro.experiment import run_all_domains
 from repro.resilience import FaultPlan
-from repro.service.engine import LabelingEngine, LabelingRequest, execute_batch
+from repro.service.engine import LabelingEngine, execute_batch
 from repro.service.parallel import (
     EXECUTORS,
-    PayloadTask,
     default_jobs,
     normalize_jobs,
     validate_executor,
@@ -47,18 +44,17 @@ def _label_corpus_failing_on_book(interfaces, mapping, domain=None, **kwargs):
     return label_corpus(interfaces, mapping, domain=domain, **kwargs)
 
 
+class _NoPool:
+    """Stands in for ``ProcessPoolExecutor``: building one is a failure."""
+
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a process pool was built")
+
+
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """The ``max_workers`` of each process pool built while the test runs."""
-    sizes = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
-
-    monkeypatch.setattr("repro.service.parallel.ProcessPoolExecutor", RecordingPool)
-    return sizes
+def no_pool(monkeypatch):
+    """Any process pool built while the test runs raises."""
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _NoPool)
 
 
 def _strip_timing(response: dict) -> dict:
@@ -91,14 +87,24 @@ def test_cli_jobs_defaults_are_unified():
 
 
 def test_cli_executor_flags_exist():
+    # Only serve keeps --executor, and only for its existing callers.
     parser = build_parser()
-    for argv in (
-        ["table6", "--executor", "process"],
-        ["batch", "x.json", "--executor", "process"],
-        ["serve", "--executor", "process"],
-    ):
-        assert parser.parse_args(argv).executor == "process"
-        assert parser.parse_args([argv[0], *argv[1:-2]]).executor == "thread"
+    assert parser.parse_args(["serve"]).executor == "thread"
+    for argv in (["table6", "--executor", "process"],
+                 ["batch", "x.json", "--executor", "process"]):
+        with pytest.raises(SystemExit) as excinfo:
+            parser.parse_args(argv)
+        assert excinfo.value.code == 2
+
+
+def test_serve_still_parses_the_process_executor(capsys):
+    parser = build_parser()
+    args = parser.parse_args(["serve", "--executor", "process", "--jobs", "2"])
+    assert (args.executor, args.jobs) == ("process", 2)
+    with pytest.raises(SystemExit) as excinfo:
+        parser.parse_args(["serve", "--executor", "bogus"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
 
 def test_validate_executor():
@@ -111,19 +117,19 @@ def test_validate_executor():
 
 
 # ----------------------------------------------------------------------
-# label_batch with the process executor: order, isolation, validation.
+# label_batch on threads: order, isolation, validation.
 # ----------------------------------------------------------------------
 
 
 def test_process_batch_preserves_order_and_isolation(monkeypatch):
-    # Forked workers inherit the patch: each book item fails in a worker.
+    # Each book item fails in its batch thread, in this process.
     monkeypatch.setattr(
         "repro.service.engine.label_corpus", _label_corpus_failing_on_book
     )
     domains = ["airline", "book", "auto", "hotels", "book", "carrental"]
     payloads = [{"domain": d, "seed": 7 + i} for i, d in enumerate(domains)]
-    results = LabelingEngine(breaker=None).label_batch(
-        payloads, jobs=2, executor="process"
+    results = LabelingEngine(breaker=None, executor="process").label_batch(
+        payloads, jobs=2
     )
     assert [r["ok"] for r in results] == [True, False, True, True, False, True]
     assert [r["domain"] for r in results if r["ok"]] == [
@@ -131,17 +137,19 @@ def test_process_batch_preserves_order_and_isolation(monkeypatch):
     ]
     for failed in (results[1], results[4]):
         assert failed["error_type"] == "internal"
-        assert "boom in process" in failed["error"]
-        assert f"boom in process {os.getpid()}" not in failed["error"]
+        assert f"boom in process {os.getpid()}" in failed["error"]
 
 
 def test_label_batch_rejects_unknown_executor():
+    # A batch takes no executor at all; the engine's spelling is checked.
+    with pytest.raises(TypeError, match="executor"):
+        LabelingEngine().label_batch([{"domain": "job"}], jobs=2, executor="thread")
     with pytest.raises(ValueError, match="executor"):
-        LabelingEngine().label_batch([{"domain": "job"}], jobs=2, executor="greenlet")
+        LabelingEngine(executor="greenlet")
 
 
 # ----------------------------------------------------------------------
-# Engine: process backend == thread backend.
+# Engine: threaded batches == sequential batches.
 # ----------------------------------------------------------------------
 
 
@@ -155,11 +163,9 @@ PAYLOADS = [
 
 def test_label_batch_process_matches_thread():
     thread_engine = LabelingEngine(breaker=None)
-    process_engine = LabelingEngine(breaker=None)
+    process_engine = LabelingEngine(breaker=None, executor="process")
     thread_results = thread_engine.label_batch(PAYLOADS, jobs=1)
-    process_results = process_engine.label_batch(
-        PAYLOADS, jobs=2, executor="process"
-    )
+    process_results = process_engine.label_batch(PAYLOADS, jobs=2)
     assert len(thread_results) == len(process_results)
     for expected, got in zip(thread_results, process_results):
         assert _strip_timing(expected) == _strip_timing(got)
@@ -171,12 +177,12 @@ def test_label_batch_process_matches_thread():
 def test_strict_verification_runs_on_the_process_path():
     payloads = [{"domain": "auto", "seed": 5}, {"domain": "book", "seed": 5}]
     checks = {}
-    for executor in ("thread", "process"):
-        engine = LabelingEngine(verify="strict", breaker=None)
-        results = engine.label_batch(payloads, jobs=2, executor=executor)
+    for jobs, executor in ((1, "thread"), (2, "thread"), (2, "process")):
+        engine = LabelingEngine(verify="strict", breaker=None, executor=executor)
+        results = engine.label_batch(payloads, jobs=jobs)
         assert all(r["ok"] for r in results)
-        checks[executor] = engine.stats()["resilience"]["oracle"]["checks"]
-    assert checks["process"] == checks["thread"] > 0
+        checks[jobs, executor] = engine.stats()["resilience"]["oracle"]["checks"]
+    assert checks[2, "process"] == checks[2, "thread"] == checks[1, "thread"] > 0
 
 
 def test_process_batch_uses_the_request_lexicon_overlay():
@@ -190,35 +196,26 @@ def test_process_batch_uses_the_request_lexicon_overlay():
     plain = LabelingEngine(breaker=None).label({"domain": "auto", "seed": 5})
     single = LabelingEngine(breaker=None).label(payloads[0])
     assert single["field_labels"] != plain["field_labels"]
-    thread = LabelingEngine(breaker=None).label_batch(payloads, jobs=2)
-    process_engine = LabelingEngine(breaker=None)
-    process = process_engine.label_batch(payloads, jobs=2, executor="process")
-    for expected, got in zip(thread, process):
+    sequential = LabelingEngine(breaker=None).label_batch(payloads, jobs=1)
+    process_engine = LabelingEngine(breaker=None, executor="process")
+    process = process_engine.label_batch(payloads, jobs=2)
+    for expected, got in zip(sequential, process):
         assert _strip_timing(expected) == _strip_timing(got)
     assert _strip_timing(process[0]) == _strip_timing(single)
-    # What the process path stored is the overlay answer too.
+    # What the threaded batch stored is the overlay answer too.
     assert _strip_timing(process_engine.label(payloads[0])) == _strip_timing(
         {**single, "cached": True}
     )
 
 
-class _BrokenPool(ProcessPoolExecutor):
-    """A pool whose every worker dies in its bootstrap."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **{**kwargs, "initializer": os._exit,
-                                   "initargs": (13,)})
-
-
-def test_strict_verification_survives_a_broken_pool(monkeypatch):
-    # The pool dies on start-up, so every item computes in the parent:
-    # strict verification must still check each labeling.
-    monkeypatch.setattr("repro.service.parallel.ProcessPoolExecutor", _BrokenPool)
+def test_strict_verification_survives_a_broken_pool(no_pool):
+    # A pool would fail to start; none is built, and strict verification
+    # checks each labeling in this process.
     payloads = [{"domain": "auto", "seed": 5}, {"domain": "book", "seed": 5}]
     thread = LabelingEngine(verify="strict", breaker=None)
     thread.label_batch(payloads, jobs=2)
-    engine = LabelingEngine(verify="strict", breaker=None)
-    results = engine.label_batch(payloads, jobs=2, executor="process")
+    engine = LabelingEngine(verify="strict", breaker=None, executor="process")
+    results = engine.label_batch(payloads, jobs=2)
     assert all(r["ok"] for r in results)
     checks = engine.stats()["resilience"]["oracle"]["checks"]
     assert checks == thread.stats()["resilience"]["oracle"]["checks"] > 0
@@ -236,39 +233,33 @@ def test_process_batch_duplicates_come_from_the_stored_entry():
     engine = LabelingEngine(breaker=None)
     engine.cache = ForgetfulCache(capacity=4)
     payload = {"domain": "airline", "seed": 0}
-    results = engine.label_batch([payload, payload], jobs=2, executor="process")
+    results = engine.label_batch([payload, payload], jobs=2)
     assert results[0]["cached"] is False and results[1]["cached"] is True
     assert _strip_timing({**results[0], "cached": True}) == _strip_timing(results[1])
 
 
-def test_pool_size_is_bounded_by_the_batch(pool_sizes):
-    engine = LabelingEngine(breaker=None)
-    results = engine.label_batch(
-        [{"domain": "airline", "seed": 3}, {"domain": "book", "seed": 3}],
-        jobs=64,
-        executor="process",
-    )
-    assert all(r["ok"] for r in results)
-    assert pool_sizes == [2]
-    # An all-hit batch starts no process.
-    engine.label_batch([{"domain": "airline", "seed": 3}], jobs=2, executor="process")
-    assert pool_sizes == [2]
-
-
 def test_label_batch_process_default_executor_knob():
     engine = LabelingEngine(breaker=None, jobs=2, executor="process")
-    assert engine.stats()["default_executor"] == "process"
+    assert engine.stats()["default_executor"] == "thread"
     results = engine.label_batch([{"domain": "job", "seed": 0}] * 2)
     assert results[0]["ok"] and results[1]["cached"] is True
 
 
-def test_payload_task_is_picklable():
-    import pickle
-
-    request = LabelingRequest.from_payload({"domain": "job", "seed": 0})
-    task = pickle.loads(pickle.dumps(PayloadTask(request, "strict")))
-    assert task.request.fingerprint == request.fingerprint
-    assert (task.verify, task.trace) == ("strict", False)
+def test_process_engine_batch_computes_here(no_pool):
+    """The ``executor="process"`` spelling labels every batch miss in this
+    process: no pool, no child, the sequential answers, and the engine's
+    own memos count the work."""
+    payloads = [{"domain": d, "seed": 11} for d in DOMAINS if d != "job"]
+    engine = LabelingEngine(executor="process", jobs=2)
+    results = engine.label_batch(payloads)
+    assert multiprocessing.active_children() == []
+    assert all(r["ok"] and r["cached"] is False for r in results)
+    # Ordered JSON, timing aside: the same bytes at jobs=1 and jobs=2.
+    expected = [json.dumps(_strip_timing(r)) for r in
+                LabelingEngine(jobs=1).label_batch(payloads)]
+    for got in (results, LabelingEngine(jobs=2).label_batch(payloads)):
+        assert [json.dumps(_strip_timing(r)) for r in got] == expected
+    assert engine.stats()["semantics"]["relations"]["misses"] > 0
 
 
 def test_thread_batch_computes_a_repeat_once():
@@ -282,41 +273,32 @@ def test_thread_batch_computes_a_repeat_once():
 
 
 # ----------------------------------------------------------------------
-# compute stays in the parent (jobs<=1, fault plan) + shared-comparator
-# safety.
+# compute in this process (jobs<=1, fault plan) + shared-comparator safety.
 # ----------------------------------------------------------------------
 
 
-def test_process_backend_falls_back_on_single_job(pool_sizes):
-    engine = LabelingEngine(breaker=None)
-    results = engine.label_batch(
-        [{"domain": "job", "seed": 0}], jobs=1, executor="process"
-    )
+def test_process_backend_falls_back_on_single_job(no_pool):
+    engine = LabelingEngine(breaker=None, executor="process")
+    results = engine.label_batch([{"domain": "job", "seed": 0}], jobs=1)
     assert results[0]["ok"]
-    assert pool_sizes == []
 
 
-def test_process_backend_falls_back_under_fault_plan(pool_sizes):
-    """With a fault plan ``compute`` must stay on the parent's threads —
-    and a comparator shared across those threads must keep its memos exact.
-
-    This is the scenario the shared memos see in production: the chaos
-    harness drives ``executor="process"`` batches whose ``compute`` stays
-    on the batch threads, where every thread shares one comparator.
+def test_process_backend_falls_back_under_fault_plan(no_pool):
+    """Under a fault plan a comparator shared across the batch threads
+    must keep its memos exact: the chaos harness's batches run this way.
     """
     from repro.core.semantics import SemanticComparator
 
     comparator = SemanticComparator()
     plan = FaultPlan((), seed=0)  # active but empty: never fires
     engine = LabelingEngine(
-        breaker=None, fault_plan=plan, comparator=comparator
+        breaker=None, fault_plan=plan, comparator=comparator, executor="process"
     )
     payloads = [
         {"domain": name, "seed": 0} for name in ("airline", "auto", "book", "job")
     ]
-    results = engine.label_batch(payloads, jobs=4, executor="process")
+    results = engine.label_batch(payloads, jobs=4)
     assert all(r["ok"] for r in results)
-    assert pool_sizes == []
 
     # Same responses as a fresh sequential engine (the plan never fired).
     reference = LabelingEngine(breaker=None).label_batch(payloads, jobs=1)
@@ -333,23 +315,22 @@ def test_process_backend_falls_back_under_fault_plan(pool_sizes):
 
 
 # ----------------------------------------------------------------------
-# run_all_domains + table6: byte identity across executors.
+# run_all_domains + table6: byte identity across the inline path and the
+# batch threads.
 # ----------------------------------------------------------------------
 
 
 def test_run_all_domains_rejects_bad_executor():
-    with pytest.raises(ValueError, match="executor"):
-        run_all_domains(jobs=2, executor="fiber")
+    # The argument is gone: any executor is rejected.
+    with pytest.raises(TypeError, match="executor"):
+        run_all_domains(jobs=2, executor="thread")
 
 
-def test_table6_output_byte_identical_across_executors(capsys):
+def test_table6_output_byte_identical_across_executors(capsys, no_pool):
     argv = ["table6", "--seed", "0", "--respondents", "3"]
     assert main(argv + ["--jobs", "1"]) == 0
     sequential = capsys.readouterr().out
-    assert main(argv + ["--jobs", "2", "--executor", "process"]) == 0
-    process = capsys.readouterr().out
-    assert process == sequential
-    assert main(argv + ["--jobs", "2", "--executor", "thread"]) == 0
+    assert main(argv + ["--jobs", "4"]) == 0
     threaded = capsys.readouterr().out
     assert threaded == sequential
 
@@ -415,52 +396,3 @@ class TestNormalizeJobs:
     def test_cli_jobs_flag_accepts_zero(self):
         args = build_parser().parse_args(["table6", "--jobs", "0"])
         assert args.jobs == 1
-
-
-# ----------------------------------------------------------------------
-# The process backend under the spawn start method.
-# ----------------------------------------------------------------------
-
-
-class TestSpawnStartMethod:
-    @pytest.fixture
-    def spawn(self, monkeypatch):
-        # spawn re-imports the worker module from scratch: the initializer
-        # and tasks must not capture unpicklable state.
-        monkeypatch.setattr(
-            "repro.service.parallel.ProcessPoolExecutor",
-            partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context("spawn")),
-        )
-
-    def test_process_batch_under_spawn_context(self, spawn):
-        payloads = [{"domain": "book", "seed": 2}, {"domain": "nope"}]
-        spawned = LabelingEngine(breaker=None).label_batch(
-            payloads, jobs=2, executor="process"
-        )
-        inline = LabelingEngine(breaker=None).label_batch(payloads, jobs=1)
-        assert [_strip_timing(r) for r in spawned] == [_strip_timing(r) for r in inline]
-        assert spawned[0]["ok"] and spawned[1]["error_type"] == "invalid_request"
-
-    def test_payload_task_under_spawn_matches_inline(self, spawn):
-        payload = {"domain": "job", "seed": 0, "lexicon": {"synsets": [["zzz", "qqq"]]}}
-        spawned = LabelingEngine(cache_size=0).label_batch(
-            [payload], jobs=2, executor="process"
-        )
-        inline = LabelingEngine(cache_size=0).label(payload)
-        assert _strip_timing(spawned[0]) == _strip_timing(inline)
-
-    def test_broken_pool_falls_back_to_threads_with_warning(self, monkeypatch, caplog):
-        # A worker bootstrap that dies must not take the batch down with
-        # it: the batch logs once and computes on its own threads.
-        monkeypatch.setattr("repro.service.parallel.ProcessPoolExecutor", _BrokenPool)
-        payloads = [{"domain": d, "seed": 4} for d in ("airline", "auto", "book")]
-        with caplog.at_level(logging.WARNING, logger="repro.service.parallel"):
-            results = LabelingEngine(breaker=None).label_batch(
-                payloads, jobs=2, executor="process"
-            )
-        expected = LabelingEngine(breaker=None).label_batch(payloads, jobs=1)
-        assert [_strip_timing(r) for r in results] == [
-            _strip_timing(r) for r in expected
-        ]
-        warnings = [r for r in caplog.records if "process pool broke" in r.message]
-        assert len(warnings) == 1

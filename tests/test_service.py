@@ -3,10 +3,7 @@
 from __future__ import annotations
 
 import json
-import logging
-import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -488,11 +485,11 @@ class TestRequestKeyMemo:
         engine.label({"domain": "auto", "lint": True, "timeout": 30})
         assert engine.stats()["request_keys"]["hits"] == 1
 
-    @pytest.mark.parametrize("path", ["inline", "process"])
+    @pytest.mark.parametrize("path", ["inline", "batch"])
     def test_memo_hit_after_eviction_recomputes(self, path, monkeypatch):
         # A memo hit whose result another request evicted before its lookup
         # (two requests racing on a full cache) builds its corpus and
-        # recomputes; through the process pool it is pickled unbuilt.
+        # recomputes, on a batch thread as on the calling one.
         engine = LabelingEngine(cache_size=1, breaker=None)
         first = engine.label({"domain": "airline"})
         # A corpus payload evicts airline's result but not its memo key.
@@ -500,18 +497,15 @@ class TestRequestKeyMemo:
         built = []
 
         def recording_load_domain(*args, **kwargs):
-            built.append(args)  # a forked worker appends to its own copy
+            built.append(args)
             return load_domain(*args, **kwargs)
 
         monkeypatch.setattr(registry, "load_domain", recording_load_domain)
-        if path == "process":
-            (again,) = engine.label_batch(
-                [{"domain": "airline"}], jobs=2, executor="process"
-            )
-            assert built == []  # only the worker built it
+        if path == "batch":
+            (again,) = engine.label_batch([{"domain": "airline"}], jobs=2)
         else:
             again = engine.label({"domain": "airline"})
-            assert len(built) == 1
+        assert len(built) == 1
         assert engine.stats()["request_keys"]["hits"] == 1
         assert again["cached"] is False
         assert engine.stats()["computations"] == 3
@@ -718,33 +712,35 @@ class TestEngineOwnLexicon:
         assert _labels(response) == _labels(expected)
 
     def test_process_workers_use_the_engine_lexicon(self):
+        # The "process" spelling has no workers: its batch threads label
+        # with the engine's own lexicon, as a sequential batch does.
+        payloads = [{"domain": "carrental", "seed": seed} for seed in range(3)]
+        sequential = LabelingEngine(comparator=_bare_comparator()).label_batch(
+            payloads, jobs=1
+        )
+        engine = LabelingEngine(
+            comparator=_bare_comparator(), executor="process", jobs=2
+        )
+        process = engine.label_batch(payloads)
+        assert [_labels(r) for r in process] == [_labels(r) for r in sequential]
+        assert [_labels(r) for r in process] != [
+            _labels(r) for r in LabelingEngine().label_batch(payloads, jobs=1)
+        ]
+
+    def test_broken_pool_computes_with_the_engine_lexicon(self, monkeypatch):
+        def broken_pool(*args, **kwargs):
+            raise OSError("no process can start")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", broken_pool)
         payloads = [{"domain": "carrental", "seed": seed} for seed in range(3)]
         thread = LabelingEngine(comparator=_bare_comparator()).label_batch(
-            payloads, jobs=2, executor="thread"
+            payloads, jobs=2
         )
-        process = LabelingEngine(comparator=_bare_comparator()).label_batch(
-            payloads, jobs=2, executor="process"
-        )
+        process = LabelingEngine(
+            comparator=_bare_comparator(), executor="process"
+        ).label_batch(payloads, jobs=2)
+        assert all(r["ok"] for r in process)
         assert [_labels(r) for r in process] == [_labels(r) for r in thread]
-
-    def test_broken_pool_computes_with_the_engine_lexicon(self, monkeypatch, caplog):
-        class BrokenPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                super().__init__(
-                    *args, **{**kwargs, "initializer": os._exit, "initargs": (13,)}
-                )
-
-        monkeypatch.setattr("repro.service.parallel.ProcessPoolExecutor", BrokenPool)
-        payloads = [{"domain": "carrental", "seed": seed} for seed in range(3)]
-        thread = LabelingEngine(comparator=_bare_comparator()).label_batch(
-            payloads, jobs=2, executor="thread"
-        )
-        with caplog.at_level(logging.WARNING, logger="repro.service.parallel"):
-            process = LabelingEngine(comparator=_bare_comparator()).label_batch(
-                payloads, jobs=2, executor="process"
-            )
-        assert [_labels(r) for r in process] == [_labels(r) for r in thread]
-        assert any("process pool broke" in r.message for r in caplog.records)
 
     def test_empty_overlay_answers_from_the_engine_lexicon(self):
         # An empty overlay fingerprints like no overlay, so it must label
