@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "GET /trace/<request_id>")
     serve.add_argument("--trace-log", type=Path, default=None,
                        help="append every request's spans to DIR/spans.jsonl "
-                            "(CRC-safe JSONL; implies --trace)")
+                            "(one CRC-checked line per span; implies --trace)")
 
     batch = sub.add_parser(
         "batch", help="merge + label many saved corpora concurrently"

@@ -10,7 +10,7 @@ when disabled:
              the :func:`span`/:func:`event` call sites instrumented
              through the pipeline, engine and batch executor) with an
              injectable monotonic clock;
-``export``   persistence and interchange: the CRC-safe JSONL span log
+``export``   persistence and interchange: the CRC-checked span log
              (``serve --trace-log``) and the ``chrome://tracing``
              exporter.
 

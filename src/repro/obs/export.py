@@ -1,12 +1,12 @@
-"""Trace persistence and interchange: JSONL log and Chrome export.
+"""Trace persistence and interchange: span log and Chrome export.
 
 Two consumers of a finished :class:`~repro.obs.tracer.Trace`:
 
-* :class:`TraceLog` — a structured JSONL event log (``serve --trace-log
-  DIR``): one :mod:`repro.records` record per span, the same CRC-checked
-  envelope as the disk cache's segments, so a crash mid-write can at
-  worst truncate the final line and a reader never trusts a corrupt
-  record.
+* :class:`TraceLog` — a structured span log (``serve --trace-log DIR``):
+  one :mod:`repro.records` line per span, whose payload is the span's
+  compact JSON behind the same CRC-32 header as the disk cache's
+  segments, so a crash mid-write can at worst truncate the final line
+  and a reader never trusts a corrupt record.
 * :func:`chrome_trace` — the ``chrome://tracing`` / Perfetto JSON array
   form ("trace event format", ``ph: "X"`` complete events), for looking
   at a request's phase timeline in a real trace viewer.
@@ -17,6 +17,7 @@ The server keeps recent traces for ``GET /trace/<request_id>`` in a plain
 
 from __future__ import annotations
 
+import json
 import threading
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from ..records import decode, encode
 __all__ = ["TraceLog", "chrome_trace"]
 
 _LOG_FILE = "spans.jsonl"
+_span_json = json.JSONEncoder(separators=(",", ":"), default=str).encode
 
 
 def _flatten_spans(record: dict, request_id: str):
@@ -60,12 +62,12 @@ def _flatten_spans(record: dict, request_id: str):
 
 
 class TraceLog:
-    """CRC-safe append-only JSONL span log (one record per span).
+    """CRC-safe append-only span log (one record per span).
 
-    Each line is :func:`repro.records.encode` of one flat span record.
-    Appends are lock-guarded and flushed; :meth:`load` skips (and counts)
-    corrupt or truncated lines instead of failing, mirroring
-    :class:`repro.service.diskcache.DiskCache`.
+    Each line is :func:`repro.records.encode` of one flat span's compact
+    JSON.  Appends are lock-guarded and flushed; :meth:`load` skips (and
+    counts) a line whose CRC fails or whose payload is not JSON instead of
+    failing, mirroring :class:`repro.service.diskcache.DiskCache`.
     """
 
     def __init__(self, directory: str | Path) -> None:
@@ -78,11 +80,11 @@ class TraceLog:
 
     def append(self, trace_record: dict) -> int:
         """Append every span of one trace dict; returns spans written."""
-        request_id = trace_record.get("request_id", "")
-        lines = [encode(flat) for flat in _flatten_spans(trace_record, request_id)]
-        payload = "\n".join(lines) + "\n"
+        spans = _flatten_spans(trace_record, trace_record.get("request_id", ""))
+        lines = [encode(_span_json(flat).encode()) for flat in spans]
+        payload = b"\n".join(lines) + b"\n"
         with self._lock:
-            with self.path.open("a", encoding="utf-8") as handle:
+            with self.path.open("ab") as handle:
                 handle.write(payload)
                 handle.flush()
             self._records += len(lines)
@@ -92,10 +94,19 @@ class TraceLog:
     @staticmethod
     def load(path: str | Path) -> tuple[list[dict], int]:
         """Read a span log back: ``(valid records, corrupt line count)``."""
-        lines = [line for line in Path(path).read_bytes().split(b"\n") if line.strip()]
-        values = [decode(line) for line in lines]
-        records = [value for value in values if value is not None]
-        return records, len(values) - len(records)
+        records, corrupt = [], 0
+        for line in Path(path).read_bytes().split(b"\n"):
+            if not line.strip():
+                continue
+            payload = decode(line)
+            if payload is not None:
+                try:
+                    records.append(json.loads(payload))
+                    continue
+                except (ValueError, RecursionError):  # a CRC over non-JSON bytes
+                    pass
+            corrupt += 1
+        return records, corrupt
 
     def stats(self) -> dict:
         with self._lock:

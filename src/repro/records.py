@@ -1,19 +1,13 @@
-"""The one CRC-checked JSON record format every persisted value uses.
+"""The one CRC-checked record format every persisted line uses.
 
-A record is one line of canonical JSON (sorted keys, no spaces,
-``default=str``)::
-
-    {"crc": <CRC-32 of the canonical JSON of v>, "v": <value>}
-
-:class:`repro.service.diskcache.DiskCache` segments and
-:class:`repro.obs.TraceLog` files are made of these lines.  CRC-32 guards
-against accidental and injected damage (bit rot, torn writes, a chaos
-fault); it is not a cryptographic seal.
-
-A disk-cache record carries an entry as its JSON text, a string, so the
-key sorting here never reaches it: the bytes the in-memory
-:class:`repro.service.cache.ResultCache` keeps (insertion order, CRC-32
-over exactly those bytes) come back from disk unchanged.
+A record is a payload's exact bytes behind the CRC-32 of those bytes, as
+8 lower-case hex digits, and one space: ``b"%08x " % crc32(payload) +
+payload``.  :class:`repro.service.diskcache.DiskCache` segments and
+:class:`repro.obs.TraceLog` files hold one record a line, so a payload
+holds no newline; the in-memory :class:`repro.service.cache.ResultCache`
+checks its entries with the same ``zlib.crc32``.  CRC-32 guards against
+accidental and injected damage (bit rot, torn writes, a chaos fault); it
+is not a cryptographic seal.
 
 This module imports nothing from the package, so ``repro.obs`` and
 ``repro.service`` can both use it.
@@ -21,40 +15,23 @@ This module imports nothing from the package, so ``repro.obs`` and
 
 from __future__ import annotations
 
-import json
 import zlib
 
 __all__ = ["decode", "encode"]
 
 
-def _canonical(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"), default=str)
+def encode(payload: bytes) -> bytes:
+    """The record line (no newline) for ``payload``."""
+    return b"%08x " % zlib.crc32(payload) + payload
 
 
-def encode(value) -> str:
-    """The record line (no newline) for ``value``: ``{"crc":C,"v":value}``."""
-    body = _canonical(value)
-    # Byte-identical to _canonical({"crc": ..., "v": value}): "crc" sorts
-    # first, and a nested value serializes as it does on its own.
-    return f'{{"crc":{zlib.crc32(body.encode("utf-8"))},"v":{body}}}'
+def decode(line: bytes) -> bytes | None:
+    """The payload of one record line, or ``None`` if it cannot be trusted.
 
-
-def decode(line: bytes | str):
-    """The value of one record line, or ``None`` if it cannot be trusted.
-
-    A line is trusted only if it is exactly :func:`encode` of the value it
-    parses to.  That covers the CRC check, and it also rejects damage that
-    leaves the parsed value unchanged (say, the case of a ``\\u`` escape's
-    hex digit).  Bad UTF-8, bad or too deeply nested JSON and a non-object
-    all give ``None``; nothing raises.
+    The header must be exactly the bytes :func:`encode` writes, so a
+    header digit flipped to upper case is damage too.
     """
-    try:
-        text = line.decode("utf-8") if isinstance(line, bytes) else line
-        record = json.loads(text)
-        if isinstance(record, dict) and "v" in record:
-            value = record["v"]
-            if encode(value) == text:
-                return value
-    except (ValueError, RecursionError):  # UnicodeDecodeError is a ValueError
-        pass
+    payload = line[9:]
+    if line[8:9] == b" " and line[:8] == b"%08x" % zlib.crc32(payload):
+        return payload
     return None

@@ -19,8 +19,8 @@ workload needs:
 ``parallel``     the shared CPU-derived ``--jobs`` default and the
                  ``executor`` names still accepted (every batch computes
                  in this process);
-``diskcache``    a persistent, CRC-checked JSONL warm-start layer under
-                 the in-memory result cache;
+``diskcache``    a persistent warm-start layer under the in-memory result
+                 cache: segments of CRC-checked lines holding entry bytes;
 ``server``       a stdlib-only HTTP JSON API (``POST /label``,
                  ``POST /batch``, ``GET /healthz``, ``GET /metrics``,
                  ``GET /trace/<request_id>``) behind a bounded admission

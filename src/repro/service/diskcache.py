@@ -1,17 +1,15 @@
 """Persistent warm-start layer under the in-memory :class:`ResultCache`.
 
-A :class:`DiskCache` is an append-only JSONL segment store living in one
-directory.  Each line is one :mod:`repro.records` record whose value is::
-
-    {"e": <engine-config fingerprint>, "k": <corpus fingerprint>,
-     "r": <entry JSON text>}
-
-so the CRC-32 covers both keys as well as the entry.  ``r`` is the text of
-the bytes the engine encoded once, so a disk hit answers exactly those.
-``k`` describes the input (:func:`~repro.service.fingerprint.corpus_fingerprint`)
-and ``e`` the computation (:meth:`~repro.service.engine.LabelingEngine.engine_fingerprint`),
+A :class:`DiskCache` is an append-only segment store living in one
+directory.  Each line is one :mod:`repro.records` record whose payload is
+``<e> <k> <entry bytes>``, so the CRC-32 covers both keys as well as the
+entry.  The entry is written as the engine encoded it and never parsed
+here, so a disk hit answers exactly those bytes.  ``k`` describes the input
+(:func:`~repro.service.fingerprint.corpus_fingerprint`) and ``e`` the
+computation (:meth:`~repro.service.engine.LabelingEngine.engine_fingerprint`),
 so engines of several configurations can share a directory without ever
-serving a result computed under different semantics.
+serving a result computed under different semantics.  An entry holds no
+newline (compact JSON text never does).
 
 Design points:
 
@@ -28,10 +26,9 @@ Design points:
   Once the active segment holds more than ``max_bytes`` the next ``put``
   starts a new one, so ``max_bytes`` is the segment size.
 * **CRC-verified reads.**  Every line is checked by
-  :func:`repro.records.decode`; a damaged line (bit flip, bad UTF-8,
-  truncation), or a record of an older layout whose ``r`` is not a
-  string, is counted, reported via :meth:`stats`, and never served — the
-  engine just recomputes.
+  :func:`repro.records.decode`; a damaged line (bit flip, truncation), or
+  a record of an older layout, is counted, reported via :meth:`stats`,
+  and never served — the engine just recomputes.
 * **Compaction (Bitcask's merge rule).**  The store counts its *live*
   bytes (the latest line of each ``(e, k)`` pair) and its *dead* bytes
   (superseded, corrupt and blank lines); together they are the bytes of
@@ -75,16 +72,22 @@ _SEGMENT_PREFIX = "segment-"
 _SEGMENT_SUFFIX = ".jsonl"
 
 
-def _pair(record) -> tuple[str, str] | None:
-    """A record's ``(e, k)``, or ``None`` unless it has this layout's shape."""
-    shaped = isinstance(record, dict) and record.keys() == {"e", "k", "r"}
-    if shaped and all(isinstance(value, str) for value in record.values()):
-        return record["e"], record["k"]
-    return None
+def _fields(line: bytes) -> tuple[tuple[bytes, bytes], bytes] | None:
+    """A line's ``((engine, key), entry)``, or ``None`` unless it checks."""
+    payload = decode(line.rstrip(b"\n"))
+    fields = payload.split(b" ", 2) if payload is not None else ()
+    return ((fields[0], fields[1]), fields[2]) if len(fields) == 3 else None
+
+
+def _token(name: str) -> bytes:
+    """A fingerprint as a record field, which a space or newline would split."""
+    if " " in name or "\n" in name:
+        raise ValueError(f"not a disk-cache fingerprint: {name!r}")
+    return name.encode()
 
 
 class DiskCache:
-    """Append-only JSONL entry store with an in-memory index to its lines."""
+    """Append-only entry store with an in-memory index to its lines."""
 
     def __init__(
         self,
@@ -95,6 +98,7 @@ class DiskCache:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.engine_fingerprint = engine_fingerprint
+        self._engine = _token(engine_fingerprint)
         self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
         # The active segment's append handle, opened on the first put.
@@ -114,9 +118,9 @@ class DiskCache:
         holds the lock, or is ``__init__``).  Corrupt lines are counted
         and logged only when ``report`` is set: a re-read meets the same
         lines again."""
-        # (e, k) -> (segment, offset, length) of the pair's latest line,
-        # its newline included.
-        self._index: dict[tuple[str, str], tuple[Path, int, int]] = {}
+        # (engine, key) -> (segment, offset, length) of the pair's latest
+        # line, its newline included.
+        self._index: dict[tuple[bytes, bytes], tuple[Path, int, int]] = {}
         self._live_bytes = self._dead_bytes = 0
         self._segments: list[Path] = []
         # The active (last) segment's size, and whether it ends mid-line.
@@ -139,9 +143,9 @@ class DiskCache:
             offset = 0
             # Lines keep their newline; only a torn last line has none.
             for lineno, line in enumerate(io.BytesIO(data), 1):
-                pair = _pair(decode(line.rstrip(b"\n")))
-                if pair is not None:
-                    self._replace_live(pair, (segment, offset, len(line)))
+                fields = _fields(line)
+                if fields is not None:
+                    self._replace_live(fields[0], (segment, offset, len(line)))
                 else:
                     self._dead_bytes += len(line)
                     if report and line.strip():
@@ -153,7 +157,7 @@ class DiskCache:
                 offset += len(line)
         return contents
 
-    def _replace_live(self, pair: tuple[str, str], place: tuple[Path, int, int]) -> None:
+    def _replace_live(self, pair: tuple, place: tuple[Path, int, int]) -> None:
         """Index ``pair``'s new line at ``place``; its old line dies."""
         previous = self._index.get(pair)
         if previous is not None:
@@ -166,18 +170,20 @@ class DiskCache:
         """The entry's bytes for ``key`` under this engine config, or
         ``None``, also when its indexed line cannot be read (another store
         compacted it away, say) or no longer checks and names this pair."""
-        pair = (self.engine_fingerprint, key)
+        pair = (self._engine, key.encode())
         with self._lock:
-            record = None
+            fields = None
             if pair in self._index:
                 segment, offset, length = self._index[pair]
-                try:
-                    with segment.open("rb") as handle:
-                        handle.seek(offset)
-                        record = decode(handle.read(length).rstrip(b"\n"))
+                try:  # a bare fd and one pread: a file object costs more
+                    fd = os.open(segment, os.O_RDONLY)
+                    try:
+                        fields = _fields(os.pread(fd, length, offset))
+                    finally:
+                        os.close(fd)
                 except OSError:
                     pass
-            entry = record["r"].encode("utf-8") if _pair(record) == pair else None
+            entry = fields[1] if fields is not None and fields[0] == pair else None
             self.counters.add("misses" if entry is None else "hits")
             return entry
 
@@ -196,10 +202,10 @@ class DiskCache:
         return self.directory / f"{_SEGMENT_PREFIX}{index:05d}{_SEGMENT_SUFFIX}"
 
     def put(self, key: str, entry: bytes) -> None:
-        """Append one record holding ``entry`` (JSON text bytes) and index
-        it; compact once the dead bytes reach the live bytes."""
-        record = {"e": self.engine_fingerprint, "k": key, "r": entry.decode("utf-8")}
-        line = (encode(record) + "\n").encode("utf-8")
+        """Append one record holding ``entry`` and index it; compact once
+        the dead bytes reach the live bytes."""
+        pair = (self._engine, _token(key))
+        line = encode(b" ".join((*pair, entry))) + b"\n"
         with self._lock:
             place = self._append(line)
             if os.fstat(self._handle.fileno()).st_nlink == 0:
@@ -208,7 +214,7 @@ class DiskCache:
                 self._close_handle()
                 self._load(report=False)
                 place = self._append(line)
-            self._replace_live((self.engine_fingerprint, key), place)
+            self._replace_live(pair, place)
             if self._dead_bytes and self._dead_bytes >= self._live_bytes:
                 self._compact()
 
@@ -285,7 +291,7 @@ class DiskCache:
     def stats(self) -> dict:
         """JSON-ready counters (the ``disk`` section of ``GET /metrics``)."""
         with self._lock:
-            entries = sum(e == self.engine_fingerprint for e, _ in self._index)
+            entries = sum(e == self._engine for e, _ in self._index)
             return {
                 "directory": str(self.directory),
                 "entries": entries,

@@ -10,9 +10,9 @@ Endpoints
                    for the payload shape); repeated identical requests are
                    served from the result cache.
 ``POST /batch``    ``{"requests": [...], "jobs": N, "timeout": s}`` — the
-                   engine fans the items over its batch executor; per-item
-                   failures come back as error entries, HTTP status stays
-                   200.
+                   engine fans the items over at most ``N`` threads, never
+                   more than the server's ``jobs``; per-item failures come
+                   back as error entries, HTTP status stays 200.
 ``GET /trace/<id>``  the span trace of a recently served request (see
                    :mod:`repro.obs`), from a bounded in-memory LRU; 404
                    once evicted or when tracing is disabled.
@@ -34,7 +34,7 @@ limits and field values but without its ``email.parser`` pass.
 With tracing enabled (``tracing=True`` or a trace log configured), each
 POST runs under a request-scoped trace whose span tree lands in the LRU
 behind ``GET /trace/<id>`` and, with ``serve --trace-log DIR``, in a
-CRC-safe JSONL span log.
+CRC-checked span log.
 
 Both POST endpoints pass through a bounded admission queue
 (:class:`repro.resilience.AdmissionController`): work beyond the
@@ -513,6 +513,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _post_batch(self):
         payloads, jobs, timeout = parse_batch(self._read_json())
+        # The threads are the server's to spend: a body may lower them only.
+        limit = self.server.engine.default_jobs
+        jobs = limit if jobs is None else min(jobs, limit)
         with self.server.admission.admit():
             results = self.server.engine.label_batch(
                 payloads, jobs=jobs, timeout=timeout

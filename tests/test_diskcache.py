@@ -8,22 +8,26 @@ latest record per key without losing entries of other engine configs.
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
-from repro.records import decode, encode
+from repro.records import decode
 from repro.service.cache import json_bytes
 from repro.service.diskcache import DiskCache
 from repro.service.engine import LabelingEngine
 from repro.service.server import LabelingServer
 
 
-def _segment_lines(directory):
-    lines = []
-    for segment in sorted(directory.glob("segment-*.jsonl")):
-        lines.extend(segment.read_text().splitlines())
-    return lines
+def _segment_records(directory):
+    """Each segment line's ``(engine, key, entry)``; every line must check."""
+    payloads = [
+        decode(line)
+        for segment in sorted(directory.glob("segment-*.jsonl"))
+        for line in segment.read_bytes().split(b"\n")
+        if line
+    ]
+    assert None not in payloads
+    fields = [payload.split(b" ", 2) for payload in payloads]
+    return [(e.decode(), k.decode(), entry) for e, k, entry in fields]
 
 
 # ----------------------------------------------------------------------
@@ -39,6 +43,32 @@ def test_put_get_roundtrip_and_counters(tmp_path):
     stats = cache.stats()
     assert stats["hits"] == 1 and stats["misses"] == 1
     assert stats["entries"] == 1 and stats["segments"] == 1
+
+
+def test_a_store_returns_the_exact_bytes_it_was_given(tmp_path):
+    entries = {
+        "json": json_bytes({"a": "café", "b": [1, None]}),
+        "latin-1": b'{"a":"caf\xe9"}',  # not UTF-8
+        "binary": bytes(range(256)).replace(b"\n", b""),
+        "empty": b"",
+    }
+    cache = DiskCache(tmp_path, "engine-a")
+    for key, entry in entries.items():
+        cache.put(key, entry)
+    assert {key: cache.get(key) for key in entries} == entries
+    reloaded = DiskCache(tmp_path, "engine-a")
+    assert {key: reloaded.get(key) for key in entries} == entries
+    assert reloaded.stats()["corrupt_records"] == 0
+
+
+def test_a_fingerprint_that_would_split_a_record_is_refused(tmp_path):
+    with pytest.raises(ValueError):
+        DiskCache(tmp_path, "engine a")
+    cache = DiskCache(tmp_path, "engine-a")
+    for key in ("k 1", "k\n1"):
+        with pytest.raises(ValueError):
+            cache.put(key, b"{}")
+    assert cache.stats()["size_bytes"] == 0
 
 
 def test_reload_survives_restart(tmp_path):
@@ -74,12 +104,11 @@ def test_corrupt_records_skipped_and_counted(tmp_path, caplog):
     cache.put("good", b'{"value":1}')
     cache.put("bad", b'{"value":2}')
     segment = sorted(tmp_path.glob("segment-*.jsonl"))[0]
-    lines = segment.read_text().splitlines()
-    tampered = json.loads(lines[1])
-    tampered["v"]["r"] = '{"value":999}'  # flip the payload, keep the stale CRC
-    lines[1] = json.dumps(tampered, sort_keys=True, separators=(",", ":"))
-    lines.append("{truncated mid-wri")  # crash-torn final line
-    segment.write_text("\n".join(lines) + "\n")
+    lines = segment.read_bytes().splitlines()
+    # Change the payload, keep the stale CRC.
+    lines[1] = lines[1].replace(b'{"value":2}', b'{"value":999}')
+    lines.append(lines[0][:20])  # crash-torn final line
+    segment.write_bytes(b"\n".join(lines) + b"\n")
 
     with caplog.at_level("WARNING", logger="repro.service.diskcache"):
         reloaded = DiskCache(tmp_path, "engine-a")
@@ -96,7 +125,7 @@ def test_compaction_rewrites_one_record_per_key(tmp_path):
     for round_index in range(30):
         for key in ("hot-key", f"key-{round_index % 3}"):
             cache_a.put(key, json_bytes({"round": round_index}))
-            latest[key] = json_bytes({"round": round_index}).decode()
+            latest[key] = json_bytes({"round": round_index})
             stats = cache_a.stats()
             if stats["compactions"] == compactions:
                 continue
@@ -104,10 +133,10 @@ def test_compaction_rewrites_one_record_per_key(tmp_path):
             # record per (engine, key) pair, the foreign one included.
             compactions = stats["compactions"]
             assert stats["segments"] == 1
-            records = [decode(line) for line in _segment_lines(tmp_path)]
-            keys = [(r["e"], r["k"]) for r in records]
+            records = _segment_records(tmp_path)
+            keys = [(e, k) for e, k, _ in records]
             assert len(keys) == len(set(keys))
-            assert {r["k"]: r["r"] for r in records if r["e"] == "engine-a"} == latest
+            assert {k: r for e, k, r in records if e == "engine-a"} == latest
             assert ("engine-b", "foreign") in keys
     assert compactions >= 1
     reloaded = DiskCache(tmp_path, "engine-a")
@@ -118,12 +147,18 @@ def test_compaction_rewrites_one_record_per_key(tmp_path):
 def test_records_of_the_old_layout_are_counted_then_compacted_away(tmp_path):
     old_layouts = {
         # Before the key moved under the CRC a record was {"crc","e","k","v"}.
-        "key-outside-crc": json.dumps(
-            {"crc": 0, "e": "engine-a", "k": "old", "v": {"value": 1}}
-        ),
+        "key-outside-crc": '{"crc": 0, "e": "engine-a", "k": "old", "v": {"value": 1}}',
         # Before entries were kept as their JSON text, "r" was an object.
-        "object-entry": encode({"e": "engine-a", "k": "old", "r": {"value": 1}}),
+        "object-entry": '{"crc":664067116,"v":{"e":"engine-a","k":"old","r":{"value":1}}}',
+        # Before records were a CRC header and raw bytes, "r" was the
+        # entry's JSON text inside canonical JSON.
+        "entry-as-json-text": (
+            '{"crc":4080794505,"v":{"e":"engine-a","k":"old","r":"{\\"value\\":1}"}}'
+        ),
     }
+    # Longer than every old line, so one put leaves the dead bytes below
+    # the live bytes.
+    entry = json_bytes({"value": 2, "padding": "x" * 64})
     for name, line in old_layouts.items():
         directory = tmp_path / name
         directory.mkdir()
@@ -131,11 +166,11 @@ def test_records_of_the_old_layout_are_counted_then_compacted_away(tmp_path):
         cache = DiskCache(directory, "engine-a", max_bytes=0)
         assert cache.get("old") is None
         assert cache.stats()["corrupt_records"] == 1
-        cache.put("new", b'{"value":2}')
+        cache.put("new", entry)
         assert cache.stats()["compactions"] == 0  # dead bytes < live bytes
-        cache.put("new", b'{"value":2}')  # the superseded line tips the balance
+        cache.put("new", entry)  # the superseded line tips the balance
         assert cache.stats()["compactions"] == 1
-        assert [decode(line)["k"] for line in _segment_lines(directory)] == ["new"]
+        assert _segment_records(directory) == [("engine-a", "new", entry)]
         assert DiskCache(directory, "engine-a").stats()["corrupt_records"] == 0
 
 
@@ -145,9 +180,9 @@ def test_distinct_keys_fill_segments_without_compacting(tmp_path, monkeypatch):
     encodes = []
     real_encode = diskcache.encode
 
-    def counting_encode(value):
-        encodes.append(value["k"])
-        return real_encode(value)
+    def counting_encode(payload):
+        encodes.append(payload.split(b" ")[1].decode())
+        return real_encode(payload)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a put must not glob or stat the store")
@@ -230,9 +265,8 @@ def test_superseded_and_corrupt_lines_compact_to_one_segment(tmp_path):
     assert stats["segments"] == 1 and stats["dead_bytes"] == 0
     assert stats["size_bytes"] == stats["live_bytes"]
     assert len(list(tmp_path.glob("segment-*.jsonl"))) == 1
-    records = [decode(line) for line in _segment_lines(tmp_path)]
-    assert all(records)
-    assert len({(r["e"], r["k"]) for r in records}) == len(records) == 21
+    records = _segment_records(tmp_path)
+    assert len({(e, k) for e, k, _ in records}) == len(records) == 21
     reloaded = DiskCache(tmp_path, "engine-a")
     assert {key: reloaded.get(key) for key in latest} == latest
     assert reloaded.stats()["corrupt_records"] == 0
@@ -242,7 +276,7 @@ def test_superseded_and_corrupt_lines_compact_to_one_segment(tmp_path):
 def test_a_hot_key_compacts_once_its_dead_bytes_reach_the_live_bytes(tmp_path):
     cache = DiskCache(tmp_path, "engine-a", max_bytes=1024)
     compactions = 0
-    for n in range(60):  # ~65-byte records: a re-put kills about half the bytes
+    for n in range(60):  # ~33-byte records: a re-put kills about half the bytes
         before = cache.stats()
         cache.put("hot", json_bytes({"n": f"{n:02d}"}))
         stats = cache.stats()
@@ -300,7 +334,7 @@ def _flip(path, offset, mask):
 def test_flipped_key_bit_is_not_served_under_another_key(tmp_path):
     DiskCache(tmp_path, "engine-a").put("f1", json_bytes({"owner": "f1"}))
     segment = sorted(tmp_path.glob("segment-*.jsonl"))[0]
-    _flip(segment, segment.read_bytes().index(b'"k":"f1"') + 6, 0x01)  # f1 -> f0
+    _flip(segment, segment.read_bytes().index(b" f1 ") + 2, 0x01)  # f1 -> f0
     reloaded = DiskCache(tmp_path, "engine-a")
     assert reloaded.get("f0") is None
     assert reloaded.get("f1") is None

@@ -32,6 +32,7 @@ from repro.obs import (
     span,
 )
 from repro.obs.tracer import _NOOP
+from repro.records import encode
 from repro.service.cache import LRUCache
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.engine import LabelingEngine
@@ -211,13 +212,19 @@ class TestTraceLog:
     def test_corrupt_lines_are_skipped_not_fatal(self, tmp_path):
         log = TraceLog(tmp_path)
         log.append(_sample_record("a"))
-        with log.path.open("a", encoding="utf-8") as handle:
-            handle.write("not json at all\n")
-            handle.write('{"crc": 1, "v": {"name": "forged"}}\n')
-            handle.write('{"no_v": true}\n')
+        forged = b'{"request_id":"a","name":"forged"}'
+        assert encode(forged) == b"15adcbac " + forged
+        with log.path.open("ab") as handle:
+            handle.write(b"not json at all\n")
+            handle.write(b'{"crc": 1, "v": {"name": "forged"}}\n')  # older layout
+            handle.write(b"00000000 " + forged + b"\n")  # stale CRC
+            handle.write(b"15ADCBAC " + forged + b"\n")  # upper-case CRC
+            handle.write(encode(forged)[:-1] + b"\n")  # truncated
+            handle.write(encode(b"not json") + b"\n")  # valid CRC, no JSON
+            handle.write(encode(b"\xff{}") + b"\n")  # valid CRC, not UTF-8
         log.append(_sample_record("b"))
         records, corrupt = TraceLog.load(log.path)
-        assert corrupt == 3
+        assert corrupt == 7
         assert sum(1 for r in records if r["request_id"] == "a") == 3
         assert sum(1 for r in records if r["request_id"] == "b") == 3
 
@@ -399,7 +406,7 @@ class TestTracingChangesNothing:
 
 
 # ----------------------------------------------------------------------
-# HTTP: request ids, GET /trace, the JSONL trace log.
+# HTTP: request ids, GET /trace, the trace log.
 # ----------------------------------------------------------------------
 
 

@@ -3,8 +3,8 @@
 The damage suite writes records through the real stores, damages the file
 (bit flips, truncation, dropped, duplicated or swapped lines), loads it
 back, and compares against a model built from the damaged bytes: a line
-byte-identical to a written record is intact, every other non-blank line
-is damaged.  Properties:
+byte-identical to a written record is intact (its payload follows the
+9-byte CRC header), every other non-blank line is damaged.  Properties:
 
 * loading never raises;
 * no key ever serves a value written under another key;
@@ -30,36 +30,49 @@ from repro.service.diskcache import DiskCache
 # The codec.
 # ----------------------------------------------------------------------
 
-VALUE = {"b": [1, 2.5, None, True], "a": "café", "c": {"z": 1e-07}}
+PAYLOAD = b'{"a":"caf\xc3\xa9","b":[1,2.5,null,true]}'
+LINE = b'7dc8a789 ' + PAYLOAD
+
+#: A line of the previous layout, canonical JSON ``{"crc":C,"v":value}``;
+#: it and its damaged forms are all rejected.
+OLD_LINE = '{"crc":2316671553,"v":{"a":"caf\\u00e9","b":[1,2.5,null,true],"c":{"z":1e-07}}}'
 
 
 def test_encode_is_the_canonical_envelope():
-    line = encode(VALUE)
-    canonical = json.dumps(VALUE, sort_keys=True, separators=(",", ":"))
-    crc = zlib.crc32(canonical.encode("utf-8"))
-    assert line == json.dumps(
-        {"crc": crc, "v": VALUE}, sort_keys=True, separators=(",", ":")
-    )
-    assert decode(line) == VALUE
-    assert decode(line.encode("utf-8")) == VALUE
+    assert encode(PAYLOAD) == LINE == b"%08x " % zlib.crc32(PAYLOAD) + PAYLOAD
+    assert decode(LINE) == PAYLOAD
+    assert encode(b"") == b"00000000 " and decode(b"00000000 ") == b""
+    binary = bytes(range(256)).replace(b"\n", b"")
+    assert decode(encode(binary)) == binary
 
 
 @pytest.mark.parametrize(
     "line",
     [
-        b"\xff" + encode(VALUE).encode("utf-8"),  # not UTF-8
+        pytest.param(b"7DC8A789 " + PAYLOAD, id="upper-case hex"),
+        pytest.param(b"7dC8a789 " + PAYLOAD, id="one upper-case hex digit"),
+        pytest.param(b"7dc8a789" + PAYLOAD, id="missing separator"),
+        pytest.param(b"7dc8a789\t" + PAYLOAD, id="other separator"),
+        pytest.param(b"dc8a789 " + PAYLOAD, id="short header"),
+        pytest.param(b"07dc8a789 " + PAYLOAD, id="long header"),
+        pytest.param(b"7dc8a789 " + PAYLOAD.replace(b"caf", b"cap"), id="stale CRC"),
+        pytest.param(b"7dc8a789 " + PAYLOAD[:-1], id="truncated payload"),
+        pytest.param(b"7dc8a7", id="truncated header"),
+        pytest.param(b"", id="empty line"),
+        OLD_LINE,
+        b"\xff" + OLD_LINE.encode("utf-8"),  # not UTF-8
         b"not json",
-        b"[" * 5000,  # too deep for the parser
-        b"[1, 2]",  # not an object
-        b'{"crc": 0}',  # no value
-        encode(VALUE).replace('"v":', '"v": '),  # not canonical
-        encode(VALUE).replace("\\u00e9", "\\u00E9"),  # same value, other bytes
-        encode(VALUE).replace("1e-07", "1E-07"),
-        encode(VALUE).replace('"a":"caf', '"a":"cap'),  # stale CRC
+        b"[" * 5000,
+        b"[1, 2]",
+        b'{"crc": 0}',
+        OLD_LINE.replace('"v":', '"v": '),
+        OLD_LINE.replace("\\u00e9", "\\u00E9"),
+        OLD_LINE.replace("1e-07", "1E-07"),
+        OLD_LINE.replace('"a":"caf', '"a":"cap'),
     ],
 )
 def test_decode_rejects_what_it_cannot_trust(line):
-    assert decode(line) is None
+    assert decode(line.encode("utf-8") if isinstance(line, str) else line) is None
 
 
 # ----------------------------------------------------------------------
@@ -98,14 +111,14 @@ def _damage(data: bytes, damages) -> bytes:
     return data
 
 
-def _model(data: bytes, written: set[bytes]) -> tuple[list[dict], int]:
-    """(values of the intact lines in file order, damaged line count)."""
+def _model(data: bytes, written: set[bytes]) -> tuple[list[bytes], int]:
+    """(payloads of the intact lines in file order, damaged line count)."""
     intact, damaged = [], 0
     for line in data.split(b"\n"):
         if not line.strip():
             continue
         if line in written:
-            intact.append(json.loads(line)["v"])
+            intact.append(line[len("01234567 "):])
         else:
             damaged += 1
     return intact, damaged
@@ -133,7 +146,8 @@ def test_damaged_segment_loses_only_damaged_records(tmp_path_factory, writes, da
 
     cache = DiskCache(directory, "engine-a")
     intact, damaged = _model(segment.read_bytes(), written)
-    latest = {(r["e"], r["k"]): r["r"].encode() for r in intact}
+    records = (payload.split(b" ", 2) for payload in intact)
+    latest = {(e.decode(), k.decode()): entry for e, k, entry in records}
     served = {key: cache.get(key) for key in KEYS}
     for key, entry in served.items():
         value = json.loads(entry) if entry is not None else None
@@ -167,5 +181,5 @@ def test_damaged_trace_log_loses_only_damaged_spans(tmp_path_factory, traces, da
     written = set(log.path.read_bytes().split(b"\n"))
     log.path.write_bytes(_damage(log.path.read_bytes(), damages))
 
-    records, corrupt = TraceLog.load(log.path)
-    assert (records, corrupt) == _model(log.path.read_bytes(), written)
+    intact, damaged = _model(log.path.read_bytes(), written)
+    assert TraceLog.load(log.path) == ([json.loads(p) for p in intact], damaged)

@@ -675,6 +675,25 @@ class TestHTTPService:
         )
         assert payload["count"] == 1 and payload["results"][0]["ok"]
 
+    def test_batch_jobs_never_exceed_the_server_jobs(self, monkeypatch, client_for):
+        import repro.service.engine as engine_module
+
+        pool_sizes = []
+
+        class RecordingPool(engine_module.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                pool_sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(engine_module, "ThreadPoolExecutor", RecordingPool)
+        requests = [{"domain": name, "seed": 0} for name in DOMAINS if name != "job"]
+        with LabelingServer(port=0, jobs=2) as server:
+            payload = client_for(server.url, timeout=60).request(
+                "POST", "/batch", {"requests": requests, "jobs": 64}
+            )
+        assert payload["ok"] and payload["count"] == len(requests) == 6
+        assert pool_sizes and max(pool_sizes) <= 2
+
     def test_metrics_shape(self, client):
         client.healthz()
         metrics = client.metrics()
