@@ -8,8 +8,8 @@ Three numbers back the claim:
   the *worst-case* overhead the instrumentation can add to an untraced
   run; the projection must stay under :data:`MAX_TRACE_OFF_OVERHEAD`.
 * **Trace-off wall time vs the PR-4 baseline** — the exact sequential
-  workload ``BENCH_parallel.json`` recorded (``run_all_domains`` at
-  ``jobs=1``), re-timed on the instrumented build.  The ratio is recorded
+  workload ``BENCH_parallel.json`` recorded (``run_all_domains``),
+  re-timed on the instrumented build.  The ratio is recorded
   always and asserted under :data:`MAX_TRACE_OFF_OVERHEAD` only when the
   stored baseline is comparable (same respondent count, neither run in
   ``--bench-quick`` mode) — a quick-mode or missing baseline makes the
@@ -110,7 +110,7 @@ def test_obs_overhead_report(bench_quick):
     # -- the PR-4 sequential workload, trace off ---------------------
     sequential_s = _best_of(
         runs,
-        lambda: run_all_domains(seed=0, respondent_count=respondents, jobs=1),
+        lambda: run_all_domains(seed=0, respondent_count=respondents),
     )
     baseline = _comparable_baseline(respondents, bench_quick)
     baseline_s = baseline["batch"]["sequential_s"] if baseline else None

@@ -11,9 +11,9 @@ Three things are measured:
   with the median of the per-round ``jobs=2 / jobs=1`` ratios (both modes
   label the same corpora in a round).  Nothing is asserted: the pipeline
   holds the GIL, and the answer depends on the host.
-* **All-domain sequential** — ``run_all_domains`` at ``jobs=1``, best of
-  a few runs: the figure ``benchmarks/test_bench_obs.py`` re-times as its
-  trace-off baseline (``batch.sequential_s``).
+* **All-domain sequential** — ``run_all_domains``, best of a few runs:
+  the figure ``benchmarks/test_bench_obs.py`` re-times as its trace-off
+  baseline (``batch.sequential_s``).
 * **Warm start** — a cold engine labels every domain into a disk cache;
   a fresh engine against the same directory must serve the identical
   batch with **zero recomputations**.  That assertion is
@@ -106,7 +106,7 @@ def test_parallel_report(bench_quick, tmp_path):
 
     sequential_s = _best_of(
         runs,
-        lambda: run_all_domains(seed=0, respondent_count=respondents, jobs=1),
+        lambda: run_all_domains(seed=0, respondent_count=respondents),
     )
 
     # Warm start: cold engine fills the disk cache, a restarted engine

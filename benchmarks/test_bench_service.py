@@ -9,7 +9,7 @@ the two levers that layer adds:
   ways);
 * **batch concurrency** — the seven-domain corpus labeled through the
   engine's batch executor at ``jobs = 1 / 2 / 4``, the path behind
-  ``repro table6 --jobs`` and ``POST /batch``.
+  ``repro batch`` and ``POST /batch``.
 """
 
 from __future__ import annotations

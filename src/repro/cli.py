@@ -37,8 +37,6 @@ __all__ = ["main", "build_parser"]
 
 #: Shared ``--jobs`` default for the concurrent subcommands (``batch``,
 #: ``serve``, ``chaos``): derived from the usable CPU count, capped at 8.
-#: ``table6`` stays at 1 — its default must remain the sequential,
-#: byte-for-byte-reference path.
 DEFAULT_JOBS = default_jobs()
 
 
@@ -65,10 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     table6.add_argument(
         "--respondents", type=int, default=11,
         help="simulated survey size (the paper used 11)",
-    )
-    table6.add_argument(
-        "--jobs", type=_jobs_arg, default=1,
-        help="domains labeled concurrently (1 = sequential, identical output)",
     )
 
     figure10 = sub.add_parser("figure10", help="inference-rule involvement")
@@ -222,11 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_table6(args) -> int:
-    runs = run_all_domains(
-        seed=args.seed,
-        respondent_count=args.respondents,
-        jobs=args.jobs,
-    )
+    runs = run_all_domains(seed=args.seed, respondent_count=args.respondents)
     header = (
         f"{'Domain':<12} {'srcL':>5} {'LQ':>4} {'intL':>5} {'grp':>4} "
         f"{'FldAcc':>7} {'IntAcc':>7} {'HA':>6} {'HA*':>6}  class"

@@ -24,17 +24,17 @@ Memoization
 -----------
 The naming algorithm asks the same label pairs over and over — once per
 consistency level in Definition 2's ladder, again for the LI rules, again
-for homonym repair.  The comparator therefore memoises, per lifetime:
+for homonym repair.  Every predicate takes label texts, and a memo key is
+the ``(a, b)`` text pair.  The comparator memoises, per lifetime:
 
-* ``relation_between`` — one entry per (a, b) pair, keyed on the labels'
-  intern keys (:attr:`repro.core.label.Label.key`) or, for plain-string
-  arguments, the strings themselves.  The stored strongest relation answers
-  the whole Definition-2 ladder (string / equality / synonymy) as well as
-  :meth:`similar` and :meth:`at_least_as_general` — all three are exact
-  functions of the strongest relation (see the proofs inline).
-* ``synonym`` / ``hypernym`` — the two predicates with quadratic token
-  loops, memoised separately so the LI rules (which call them directly,
-  not through the ladder) hit too.
+* ``relation_between`` — one entry per (a, b) pair.  The stored strongest
+  relation answers the whole Definition-2 ladder (string / equality /
+  synonymy) as well as :meth:`similar` and :meth:`at_least_as_general` —
+  all three are exact functions of the strongest relation (see the proofs
+  inline).
+* ``hypernym`` — the LI rules and lint call it directly, not through the
+  ladder, so it keeps a memo of its own.  ``synonym`` has none: its one
+  caller is the ladder, which runs only on a relation-memo miss.
 
 The lexicon underneath is an immutable
 :class:`~repro.lexicon.compiled.CompiledLexicon`, so no memo here is ever
@@ -53,7 +53,7 @@ from enum import IntEnum
 from ..lexicon.compiled import CompiledLexicon
 from ..lexicon.normalize import Token
 from ..perf import Counters
-from .label import Label, LabelAnalyzer
+from .label import LabelAnalyzer
 
 __all__ = ["LabelRelation", "SemanticComparator"]
 
@@ -84,32 +84,13 @@ class SemanticComparator:
         self.analyzer = analyzer or LabelAnalyzer()
         self.wordnet: CompiledLexicon = self.analyzer.wordnet
         self._relation_cache: dict = {}
-        self._synonym_cache: dict = {}
         self._hypernym_cache: dict = {}
         self.relation_counter = Counters("hits", "misses", "evictions")
         self.predicate_counter = Counters("hits", "misses", "evictions")
 
     # ------------------------------------------------------------------
-    # Coercion and cache plumbing.
+    # Cache plumbing.
     # ------------------------------------------------------------------
-
-    def _as_label(self, label: str | Label) -> Label:
-        if isinstance(label, Label):
-            return label
-        return self.analyzer.label(label)
-
-    @staticmethod
-    def _cache_key(label: str | Label):
-        """A hashable identity under which a comparison may be memoised.
-
-        Strings key as themselves (skipping analysis entirely on a hit);
-        analyzer-built labels key by their intern id.  A label built by
-        hand (``key == -1``) keys as the object — content-hashed, still
-        correct, just never shared.
-        """
-        if type(label) is str:
-            return label
-        return label.key if label.key >= 0 else label
 
     def _bound(self, memo: dict, counter: Counters) -> None:
         if len(memo) >= RELATION_CACHE_LIMIT:
@@ -144,29 +125,16 @@ class SemanticComparator:
     # Definition 1 relations.
     # ------------------------------------------------------------------
 
-    def string_equal(self, a: str | Label, b: str | Label) -> bool:
-        la, lb = self._as_label(a), self._as_label(b)
+    def string_equal(self, a: str, b: str) -> bool:
+        la, lb = self.analyzer.label(a), self.analyzer.label(b)
         return la.display.casefold() == lb.display.casefold()
 
-    def equal(self, a: str | Label, b: str | Label) -> bool:
-        la, lb = self._as_label(a), self._as_label(b)
+    def equal(self, a: str, b: str) -> bool:
+        la, lb = self.analyzer.label(a), self.analyzer.label(b)
         return bool(la.stems) and la.stems == lb.stems
 
-    def synonym(self, a: str | Label, b: str | Label) -> bool:
-        key = (self._cache_key(a), self._cache_key(b))
-        cached = self._synonym_cache.get(key)
-        if cached is not None:
-            self.predicate_counter.add("hits")
-            return cached
-        self.predicate_counter.add("misses")
-        result = self._synonym_uncached(self._as_label(a), self._as_label(b))
-        self._bound(self._synonym_cache, self.predicate_counter)
-        self._synonym_cache[key] = result
-        # The synonym definition is symmetric (both directions are checked).
-        self._synonym_cache[(key[1], key[0])] = result
-        return result
-
-    def _synonym_uncached(self, la: Label, lb: Label) -> bool:
+    def synonym(self, a: str, b: str) -> bool:
+        la, lb = self.analyzer.label(a), self.analyzer.label(b)
         if la.has_conjunction or lb.has_conjunction:
             return False
         n, m = len(la.tokens), len(lb.tokens)
@@ -193,20 +161,20 @@ class SemanticComparator:
                 return False
         return saw_synonymy
 
-    def hypernym(self, a: str | Label, b: str | Label) -> bool:
+    def hypernym(self, a: str, b: str) -> bool:
         """True when ``a`` is (strictly) more general than ``b`` by Def. 1."""
-        key = (self._cache_key(a), self._cache_key(b))
-        cached = self._hypernym_cache.get(key)
+        cached = self._hypernym_cache.get((a, b))
         if cached is not None:
             self.predicate_counter.add("hits")
             return cached
         self.predicate_counter.add("misses")
-        result = self._hypernym_uncached(self._as_label(a), self._as_label(b))
+        result = self._hypernym_uncached(a, b)
         self._bound(self._hypernym_cache, self.predicate_counter)
-        self._hypernym_cache[key] = result
+        self._hypernym_cache[(a, b)] = result
         return result
 
-    def _hypernym_uncached(self, la: Label, lb: Label) -> bool:
+    def _hypernym_uncached(self, a: str, b: str) -> bool:
+        la, lb = self.analyzer.label(a), self.analyzer.label(b)
         if la.has_conjunction or lb.has_conjunction:
             return False
         n, m = len(la.tokens), len(lb.tokens)
@@ -224,24 +192,23 @@ class SemanticComparator:
                 return False
         return n < m or saw_hypernymy
 
-    def hyponym(self, a: str | Label, b: str | Label) -> bool:
+    def hyponym(self, a: str, b: str) -> bool:
         return self.hypernym(b, a)
 
     # ------------------------------------------------------------------
     # Aggregates.
     # ------------------------------------------------------------------
 
-    def relation_between(self, a: str | Label, b: str | Label) -> LabelRelation:
+    def relation_between(self, a: str, b: str) -> LabelRelation:
         """The strongest Definition-1 relation holding from ``a`` to ``b``."""
-        ka, kb = self._cache_key(a), self._cache_key(b)
-        cached = self._relation_cache.get((ka, kb))
+        cached = self._relation_cache.get((a, b))
         if cached is not None:
             self.relation_counter.add("hits")
             return cached
         self.relation_counter.add("misses")
         relation = self._relation_uncached(a, b)
         self._bound(self._relation_cache, self.relation_counter)
-        self._relation_cache[(ka, kb)] = relation
+        self._relation_cache[(a, b)] = relation
         # The reverse entry follows for free in every case but HYPERNYM:
         # string/equality/synonymy are symmetric, NONE rules out all five
         # predicates in both directions, and HYPONYM(a,b) means
@@ -255,10 +222,10 @@ class SemanticComparator:
                 if relation is LabelRelation.HYPONYM
                 else relation
             )
-            self._relation_cache[(kb, ka)] = reverse
+            self._relation_cache[(b, a)] = reverse
         return relation
 
-    def _relation_uncached(self, a: str | Label, b: str | Label) -> LabelRelation:
+    def _relation_uncached(self, a: str, b: str) -> LabelRelation:
         """Definition 1's ladder, strongest first (no relation-cache use)."""
         if self.string_equal(a, b):
             return LabelRelation.STRING_EQUAL
@@ -272,7 +239,7 @@ class SemanticComparator:
             return LabelRelation.HYPONYM
         return LabelRelation.NONE
 
-    def similar(self, a: str | Label, b: str | Label) -> bool:
+    def similar(self, a: str, b: str) -> bool:
         """Equality-or-synonymy — the "essentially the same label" test the
         homonym check of Section 4.2.3 relies on.
 
@@ -282,7 +249,7 @@ class SemanticComparator:
         """
         return self.relation_between(a, b) >= LabelRelation.SYNONYM
 
-    def at_least_as_general(self, a: str | Label, b: str | Label) -> bool:
+    def at_least_as_general(self, a: str, b: str) -> bool:
         """Lexical part of Definition 5(i): a hypernym-or-equivalent of b.
 
         Exactly ``relation_between(a, b) >= HYPERNYM``: the ladder returns
@@ -310,6 +277,6 @@ class SemanticComparator:
             },
             "predicates": {
                 **self.predicate_counter.snapshot(),
-                "size": len(self._synonym_cache) + len(self._hypernym_cache),
+                "size": len(self._hypernym_cache),
             },
         }

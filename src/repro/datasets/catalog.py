@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
 from types import MappingProxyType
@@ -195,17 +195,6 @@ class DomainSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "metadata", MappingProxyType(dict(self.metadata)))
-
-    # A mapping proxy does not pickle (process workers receive specs), so
-    # a spec travels as its fields with a plain metadata dict.
-    def __getstate__(self) -> dict:
-        state = {f.name: getattr(self, f.name) for f in fields(self)}
-        state["metadata"] = dict(self.metadata)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self.__post_init__()
 
     def group_by_key(self, key: str) -> GroupSpec:
         for group in self.groups:

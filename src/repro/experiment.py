@@ -11,7 +11,6 @@ cannot drift apart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .core.inference import InferenceLog
 from .core.metrics import (
@@ -119,51 +118,19 @@ def run_all_domains(
     seed: int = 0,
     options: NamingOptions | None = None,
     respondent_count: int = 11,
-    jobs: int = 1,
 ) -> dict[str, DomainRunResult]:
-    """All seven Table 6 rows, in the paper's order.
-
-    ``jobs > 1`` fans the domains over the service layer's batch threads
-    (:func:`repro.service.engine.execute_batch`); each domain labels with
-    its own comparator, so results are identical to the sequential path —
-    the default ``jobs=1`` keeps today's byte-for-byte behavior.
-    """
-    if jobs <= 1:
-        comparator = SemanticComparator()
-        return {
-            name: run_domain(
-                name,
-                seed=seed,
-                options=options,
-                comparator=comparator,
-                respondent_count=respondent_count,
-            )
-            for name in DOMAINS
-        }
-
-    from .service.engine import execute_batch
-
-    names = list(DOMAINS)
-    tasks = [
-        partial(
-            run_domain,
+    """All seven Table 6 rows, in the paper's order, on one comparator."""
+    comparator = SemanticComparator()
+    return {
+        name: run_domain(
             name,
             seed=seed,
             options=options,
-            comparator=SemanticComparator(),
+            comparator=comparator,
             respondent_count=respondent_count,
         )
-        for name in names
-    ]
-    outcomes = execute_batch(tasks, jobs=jobs)
-    failed = [
-        f"{name}: {outcome.error}"
-        for name, outcome in zip(names, outcomes)
-        if not outcome.ok
-    ]
-    if failed:
-        raise RuntimeError("run_all_domains failed: " + "; ".join(failed))
-    return {name: outcome.value for name, outcome in zip(names, outcomes)}
+        for name in DOMAINS
+    }
 
 
 @dataclass

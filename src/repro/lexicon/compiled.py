@@ -20,12 +20,8 @@ A compiled lexicon is **immutable** — mutation raises
 :class:`ImmutableLexiconError` — so the caches built over it (label
 analyzer, semantic comparator) never need invalidating; editing the
 builder afterwards does not reach a snapshot already compiled from it.
-It is cheaply **picklable** (plain dicts of strings and ints; the runtime
-memo is dropped from the pickle), which is what lets the process-pool
-backend ship one instance per worker via the pool initializer instead of
-rebuilding or re-deriving anything per task.  :attr:`fingerprint` is a
-SHA-256 over the canonical synset/edge content, used by the disk cache's
-engine key.
+:attr:`fingerprint` is a SHA-256 over the canonical synset/edge content,
+used by the disk cache's engine key.
 
 Equivalence with the builder is part of the contract:
 ``tests/test_compiled_lexicon.py`` tests every query against
@@ -87,7 +83,7 @@ def lexicon_fingerprint(wordnet) -> str:
 
 
 class CompiledLexicon:
-    """An immutable, picklable, O(1)-query snapshot of a lexical database.
+    """An immutable, O(1)-query snapshot of a lexical database.
 
     Implements the exact query surface the labeling stack uses
     (``lemma_base`` / ``are_synonyms`` / ``is_hypernym`` /
@@ -111,15 +107,8 @@ class CompiledLexicon:
         self._lemma_ancestor_mask = lemma_ancestor_mask
         self._base_map = base_map
         self.fingerprint = fingerprint
-        #: Runtime-only memo for out-of-vocabulary tokens (not pickled).
+        #: Runtime-only memo for out-of-vocabulary tokens.
         self._base_cache: dict[str, str] = {}
-
-    # ------------------------------------------------------------------
-    # Pickling: ship the tables, drop the runtime memo.
-    # ------------------------------------------------------------------
-
-    def __getstate__(self) -> dict:
-        return {**self.__dict__, "_base_cache": {}}
 
     # ------------------------------------------------------------------
     # Immutability.
@@ -289,8 +278,7 @@ _DEFAULT_LOCK = threading.Lock()
 def default_compiled() -> CompiledLexicon:
     """The compiled form of the built-in curated lexicon (cached singleton).
 
-    Safe to share across threads (immutable) and cheap to ship to process
-    workers (pickled once per worker by the pool initializer).
+    Safe to share across threads (immutable).
     """
     global _DEFAULT
     if _DEFAULT is None:

@@ -18,9 +18,7 @@ Concurrency: one trace may receive spans from many batch workers.  The
 fan-out pattern is *attach* (:meth:`Trace.attach`): the parent creates one
 span per item in submission order, and each worker thread activates its
 own scope rooted at its item's span — span trees stay deterministic and no
-two workers ever share a span stack.  Process-backend workers build their
-own standalone trace and ship it home as a dict
-(:meth:`Span.from_dict` grafts it under the parent's item span).
+two workers ever share a span stack.
 """
 
 from __future__ import annotations
@@ -58,9 +56,8 @@ class Span:
     """One timed operation: name, tags, point events, child spans.
 
     Times are stored as absolute readings of the owning trace's clock;
-    serialization (:meth:`to_dict`) converts them to offsets from a base —
-    normally the trace start — so a serialized tree is relocatable (the
-    process backend re-bases worker trees onto the parent's timeline).
+    serialization (:meth:`to_dict`) converts them to offsets from a base,
+    normally the trace start.
     """
 
     __slots__ = ("name", "tags", "events", "children", "start_s", "end_s")
@@ -111,29 +108,6 @@ class Span:
         if self.children:
             record["children"] = [c.to_dict(base_s) for c in self.children]
         return record
-
-    @classmethod
-    def from_dict(cls, record: dict, base_s: float = 0.0) -> "Span":
-        """Rebuild a span tree, re-basing offsets onto ``base_s``.
-
-        The inverse of :meth:`to_dict`; ``base_s`` maps the serialized
-        tree's zero point onto the target trace's timeline (the parent
-        passes its dispatch span's start so a worker-process tree lands
-        where the work was dispatched).
-        """
-        span = cls(str(record.get("name", "span")), dict(record.get("tags") or {}))
-        span.start_s = base_s + float(record.get("start_ms", 0.0)) / 1000.0
-        span.end_s = span.start_s + float(record.get("duration_ms", 0.0)) / 1000.0
-        for e in record.get("events") or []:
-            span.add_event(
-                str(e.get("name", "event")),
-                base_s + float(e.get("at_ms", 0.0)) / 1000.0,
-                dict(e.get("attrs") or {}),
-            )
-        span.children = [
-            cls.from_dict(c, base_s) for c in record.get("children") or []
-        ]
-        return span
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Span({self.name!r}, {self.duration_ms}ms, {len(self.children)} children)"

@@ -123,7 +123,7 @@ def wordnet_strict_hypernym(
     vertical oracle enforces — ``Vehicle`` over ``Sedan`` is an inversion,
     ``Time`` over ``Drop-off Time`` is not.
     """
-    la, lb = comparator._as_label(a), comparator._as_label(b)
+    la, lb = comparator.analyzer.label(a), comparator.analyzer.label(b)
     if la.has_conjunction or lb.has_conjunction:
         return False
     n, m = len(la.tokens), len(lb.tokens)

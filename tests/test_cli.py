@@ -127,15 +127,6 @@ class TestDescribeCommand:
         assert "cluster frequencies" in out
 
 
-class TestTable6Jobs:
-    def test_jobs_flag_produces_same_table(self, capsys):
-        assert main(["table6", "--respondents", "1", "--jobs", "1"]) == 0
-        sequential = capsys.readouterr().out
-        assert main(["table6", "--respondents", "1", "--jobs", "4"]) == 0
-        parallel = capsys.readouterr().out
-        assert parallel == sequential
-
-
 class TestBatchCommand:
     def test_labels_many_corpora(self, tmp_path, capsys):
         first = tmp_path / "job.json"

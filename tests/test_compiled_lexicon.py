@@ -12,7 +12,6 @@ demand identical answers.
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import pytest
@@ -199,29 +198,6 @@ def test_mutation_raises(compiled):
         compiled.load([["a"]])
     # The error is a TypeError so generic mutation guards also catch it.
     assert issubclass(ImmutableLexiconError, TypeError)
-
-
-# ----------------------------------------------------------------------
-# Pickling.
-# ----------------------------------------------------------------------
-
-
-def test_pickle_roundtrip_preserves_behavior(dynamic, compiled):
-    clone = pickle.loads(pickle.dumps(compiled))
-    assert clone.fingerprint == compiled.fingerprint
-    assert clone.vocabulary() == compiled.vocabulary()
-    for a, b in _pair_sample(compiled.vocabulary(), count=500, seed=5):
-        assert clone.are_synonyms(a, b) == dynamic.are_synonyms(a, b), (a, b)
-        assert clone.is_hypernym(a, b) == dynamic.is_hypernym(a, b), (a, b)
-    # The runtime memo is rebuilt, not shipped.
-    compiled.lemma_base("zzz-unknown-token")
-    assert "zzz-unknown-token" not in pickle.loads(
-        pickle.dumps(compiled)
-    )._base_cache
-
-
-def test_pickle_is_compact(compiled):
-    assert len(pickle.dumps(compiled)) < 256 * 1024
 
 
 # ----------------------------------------------------------------------

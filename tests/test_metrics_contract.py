@@ -39,7 +39,7 @@ EXPECTED_TREE = {
         "naming": {"truncated_closures": None},
         "semantics": {
             "labels": {**_COUNTS, "hit_rate": None, "size": None,
-                       "distinct_displays": None, "interned": None},
+                       "distinct_displays": None},
             "relations": {**_COUNTS, "hit_rate": None, "size": None},
             "predicates": {**_COUNTS, "hit_rate": None, "size": None},
             "comparators": None,

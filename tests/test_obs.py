@@ -106,23 +106,6 @@ class TestSpanTracer:
             "request", "a", "b", "b",
         ]
 
-    def test_to_dict_from_dict_roundtrip_rebases(self):
-        trace = Trace(request_id="rt", clock=FakeClock())
-        with trace.scope():
-            with span("work", step=1):
-                event("mark", ok=True)
-        record = trace.to_dict()
-        assert record["request_id"] == "rt"
-        rebuilt = Span.from_dict(record["root"], base_s=5.0)
-        assert rebuilt.name == "request"
-        assert rebuilt.start_s == pytest.approx(5.0)
-        work = rebuilt.children[0]
-        assert work.tags == {"step": 1}
-        assert work.events[0]["name"] == "mark"
-        # Serializing the rebuilt tree from its new base reproduces the
-        # original offsets exactly.
-        assert rebuilt.to_dict(base_s=5.0) == record["root"]
-
     def test_attach_isolates_concurrent_workers(self):
         trace = Trace(clock=FakeClock())
         items = [Span(f"item[{i}]") for i in range(2)]
@@ -453,7 +436,12 @@ class TestTracingHTTP:
         record = payload["trace"]
         assert record["request_id"] == "traced-1"
         assert record["meta"] == {"endpoint": "/label", "status": 200}
-        names = [s.name for s in Span.from_dict(record["root"]).iter_spans()]
+        names = []
+        pending = [record["root"]]
+        while pending:
+            node = pending.pop()
+            names.append(node["name"])
+            pending.extend(node.get("children") or [])
         for phase in PAPER_PHASES:
             assert phase in names
 

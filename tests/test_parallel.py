@@ -2,10 +2,9 @@
 
 The contract under test: a batch's items fan out over at most ``jobs``
 threads, and each miss computes in its item's thread.  Same responses as
-a sequential batch (modulo the timing field), same error classification,
-same stdout for ``repro table6`` byte for byte.  ``executor="process"``
-is still accepted by ``LabelingEngine`` and ``repro serve``, and starts no
-process.
+a sequential batch (modulo the timing field), and the same error
+classification.  ``executor="process"`` is still accepted by
+``LabelingEngine`` and ``repro serve``, and starts no process.
 """
 
 from __future__ import annotations
@@ -16,10 +15,9 @@ import os
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser
 from repro.core.pipeline import label_corpus
 from repro.datasets.registry import DOMAINS
-from repro.experiment import run_all_domains
 from repro.resilience import FaultPlan
 from repro.service.engine import LabelingEngine, execute_batch
 from repro.service.parallel import (
@@ -81,9 +79,6 @@ def test_cli_jobs_defaults_are_unified():
     serve = parser.parse_args(["serve"])
     chaos = parser.parse_args(["chaos"])
     assert batch.jobs == serve.jobs == chaos.jobs == default_jobs()
-    # table6 stays sequential by default: its default output is the
-    # byte-for-byte reference.
-    assert parser.parse_args(["table6"]).jobs == 1
 
 
 def test_cli_executor_flags_exist():
@@ -315,27 +310,6 @@ def test_process_backend_falls_back_under_fault_plan(no_pool):
 
 
 # ----------------------------------------------------------------------
-# run_all_domains + table6: byte identity across the inline path and the
-# batch threads.
-# ----------------------------------------------------------------------
-
-
-def test_run_all_domains_rejects_bad_executor():
-    # The argument is gone: any executor is rejected.
-    with pytest.raises(TypeError, match="executor"):
-        run_all_domains(jobs=2, executor="thread")
-
-
-def test_table6_output_byte_identical_across_executors(capsys, no_pool):
-    argv = ["table6", "--seed", "0", "--respondents", "3"]
-    assert main(argv + ["--jobs", "1"]) == 0
-    sequential = capsys.readouterr().out
-    assert main(argv + ["--jobs", "4"]) == 0
-    threaded = capsys.readouterr().out
-    assert threaded == sequential
-
-
-# ----------------------------------------------------------------------
 # normalize_jobs: every --jobs entry point must survive cpu_count()=None,
 # jobs=0, and reject negatives with a clear error.
 # ----------------------------------------------------------------------
@@ -386,13 +360,14 @@ class TestNormalizeJobs:
 
     def test_cli_jobs_flag_rejects_negatives(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
-            build_parser().parse_args(["table6", "--jobs", "-2"])
+            build_parser().parse_args(["batch", "x.json", "--jobs", "-2"])
         assert excinfo.value.code == 2
         assert "jobs must be >= 0" in capsys.readouterr().err
 
     def test_cli_jobs_flag_parses_its_string(self):
-        assert build_parser().parse_args(["table6", "--jobs", "4"]).jobs == 4
+        args = build_parser().parse_args(["batch", "x.json", "--jobs", "4"])
+        assert args.jobs == 4
 
     def test_cli_jobs_flag_accepts_zero(self):
-        args = build_parser().parse_args(["table6", "--jobs", "0"])
+        args = build_parser().parse_args(["batch", "x.json", "--jobs", "0"])
         assert args.jobs == 1

@@ -131,7 +131,7 @@ def test_wordnet_mutation_invalidates_base_form_memo():
 
 
 # ----------------------------------------------------------------------
-# Label interning.
+# Label analysis cache.
 # ----------------------------------------------------------------------
 
 
@@ -139,11 +139,8 @@ def test_labels_intern_on_canonical_identity():
     analyzer = LabelAnalyzer(build_default_wordnet())
     a = analyzer.label("Day/Time")
     b = analyzer.label("Day & Time")
-    # Same display form and conjunction flag: one intern key, shared tokens.
-    assert a.key == b.key
+    # Same case-folded display form: the step-2 analysis runs once.
     assert a.tokens is b.tokens
-    c = analyzer.label("Day Time")  # no conjunction marker: different class
-    assert c.key != a.key
 
 
 def test_interned_labels_are_repeat_cache_hits():
@@ -155,7 +152,7 @@ def test_interned_labels_are_repeat_cache_hits():
 
 
 # ----------------------------------------------------------------------
-# Cached relation_between == uncached (satellite 3, property-style).
+# Cached memo answers == uncached ones (property-style).
 # ----------------------------------------------------------------------
 
 
@@ -167,11 +164,15 @@ def _corpus_labels(domain: str, seed: int) -> list[str]:
     return sorted(set(texts))
 
 
-@pytest.mark.parametrize("domain,seed", [("airline", 0), ("hotels", 1), ("auto", 2)])
+@pytest.mark.parametrize(
+    "domain,seed",
+    [("airline", 0), ("hotels", 1), ("auto", 2), ("book", 3), ("job", 4),
+     ("realestate", 5), ("carrental", 6)],
+)
 def test_cached_relation_between_matches_uncached(domain, seed):
     texts = _corpus_labels(domain, seed)
     cached = SemanticComparator()
-    reference = SemanticComparator()  # its relation-level cache stays unused
+    reference = SemanticComparator()  # its memos stay unused
     rng = random.Random(seed)
     pairs = [
         (rng.choice(texts), rng.choice(texts)) for __ in range(300)
@@ -183,7 +184,18 @@ def test_cached_relation_between_matches_uncached(domain, seed):
         # derived entry; both must still agree with the ladder.
         assert cached.relation_between(a, b) is expected
         assert cached.relation_between(b, a) is reference._relation_uncached(b, a)
+        # The hypernym memo answers its uncached form, first and repeat.
+        for first, second in ((a, b), (b, a)):
+            expected_hypernym = reference._hypernym_uncached(first, second)
+            assert cached.hypernym(first, second) is expected_hypernym
+            assert cached.hypernym(first, second) is expected_hypernym
+        # synonym keeps no memo: it is symmetric, and below equality the
+        # ladder's verdict is exactly synonym's.
+        assert cached.synonym(a, b) is cached.synonym(b, a)
+        if expected <= LabelRelation.SYNONYM:
+            assert cached.synonym(a, b) is (expected is LabelRelation.SYNONYM)
     assert cached.relation_counter.snapshot()["hits"] > 0
+    assert cached.predicate_counter.snapshot()["hits"] > 0
 
 
 def test_derived_predicates_match_relation_ladder():

@@ -775,22 +775,6 @@ class TestEngineOwnLexicon:
         assert _labels(first) == _labels(second) == _labels(expected)
 
 
-class TestRunAllDomainsJobs:
-    def test_parallel_matches_sequential(self):
-        from repro.experiment import run_all_domains
-
-        sequential = run_all_domains(seed=0, respondent_count=1, jobs=1)
-        parallel = run_all_domains(seed=0, respondent_count=1, jobs=4)
-        assert list(sequential) == list(parallel)
-        for name in sequential:
-            a, b = sequential[name], parallel[name]
-            assert a.classification == b.classification
-            assert a.fld_acc == b.fld_acc
-            assert a.int_acc == b.int_acc
-            assert a.ha == b.ha
-            assert a.labeling.field_labels == b.labeling.field_labels
-
-
 class TestLintNodeDict:
     def test_lints_service_tree_payload(self, comparator):
         engine = LabelingEngine(cache_size=0)
