@@ -1,6 +1,6 @@
 """Load shedding: a bounded admission queue in front of the HTTP handlers.
 
-``ThreadingHTTPServer`` happily spawns a thread per connection; under a
+The threading server happily spawns a thread per connection; under a
 traffic spike that means unbounded concurrent pipeline runs, memory growth
 and collapsing latency for *everyone*.  The admission controller caps
 concurrent work at ``max_concurrent`` and queues at most ``max_queue``

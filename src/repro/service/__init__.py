@@ -41,36 +41,38 @@ Start a server with ``python -m repro serve`` or in-process::
         print(client.label(domain="airline")["classification"])
 """
 
-from .cache import LRUCache, ResultCache
-from .client import ServiceClient, ServiceError
-from .diskcache import DiskCache
-from .engine import (
-    BatchOutcome,
-    LabelingEngine,
-    LabelingRequest,
-    RequestError,
-    execute_batch,
-)
-from .fingerprint import corpus_fingerprint, fingerprint_document
-from .parallel import default_jobs, normalize_jobs
-from .server import LabelingServer, MetricsRegistry, PayloadTooLargeError
+import importlib
 
-__all__ = [
-    "BatchOutcome",
-    "DiskCache",
-    "LRUCache",
-    "LabelingEngine",
-    "LabelingRequest",
-    "LabelingServer",
-    "MetricsRegistry",
-    "PayloadTooLargeError",
-    "RequestError",
-    "ResultCache",
-    "ServiceClient",
-    "ServiceError",
-    "corpus_fingerprint",
-    "default_jobs",
-    "execute_batch",
-    "fingerprint_document",
-    "normalize_jobs",
-]
+#: Each exported name and the submodule it lives in.  A name is imported
+#: on first use (PEP 562), so ``repro serve`` never loads the client and
+#: the ``ssl`` and ``http.client`` modules behind it.
+_EXPORTS = {
+    "BatchOutcome": "engine",
+    "DiskCache": "diskcache",
+    "LRUCache": "cache",
+    "LabelingEngine": "engine",
+    "LabelingRequest": "engine",
+    "LabelingServer": "server",
+    "MetricsRegistry": "server",
+    "PayloadTooLargeError": "server",
+    "RequestError": "engine",
+    "ResultCache": "cache",
+    "ServiceClient": "client",
+    "ServiceError": "client",
+    "corpus_fingerprint": "fingerprint",
+    "default_jobs": "parallel",
+    "execute_batch": "engine",
+    "fingerprint_document": "fingerprint",
+    "normalize_jobs": "parallel",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -3,9 +3,9 @@
 The labeling pipeline is deterministic, so a result keyed by the corpus
 fingerprint (:mod:`repro.service.fingerprint`) never goes stale — the only
 eviction policy needed is capacity.  The cache is a plain ordered-dict LRU
-guarded by a lock: correct under the ``ThreadingHTTPServer``/executor
-concurrency the service runs with, and cheap enough that a hit costs
-microseconds against the pipeline's tens of milliseconds.
+guarded by a lock: correct under the thread-per-connection server and
+batch-thread concurrency the service runs with, and cheap enough that a
+hit costs microseconds against the pipeline's tens of milliseconds.
 
 :class:`ResultCache` stores each entry once, as immutable JSON bytes
 (insertion order kept, :func:`json_bytes`) with a CRC-32 over exactly

@@ -48,7 +48,6 @@ from http.client import (
     BadStatusLine,
     HTTPException,
     IncompleteRead,
-    LineTooLong,
     RemoteDisconnected,
     UnknownProtocol,
 )
@@ -57,7 +56,7 @@ from urllib.parse import urlsplit
 from ..schema.clusters import Mapping
 from ..schema.interface import QueryInterface
 from ..schema.serialize import corpus_to_dict
-from .wire import MAX_LINE, Headers, read_headers
+from .wire import MAX_LINE, Headers, LineTooLong, TooManyHeaders, read_headers
 
 __all__ = ["ServiceClient", "ServiceError"]
 
@@ -375,7 +374,7 @@ class ServiceClient:
             status, reason, headers, raw = self._exchange(
                 (head + "\r\n").encode("latin-1") + body
             )
-        except (OSError, HTTPException) as exc:
+        except (OSError, HTTPException, LineTooLong, TooManyHeaders) as exc:
             # No usable HTTP response: timed out, dropped, malformed.
             raise ServiceError(
                 0, None, f"connection to {self.base_url} failed: {exc}"

@@ -35,7 +35,7 @@ hit therefore decodes nothing unless it asks for lint.
 :func:`execute_batch` fans thunks over threads with a per-item timeout and
 structured :class:`BatchOutcome` results: one bad corpus degrades to an
 error entry and never kills the batch.  All shared engine state is
-lock-guarded, so one engine safely serves the ``ThreadingHTTPServer`` in
+lock-guarded, so one engine safely serves every connection thread of
 :mod:`repro.service.server`.
 """
 

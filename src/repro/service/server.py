@@ -28,9 +28,13 @@ parse (a garbled request line, an unsupported HTTP version, an oversized
 header line, more than 100 header lines) gets the same JSON error shape,
 is counted in ``/metrics`` under ``other``, and its connection closes.
 
-The request line is parsed as ``http.server`` parses it; the header block
-is read by :func:`repro.service.wire.read_headers`, with ``http.client``'s
-limits and field values but without its ``email.parser`` pass.
+The server reads and writes HTTP/1.1 itself.  The request line gets the
+checks ``http.server`` makes (a line over 65,536 bytes is a 414); the
+header block is read by :func:`repro.service.wire.read_headers`, with
+``http.client``'s limits and field values but without its
+``email.parser`` pass.  A serving process imports none of
+``http.server``, ``http.client``, ``ssl`` or ``email``.
+
 With tracing enabled (``tracing=True`` or a trace log configured), each
 POST runs under a request-scoped trace whose span tree lands in the LRU
 behind ``GET /trace/<id>`` and, with ``serve --trace-log DIR``, in a
@@ -43,12 +47,15 @@ concurrency cap queues, and a full queue sheds with **HTTP 429** plus a
 or an exhausted transient failure maps to **HTTP 503** (with structured
 fault provenance for the latter) — see ``docs/resilience.md``.
 
-Built on ``http.server.ThreadingHTTPServer`` so the package keeps its
-no-dependency guarantee; one daemon thread per connection, all shared
-state behind the engine's and the metrics registry's locks.  Connections
-are HTTP/1.1 keep-alive.  Each response leaves in one write with Nagle's
-algorithm off, so a kept-alive client never waits on a delayed ACK.  A
-response whose request body was not read in full (a bad or oversized
+Built on ``socketserver.ThreadingTCPServer`` so the package keeps its
+no-dependency guarantee; one daemon thread per connection runs the
+request loop, all shared state behind the engine's and the metrics
+registry's locks.  Connections are HTTP/1.1 keep-alive.  Each response
+(status line; ``Server``, ``Date``, ``Content-Type`` and
+``Content-Length``; then ``Retry-After``, ``X-Request-Id`` and
+``Connection`` where they apply; the body) leaves in one ``sendall`` with
+Nagle's algorithm off, so a kept-alive client never waits on a delayed
+ACK.  A response whose request body was not read in full (a bad or oversized
 ``Content-Length``, a truncated body) says ``Connection: close`` and ends
 the connection, since the unread bytes would otherwise be parsed as the
 next request.  A connection idle for :data:`IDLE_TIMEOUT_S` (between
@@ -63,20 +70,21 @@ from __future__ import annotations
 import json
 import re
 import socket
+import socketserver
+import sys
 import threading
 import time
 from collections import deque
 from functools import partial
 from http import HTTPStatus
-from http.client import HTTPException, LineTooLong
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from .. import __version__
 from ..obs import Trace, TraceLog, new_request_id
 from ..perf import Counters
 from ..resilience import AdmissionController
 from .cache import LRUCache, json_bytes
 from .engine import BatchOutcome, LabelingEngine, RequestError, parse_batch
-from .wire import read_headers
+from .wire import MAX_LINE, LineTooLong, TooManyHeaders, read_headers
 
 __all__ = ["LabelingServer", "MetricsRegistry", "PayloadTooLargeError"]
 
@@ -92,6 +100,43 @@ _ERROR_STATUS = {
     "invalid_request": 400, "payload_too_large": 413, "overloaded": 429,
     "internal": 500, "circuit_open": 503, "transient": 503, "timeout": 504,
 }
+
+
+#: The status line of each status code, with its standard reason phrase.
+_STATUS_LINES = {
+    status.value: b"HTTP/1.1 %d %s\r\n" % (status.value, status.phrase.encode())
+    for status in HTTPStatus
+}
+
+_SERVER = b"Server: repro/%s Python/%s\r\n" % (
+    __version__.encode(), sys.version.split()[0].encode()
+)
+
+#: English names, whatever the locale, as RFC 9110's IMF-fixdate needs.
+_DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
+_MONTHS = (
+    "", "Jan", "Feb", "Mar", "Apr", "May", "Jun",
+    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
+)
+
+#: The second the ``Server`` and ``Date`` lines below were made for.
+_stamped: tuple[int, bytes] = (-1, b"")
+
+
+def _server_and_date() -> bytes:
+    """The ``Server`` and ``Date`` header lines, the date made once a
+    second (``Tue, 20 Oct 2026 16:49:01 GMT``)."""
+    global _stamped
+    now = int(time.time())
+    second, lines = _stamped
+    if second != now:
+        t = time.gmtime(now)
+        lines = _SERVER + b"Date: %s, %02d %s %04d %02d:%02d:%02d GMT\r\n" % (
+            _DAYS[t.tm_wday].encode(), t.tm_mday, _MONTHS[t.tm_mon].encode(),
+            t.tm_year, t.tm_hour, t.tm_min, t.tm_sec,
+        )
+        _stamped = (now, lines)
+    return lines
 
 
 class PayloadTooLargeError(RequestError):
@@ -168,8 +213,8 @@ class MetricsRegistry:
         }
 
 
-class _LabelingHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the engine + metrics for its handlers."""
+class _LabelingHTTPServer(socketserver.ThreadingTCPServer):
+    """A threading TCP server carrying the engine + metrics for its handlers."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -223,15 +268,11 @@ class _LabelingHTTPServer(ThreadingHTTPServer):
                 pass
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Route the four endpoints; every response is JSON with Content-Length."""
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection's request loop: read a request, route it to one of
+    the endpoints, answer JSON with Content-Length, until one closes it."""
 
     server: _LabelingHTTPServer
-    protocol_version = "HTTP/1.1"
-    # Headers and body leave in one write: ``wfile`` buffers them and the
-    # stdlib flushes it once per request.  With Nagle's algorithm off, a
-    # body too large for the buffer is not held back either.
-    wbufsize = 64 * 1024
     disable_nagle_algorithm = True
 
     #: Hard cap on a declared request body.  A client announcing more gets
@@ -247,73 +288,63 @@ class _Handler(BaseHTTPRequestHandler):
         self.timeout = IDLE_TIMEOUT_S  # read per connection
         super().setup()
 
-    def parse_request(self) -> bool:
-        """``http.server``'s request-line and version checks, then the
-        header block through :func:`read_headers`; ``Connection`` and
-        ``Expect: 100-continue`` act as they do in the stdlib."""
-        self.command = None
-        self.request_version = self.default_request_version
+    def handle(self) -> None:
+        try:
+            while self._handle_one():
+                pass
+        except (TimeoutError, ConnectionError):  # idle, stalled or gone
+            pass
+
+    def _handle_one(self) -> bool:
+        """Read and answer one request; whether the connection stays open.
+
+        The request line is checked as ``http.server`` checks it, the
+        header block read by :func:`read_headers`; ``Connection`` and
+        ``Expect: 100-continue`` act as they do in the stdlib.
+        """
+        self.command = self.requestline = ""
+        self.request_version = "HTTP/1.1"
         self.close_connection = True
+        line = self.rfile.readline(MAX_LINE + 1)
         # A kept-alive connection gets no answer once the server stops.
-        if self.server.stopping.is_set():
+        if not line or self.server.stopping.is_set():
             return False
-        self.requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+        if len(line) > MAX_LINE:
+            return self._refuse(414, "Request-URI Too Long")
+        self.requestline = str(line, "iso-8859-1").rstrip("\r\n")
         words = self.requestline.split()
         if not words:
             return False
         if len(words) >= 3:
             version = words[-1]
-            try:
-                if not version.startswith("HTTP/"):
-                    raise ValueError
-                numbers = version.split("/", 1)[1].split(".")
-                if len(numbers) != 2 or not all(
-                    n.isdigit() and len(n) <= 10 for n in numbers
-                ):
-                    raise ValueError
-                major, minor = int(numbers[0]), int(numbers[1])
-            except ValueError:
-                self.send_error(
-                    HTTPStatus.BAD_REQUEST, f"Bad request version ({version!r})"
-                )
-                return False
-            if (major, minor) >= (1, 1):
-                self.close_connection = False
-            if major >= 2:
-                self.send_error(
-                    HTTPStatus.HTTP_VERSION_NOT_SUPPORTED,
-                    f"Invalid HTTP version ({version[5:]})",
-                )
-                return False
-            self.request_version = version
+            numbers = version[5:].split(".") if version.startswith("HTTP/") else ()
+            if len(numbers) != 2 or not all(
+                n.isascii() and n.isdigit() and len(n) <= 10 for n in numbers
+            ):
+                return self._refuse(400, f"Bad request version ({version!r})")
+            if int(numbers[0]) >= 2:
+                return self._refuse(505, f"Invalid HTTP version ({version[5:]})")
+            self.close_connection = (int(numbers[0]), int(numbers[1])) < (1, 1)
         if not 2 <= len(words) <= 3:
-            self.send_error(
-                HTTPStatus.BAD_REQUEST, f"Bad request syntax ({self.requestline!r})"
-            )
-            return False
+            return self._refuse(400, f"Bad request syntax ({self.requestline!r})")
         self.command, self.path = words[:2]
         if len(words) == 2:
-            self.close_connection = True
             if self.command != "GET":
-                self.send_error(
-                    HTTPStatus.BAD_REQUEST,
-                    f"Bad HTTP/0.9 request type ({self.command!r})",
+                return self._refuse(
+                    400, f"Bad HTTP/0.9 request type ({self.command!r})"
                 )
-                return False
+            self.close_connection = True
+            self.request_version = "HTTP/0.9"  # answered with the body only
+        else:
+            self.request_version = words[2]
         if self.path.startswith("//"):
             self.path = "/" + self.path.lstrip("/")
         try:
             self.headers = read_headers(self.rfile)
-        except LineTooLong as err:
-            self.send_error(
-                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Line too long", str(err)
-            )
-            return False
-        except HTTPException as err:
-            self.send_error(
-                HTTPStatus.REQUEST_HEADER_FIELDS_TOO_LARGE, "Too many headers", str(err)
-            )
-            return False
+        except LineTooLong:
+            return self._refuse(431, "Line too long")
+        except TooManyHeaders:
+            return self._refuse(431, "Too many headers")
         connection = self.headers.get("Connection", "").lower()
         if connection == "close":
             self.close_connection = True
@@ -323,51 +354,57 @@ class _Handler(BaseHTTPRequestHandler):
             self.headers.get("Expect", "").lower() == "100-continue"
             and self.request_version >= "HTTP/1.1"
         ):
-            return self.handle_expect_100()
-        return True
+            # The interim answer must leave now: the client may hold the
+            # body back until it arrives.
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        if self.command == "GET":
+            self._get()
+        elif self.command == "POST":
+            self._post()
+        else:
+            return self._refuse(501, f"Unsupported method ({self.command!r})")
+        return not self.close_connection
 
-    def handle_expect_100(self) -> bool:
-        # The interim answer must leave now: the client may hold the body
-        # back until it arrives, and wfile buffers until the response.
-        super().handle_expect_100()
-        self.wfile.flush()
-        return True
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+    def _log(self, message: str) -> None:
         if not self.server.quiet:  # pragma: no cover - operator logging
-            super().log_message(format, *args)
+            stamp = time.strftime("%d/%b/%Y %H:%M:%S")
+            sys.stderr.write(f"{self.client_address[0]} - - [{stamp}] {message}\n")
 
-    def send_error(self, code: int, message: str | None = None, explain=None) -> None:
+    def _refuse(self, status: int, message: str) -> bool:
         """Answer a request the server could not parse with the JSON error
-        shape (its status, ``Connection: close``) instead of an HTML page,
-        counted under ``other``."""
-        self.log_error("code %d, message %s", code, message)
-        # An unparsed request line leaves the version at HTTP/0.9, which
-        # would suppress the status line and headers.
-        self.request_version = self.protocol_version
+        shape (its status, ``Connection: close``), counted under ``other``;
+        the connection closes."""
+        self._log(f"code {status}, message {message}")
+        self.request_version = "HTTP/1.1"  # an HTTP/0.9 request too
         request_id = new_request_id()
-        self.server.metrics.record("other", code)
-        self._send_json(code, {
+        self.server.metrics.record("other", status)
+        self._send_json(status, {
             "ok": False,
-            "error": message or HTTPStatus(code).phrase,
+            "error": message,
             "error_type": "invalid_request",
             "request_id": request_id,
         }, {"X-Request-Id": request_id, "Connection": "close"})
+        return False
 
     def _send_json(
         self, status: int, payload: dict | bytes, headers: dict | None = None
     ) -> None:
-        """Answer ``payload``: JSON bytes as they are, or a dict encoded
-        compactly.  A ``HEAD`` answer carries the headers only."""
+        """Answer ``payload`` in one write: JSON bytes as they are, or a
+        dict encoded compactly.  A ``HEAD`` answer carries the head only,
+        an HTTP/0.9 answer the body only."""
+        self._log(f'"{self.requestline}" {status} -')
         body = payload if isinstance(payload, bytes) else json_bytes(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(body)
+        extra = "".join(
+            f"{name}: {value}\r\n" for name, value in (headers or {}).items()
+        )
+        head = b"%s%sContent-Type: application/json\r\nContent-Length: %d\r\n%s\r\n" % (
+            _STATUS_LINES[status], _server_and_date(), len(body), extra.encode("latin-1")
+        )
+        if self.command == "HEAD":
+            body = b""
+        if self.request_version == "HTTP/0.9":
+            head = b""
+        self.connection.sendall(head + body)
 
     def _read_json(self):
         declared = self.headers.get("Content-Length")
@@ -455,7 +492,7 @@ class _Handler(BaseHTTPRequestHandler):
     # Endpoints.
     # ------------------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
+    def _get(self) -> None:
         if self.path == "/healthz":
             self._handle("/healthz", lambda: (200, {
                 "status": "ok",
@@ -472,7 +509,7 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._handle("other", self._not_found)
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+    def _post(self) -> None:
         given = (self.headers.get("X-Request-Id") or "").strip()
         request_id = given if _REQUEST_ID.fullmatch(given) else new_request_id()
         if self.path == "/label":

@@ -2,22 +2,37 @@
 
 One reader serves both ends of the service: the server parses request
 heads with it, and :class:`~repro.service.client.ServiceClient` parses
-response heads with it.  It keeps ``http.client``'s limits and field
-values but skips its ``email.parser`` pass.
+response heads with it.  It keeps ``http.client``'s limits, error
+messages and field values but skips its ``email.parser`` pass, and needs
+neither module: a process that serves never loads them.
 """
 
 from __future__ import annotations
 
 import re
-from http.client import HTTPException, LineTooLong
 
-__all__ = ["MAX_LINE", "Headers", "read_headers"]
+__all__ = ["MAX_LINE", "Headers", "LineTooLong", "TooManyHeaders", "read_headers"]
 
 #: ``http.client``'s bounds on a header block: bytes per line (a status,
 #: chunk-size or trailer line too), and lines (the blank line that ends
 #: the block counts as one).
 MAX_LINE = 65536
 _MAX_HEADERS = 100
+
+
+class LineTooLong(Exception):
+    """A line over :data:`MAX_LINE` bytes."""
+
+    def __init__(self, line_type: str) -> None:
+        super().__init__(f"got more than {MAX_LINE} bytes when reading {line_type}")
+
+
+class TooManyHeaders(Exception):
+    """A header block of more lines than ``http.client`` accepts."""
+
+    def __init__(self) -> None:
+        super().__init__(f"got more than {_MAX_HEADERS} headers")
+
 
 #: A field name as ``email.parser`` accepts it: visible ASCII but ``:``.
 _FIELD_NAME = re.compile(r"[!-9;-~]+")
@@ -43,12 +58,12 @@ def read_headers(rfile) -> Headers:
     """Read a header block from ``rfile`` through its blank line.
 
     Reads as ``http.client.parse_headers`` does: a line longer than
-    65,536 bytes raises ``LineTooLong``, more than 100 lines raise
-    ``HTTPException``.  Each field's first value is kept, as
-    ``email.parser`` would give it: leading blanks stripped, an obs-fold
-    line joined on with one space.  A line that is not a field ends the
-    fields, as it ends ``email.parser``'s headers; a field with no name is
-    skipped.
+    65,536 bytes raises :class:`LineTooLong`, more than 100 lines raise
+    :class:`TooManyHeaders`, with ``http.client``'s messages.  Each
+    field's first value is kept, as ``email.parser`` would give it:
+    leading blanks stripped, an obs-fold line joined on with one space.
+    A line that is not a field ends the fields, as it ends
+    ``email.parser``'s headers; a field with no name is skipped.
     """
     lines = []
     while True:
@@ -57,7 +72,7 @@ def read_headers(rfile) -> Headers:
             raise LineTooLong("header line")
         lines.append(line)
         if len(lines) > _MAX_HEADERS:
-            raise HTTPException(f"got more than {_MAX_HEADERS} headers")
+            raise TooManyHeaders
         if line in (b"\r\n", b"\n", b""):
             break
     values: dict[str, str] = {}

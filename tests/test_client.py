@@ -221,6 +221,16 @@ class TestFraming:
             assert "headers" in str(excinfo.value)
             assert client._connection().sock is None
 
+    def test_overlong_header_line_is_status_zero(self, client_for):
+        reply = _reply("200 OK", b"{}", "Content-Length: 2", "X-Long: " + "a" * 65_536)
+        with _raw_server(lambda conn, *_: conn.sendall(reply)) as (port, _):
+            client = client_for(f"http://127.0.0.1:{port}", retries=0)
+            with pytest.raises(ServiceError) as excinfo:
+                client.healthz()
+            assert excinfo.value.status == 0
+            assert "65536 bytes when reading header line" in str(excinfo.value)
+            assert client._connection().sock is None
+
     @pytest.mark.parametrize(
         "reply",
         [b"HTTP/1.1 abc OK\r\n\r\n", b"ICY 200 OK\r\n\r\n", b"HTTP/2 200 OK\r\n\r\n",
