@@ -80,7 +80,7 @@ def _summary(samples_ms: list[float]) -> dict:
 
 def _batch_width() -> dict[int, list[float]]:
     """Milliseconds per batch for each mode, interleaved round by round."""
-    engines = {jobs: LabelingEngine(cache_size=0, breaker=None) for jobs in MODES}
+    engines = {jobs: LabelingEngine(cache_size=0) for jobs in MODES}
     samples: dict[int, list[float]] = {jobs: [] for jobs in MODES}
     for round_no in range(WARMUP_ROUNDS + ROUNDS):
         batch = [{"domain": name, "seed": 5000 + round_no} for name in BATCH_DOMAINS]

@@ -12,7 +12,6 @@
     python -m repro batch a.json b.json --jobs 4
     python -m repro profile -o BENCH_perf.json
     python -m repro trace corpus.json      # span tree with per-phase timings
-    python -m repro chaos --plans 10 --rate 0.1   # seeded fault sweep
 
 Every command accepts ``--seed`` where a corpus is generated.
 """
@@ -36,7 +35,7 @@ from .service.parallel import EXECUTORS, default_jobs, normalize_jobs
 __all__ = ["main", "build_parser"]
 
 #: Shared ``--jobs`` default for the concurrent subcommands (``batch``,
-#: ``serve``, ``chaos``): derived from the usable CPU count, capped at 8.
+#: ``serve``): derived from the usable CPU count, capped at 8.
 DEFAULT_JOBS = default_jobs()
 
 
@@ -186,26 +185,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the trace as JSON instead of the tree view")
     trace.add_argument("--chrome", type=Path, default=None,
                        help="also write a chrome://tracing JSON array")
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="sweep seeded fault plans through the service stack "
-             "(fault injection + retry/breaker verification)",
-    )
-    chaos.add_argument("--plans", type=int, default=10,
-                       help="how many seeded fault plans to run")
-    chaos.add_argument("--seed", type=int, default=0,
-                       help="base seed; plan i uses seed+i")
-    chaos.add_argument("--rate", type=float, default=0.1,
-                       help="per-item fault probability at each injection point")
-    chaos.add_argument("--jobs", type=_jobs_arg, default=DEFAULT_JOBS,
-                       help="batch concurrency per plan "
-                            "(default: usable CPUs, capped at 8)")
-    chaos.add_argument("--domains", nargs="+", default=None,
-                       choices=sorted(DOMAINS),
-                       help="seed domains per plan (default: all)")
-    chaos.add_argument("-o", "--out", type=Path, default=None,
-                       help="also write the full JSON report")
 
     return parser
 
@@ -579,43 +558,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_chaos(args) -> int:
-    from .testing.chaos import run_chaos_sweep
-
-    comparator = SemanticComparator()
-    report = run_chaos_sweep(
-        plans=args.plans,
-        seed=args.seed,
-        rate=args.rate,
-        jobs=args.jobs,
-        domains=args.domains,
-        comparator=comparator,
-    )
-    print(
-        f"chaos sweep: {report['plans']} plans x {report['items_per_plan']} "
-        f"items (rate {args.rate:g}, jobs {args.jobs})"
-    )
-    print(
-        f"  ok {report['ok_items']} | failed {report['failed_items']} | "
-        f"recovered {report['recovered_items']} | "
-        f"byte-identical {report['identical_items']} | "
-        f"injected faults {report['injected_faults']}"
-    )
-    if report["anomalies"]:
-        print(f"  {len(report['anomalies'])} ANOMALY(IES):")
-        for anomaly in report["anomalies"][:20]:
-            print(
-                f"    [{anomaly['plan']}#{anomaly['item']}] "
-                f"{anomaly['kind']}: {anomaly['message']}"
-            )
-    else:
-        print("  degradation contract held for every plan")
-    if args.out is not None:
-        args.out.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {args.out}")
-    return 1 if report["anomalies"] else 0
-
-
 _COMMANDS = {
     "table6": _cmd_table6,
     "figure10": _cmd_figure10,
@@ -631,7 +573,6 @@ _COMMANDS = {
     "batch": _cmd_batch,
     "profile": _cmd_profile,
     "trace": _cmd_trace,
-    "chaos": _cmd_chaos,
 }
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from ..obs.tracer import event as obs_event
 from ..obs.tracer import span as obs_span
-from ..resilience.faults import maybe_inject
 from ..schema.clusters import Mapping
 from ..schema.groups import Group, GroupKind, partition_clusters
 from ..schema.interface import QueryInterface
@@ -66,7 +65,6 @@ def label_integrated_interface(
     analyzer = comparator.analyzer
     log = InferenceLog(keep_events=options.keep_inference_events)
 
-    maybe_inject("pipeline.phase1")
     with obs_span("phase:partitions") as sp:
         partition = partition_clusters(integrated_root)
         if sp is not None:
@@ -160,7 +158,6 @@ def label_integrated_interface(
         # --------------------------------------------------------------
         # Phases 2+3: assign labels top-down, narrowing group solutions.
         # --------------------------------------------------------------
-        maybe_inject("pipeline.phase3")
         allowed: dict[str, list[GroupSolution]] = {
             name: list(res.solutions) for name, res in result.group_results.items()
         }
@@ -239,7 +236,6 @@ def label_corpus(
     # algorithm and must not become an import-time dependency of repro.core.
     from ..merge.merger import merge_interfaces
 
-    maybe_inject("pipeline.merge")
     with obs_span("merge", interfaces=len(interfaces), clusters=len(mapping)):
         mapping.expand_one_to_many(interfaces)
         root = merge_interfaces(interfaces, mapping)

@@ -35,7 +35,6 @@ import hashlib
 import json
 import threading
 
-from ..resilience.faults import maybe_inject
 from .morphology import IRREGULAR_FORMS, base_form
 from .wordnet import MiniWordNet, Synset
 
@@ -145,7 +144,6 @@ class CompiledLexicon:
             cached = self._base_cache.get(token)
         if cached is not None:
             return cached
-        maybe_inject("lexicon.query")
         result = base_form(token, self.is_known)
         if len(self._base_cache) >= MEMO_LIMIT:
             self._base_cache.clear()

@@ -2,8 +2,8 @@
 
 The service debugs phase-by-phase: when a request misbehaves, the question
 is *which* pipeline phase (group relations → partitions → combine closure
-→ conflict repair → internal-node inference) consumed the time or tripped
-a fault.  This package answers it with zero dependencies and zero cost
+→ conflict repair → internal-node inference) consumed the time or raised
+the error.  This package answers it with zero dependencies and zero cost
 when disabled:
 
 ``tracer``   context-local span tracing (:class:`Trace`, :class:`Span`,

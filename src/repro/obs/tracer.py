@@ -1,13 +1,12 @@
 """Request-scoped span tracing — zero-dependency, zero-cost when off.
 
 A :class:`Trace` is one request's tree of :class:`Span` records: every
-pipeline phase, cache consultation and retry attempt becomes a span (with
+pipeline phase, cache consultation and batch item becomes a span (with
 monotonic-clock start/duration) or an event on the enclosing span.  The
 trace's clock is injectable, so tests pin span timings with a fake clock
 and assert the whole tree as a golden.
 
-Activation mirrors :mod:`repro.resilience.faults`: a context-local scope
-(:meth:`Trace.scope`) names the trace governing the current execution, and
+Activation is context-local: a scope (:meth:`Trace.scope`) names the trace governing the current execution, and
 the instrumented call sites — :func:`span`, :func:`event` — consult it.
 When no trace is active (the overwhelmingly common case) both are a read
 of one module-level integer and an immediate return: the labeling hot

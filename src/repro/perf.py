@@ -10,9 +10,9 @@ an immutable table, :class:`repro.lexicon.compiled.CompiledLexicon`); this
 module provides the *observability* for it:
 
 * :class:`Counters` — named integers behind one lock.  Every count in
-  ``GET /metrics`` comes from one: the memos above, the result caches and
-  disk tier of :mod:`repro.service`, the engine, its circuit breakers,
-  the admission queue and the HTTP server.
+  ``GET /metrics`` comes from one: the memos above, the LRU caches and
+  disk tier of :mod:`repro.service`, the engine, the admission queue and
+  the HTTP server.
 * :func:`with_hit_rate` — the one place ``hit_rate`` is derived from
   ``hits`` and ``misses``.
 * :func:`profile_labeling` — the cold-vs-warm workload behind the

@@ -4,10 +4,8 @@ A record is a payload's exact bytes behind the CRC-32 of those bytes, as
 8 lower-case hex digits, and one space: ``b"%08x " % crc32(payload) +
 payload``.  :class:`repro.service.diskcache.DiskCache` segments and
 :class:`repro.obs.TraceLog` files hold one record a line, so a payload
-holds no newline; the in-memory :class:`repro.service.cache.ResultCache`
-checks its entries with the same ``zlib.crc32``.  CRC-32 guards against
-accidental and injected damage (bit rot, torn writes, a chaos fault); it
-is not a cryptographic seal.
+holds no newline.  CRC-32 guards against accidental damage to a file (a
+torn write, bit rot on disk); it is not a cryptographic seal.
 
 This module imports nothing from the package, so ``repro.obs`` and
 ``repro.service`` can both use it.

@@ -7,20 +7,20 @@ workload needs:
 
 ``fingerprint``  stable content hashes of (corpus, lexicon overlay,
                  naming options) — the cache key;
-``cache``        a thread-safe LRU result cache; :class:`ResultCache`
-                 stores each entry as CRC-checked JSON bytes, so a hit is
-                 those bytes and a corrupted entry is evicted and
-                 recomputed, never served;
+``cache``        a thread-safe LRU cache; the engine's memory tier is one,
+                 holding each entry as JSON bytes, so a hit is those bytes;
 ``engine``       :class:`LabelingEngine` — request validation, cache
                  consultation, pipeline execution, a thread batch executor
-                 with per-item timeout and error isolation, plus the
-                 resilience stack (retry, per-corpus circuit breaker,
-                 fault-plan scope, strict oracle verification);
+                 with per-item timeout and error isolation, and strict
+                 oracle verification;
+``admission``    the bounded admission queue in front of both POST
+                 endpoints (429 + ``Retry-After`` when it is full);
 ``parallel``     the shared CPU-derived ``--jobs`` default and the
                  ``executor`` names still accepted (every batch computes
                  in this process);
-``diskcache``    a persistent warm-start layer under the in-memory result
-                 cache: segments of CRC-checked lines holding entry bytes;
+``diskcache``    a persistent warm-start layer under the memory tier:
+                 segments of CRC-checked lines holding entry bytes, so a
+                 torn write or on-disk rot is skipped, never served;
 ``server``       a stdlib-only HTTP JSON API (``POST /label``,
                  ``POST /batch``, ``GET /healthz``, ``GET /metrics``,
                  ``GET /trace/<request_id>``) behind a bounded admission
@@ -56,7 +56,6 @@ _EXPORTS = {
     "MetricsRegistry": "server",
     "PayloadTooLargeError": "server",
     "RequestError": "engine",
-    "ResultCache": "cache",
     "ServiceClient": "client",
     "ServiceError": "client",
     "corpus_fingerprint": "fingerprint",

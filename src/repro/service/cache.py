@@ -7,32 +7,27 @@ guarded by a lock: correct under the thread-per-connection server and
 batch-thread concurrency the service runs with, and cheap enough that a
 hit costs microseconds against the pipeline's tens of milliseconds.
 
-:class:`ResultCache` stores each entry once, as immutable JSON bytes
-(insertion order kept, :func:`json_bytes`) with a CRC-32 over exactly
-those bytes.  ``get`` checks the CRC and returns the bytes themselves:
-the engine splices its per-request keys onto them, so a hit neither
-decodes nor re-serializes the entry, and nothing a caller holds aliases
-what the cache keeps.  An entry whose bytes no longer match — a chaos
-``corrupt`` fault, or real memory rot — is *evicted and reported as a
-miss*, so the engine recomputes instead of serving a silently wrong
-labeling.  The pipeline being deterministic makes that recovery exact.
+The engine's memory tier is an :class:`LRUCache` of entry bytes: each
+entry once, as immutable JSON bytes (insertion order kept,
+:func:`json_bytes`).  ``get`` returns those bytes themselves: the engine
+splices its per-request keys onto them, so a hit neither decodes nor
+re-serializes the entry, and nothing a caller holds aliases what the
+cache keeps.
 
-Counters (hits / misses / evictions / corruptions, one
-:class:`~repro.perf.Counters`) are part of the public contract —
-``GET /metrics`` reports them, and operators size ``capacity`` (and alarm
-on ``corruptions``) from them.
+Counters (hits / misses / evictions, one :class:`~repro.perf.Counters`)
+are part of the public contract — ``GET /metrics`` reports them, and
+operators size ``capacity`` from them.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-import zlib
 from collections import OrderedDict
 
 from ..perf import Counters
 
-__all__ = ["LRUCache", "ResultCache", "json_bytes"]
+__all__ = ["LRUCache", "json_bytes"]
 
 _MISSING = object()
 
@@ -56,23 +51,18 @@ class LRUCache:
         self.capacity = int(capacity)
         self._entries: OrderedDict[str, object] = OrderedDict()
         self._lock = threading.Lock()
-        self.counters = Counters("hits", "misses", "evictions", "corruptions")
+        self.counters = Counters("hits", "misses", "evictions")
 
     def get(self, key: str):
         """The cached value for ``key`` (refreshed as most recent), or ``None``."""
         with self._lock:
-            entry = self._entries.get(key, _MISSING)
-            value = entry if entry is _MISSING else self._open(key, entry)
+            value = self._entries.get(key, _MISSING)
             if value is _MISSING:
                 self.counters.add("misses")
                 return None
             self.counters.add("hits")
             self._entries.move_to_end(key)
             return value
-
-    def _open(self, key: str, entry):
-        """The value a stored entry holds, or ``_MISSING`` (under the lock)."""
-        return entry
 
     def put(self, key: str, value) -> None:
         """Store ``value`` under ``key``, evicting LRU entries over capacity."""
@@ -106,46 +96,3 @@ class LRUCache:
                 "size": len(self._entries),
                 "capacity": self.capacity,
             }
-
-
-class ResultCache(LRUCache):
-    """An :class:`LRUCache` of JSON values kept as checksummed bytes.
-
-    ``put`` stores ``(json bytes, crc32(bytes))``; ``get`` checks the CRC
-    under the lock and returns the stored bytes.
-    A mismatch is *eviction + miss* — a corrupted labeling is never
-    served.  The ``corrupt`` method flips a stored bit; it exists for the
-    chaos plan's ``cache.get``/``corrupt`` faults and the integrity tests,
-    which use it to prove the read path catches exactly this.
-    """
-
-    def _open(self, key: str, entry):
-        blob, crc = entry
-        if zlib.crc32(blob) == crc:
-            return blob
-        # Integrity failure: drop the entry, report a miss — the caller
-        # recomputes and the deterministic pipeline restores the exact
-        # result the corrupted entry used to hold.
-        del self._entries[key]
-        self.counters.add("corruptions")
-        return _MISSING
-
-    def put(self, key: str, blob: bytes) -> None:
-        """Store an entry's JSON bytes (:func:`json_bytes`) under ``key``."""
-        super().put(key, (blob, zlib.crc32(blob)))
-
-    def corrupt(self, key: str) -> bool:
-        """Tamper with the stored entry for ``key`` (chaos/test hook).
-
-        Flips one bit of the stored bytes without refreshing the checksum,
-        exactly like bit rot would; returns whether an entry existed.
-        """
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                return False
-            blob, crc = entry
-            tampered = bytearray(blob)
-            tampered[len(tampered) // 2] ^= 0x01
-            self._entries[key] = (bytes(tampered), crc)
-            return True

@@ -24,8 +24,8 @@ request fails before any response byte arrives; it is then sent once more
 on a fresh connection, and that does not count as a retry.
 
 The client cooperates with the service's backpressure: an HTTP 429
-(admission shed) or 503 (open circuit breaker / transient exhaustion)
-response is retried up to ``retries`` times, sleeping whatever
+(admission shed) or 503 (this server never sends one, but a proxy in front
+of it may) response is retried up to ``retries`` times, sleeping whatever
 ``retry_after`` the response names (payload field or ``Retry-After``
 header, capped at ``max_backoff_s``).  A connection that could not be made
 at all is retried on a fixed ``backoff_s`` — the server may simply not be

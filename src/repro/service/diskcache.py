@@ -1,4 +1,4 @@
-"""Persistent warm-start layer under the in-memory :class:`ResultCache`.
+"""Persistent warm-start layer under the engine's in-memory LRU tier.
 
 A :class:`DiskCache` is an append-only segment store living in one
 directory.  Each line is one :mod:`repro.records` record whose payload is

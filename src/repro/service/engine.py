@@ -16,18 +16,18 @@ deterministic, so entries never go stale — a request-key memo maps a valid
 miss builds and hashes the corpus) → **dedupe** (a batch groups its items by
 fingerprint and answers each repeat from the entry its first occurrence
 returned) → **lookup** (:meth:`LabelingEngine._lookup`: the memory LRU's
-CRC-checked JSON bytes, then disk, whose hit is served as the bytes it
-stored and promoted into memory) → **compute** (:func:`compute`:
-pipeline plus strict-mode oracles; builds the corpus if the memo skipped
-it) → **store** (:meth:`LabelingEngine._store`: memory and disk, encoded
-once).  Lookup → compute → store runs inside the per-fingerprint breaker,
-fault scope and retry policy, on the calling thread or one of a batch's
-``jobs`` threads, and ``compute`` runs in that same thread.  Overlay-free
-requests share the engine's one comparator across all threads (its memos
-are append-only and thread-safe).
+JSON bytes, then disk, whose hit is served as the bytes it stored and
+promoted into memory) → **compute** (:func:`compute`: pipeline plus
+strict-mode oracles; builds the corpus if the memo skipped it) →
+**store** (:meth:`LabelingEngine._store`: memory and disk, encoded once).
+Lookup → compute → store runs once per item, on the calling thread or one
+of a batch's ``jobs`` threads.  The pipeline is deterministic and does no
+I/O, so a failure is the corpus's answer: it is reported, never retried.
+Overlay-free requests share the engine's one comparator across all threads
+(its memos are append-only and thread-safe).
 
 Every answer is an entry's JSON bytes with the request's own keys
-(``cached``, ``lint``, ``resilience``, and the server's ``request_id``)
+(``cached``, ``lint``, and the server's ``request_id``)
 spliced onto their end: :meth:`LabelingEngine.label_json` is what the
 server writes, and :meth:`LabelingEngine.label` is its decoded dict.  A
 hit therefore decodes nothing unless it asks for lint.
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import contextvars
 import copy
-import itertools
 import json
 import threading
 import time
@@ -56,21 +55,9 @@ from functools import partial
 from ..core.pipeline import NamingOptions, label_corpus
 from ..datasets.registry import DOMAINS
 from ..obs.tracer import Span, current_span, current_trace
-from ..obs.tracer import event as obs_event
 from ..obs.tracer import span as obs_span
 from ..core.semantics import SemanticComparator
 from ..perf import Counters, with_hit_rate
-from ..resilience import (
-    BreakerPolicy,
-    CircuitBreaker,
-    CircuitOpenError,
-    FaultPlan,
-    OverloadedError,
-    RetryPolicy,
-    TransientFault,
-    fault_scope,
-    maybe_inject,
-)
 from ..schema.clusters import Mapping
 from ..schema.interface import QueryInterface
 from ..schema.serialize import (
@@ -78,7 +65,8 @@ from ..schema.serialize import (
     mapping_from_dict,
     node_to_dict,
 )
-from .cache import LRUCache, ResultCache, json_bytes
+from .admission import OverloadedError
+from .cache import LRUCache, json_bytes
 from .fingerprint import (
     RequestError,
     _canonical_lexicon,
@@ -300,9 +288,9 @@ class BatchOutcome:
     """Structured result of one batch item: a value or a classified error.
 
     ``detail`` carries error-type-specific structure (``retry_after`` for a
-    shed, the injected-fault trail for a transient exhaustion) that batch
-    entries surface verbatim; ``exception`` keeps the original object so a
-    timeout-wrapped single request can re-raise it with its type intact.
+    shed) that error bodies surface verbatim; ``exception`` keeps the
+    original object so a timeout-wrapped single request can re-raise it
+    with its type intact.
     """
 
     ok: bool
@@ -321,19 +309,11 @@ class BatchOutcome:
             error_type = exc.error_type
         elif isinstance(exc, TimeoutError):
             error_type = "timeout"
-        elif isinstance(exc, (CircuitOpenError, OverloadedError)):
-            error_type = (
-                "overloaded" if isinstance(exc, OverloadedError) else "circuit_open"
-            )
+        elif isinstance(exc, OverloadedError):
+            error_type = "overloaded"
             detail = {"retry_after": round(exc.retry_after, 3)}
         else:
             error = f"{type(exc).__name__}: {exc}"
-            if isinstance(exc, TransientFault):
-                error_type = "transient"
-                detail = {"resilience": {
-                    "attempts": getattr(exc, "retry_attempts", 1),
-                    "faults": list(getattr(exc, "fault_events", [])),
-                }}
         return cls(ok=False, error=error, error_type=error_type,
                    elapsed_ms=elapsed_ms, detail=detail, exception=exc)
 
@@ -411,7 +391,6 @@ def compute(
     tally.
     """
     start = time.perf_counter()
-    maybe_inject("engine.execute", key=request.fingerprint)
     with obs_span(
         "pipeline",
         interfaces=len(request.interfaces),
@@ -511,7 +490,7 @@ def _fan_out(
 
 
 #: Response keys that belong to one request, not to the stored entry.
-_REQUEST_KEYS = frozenset({"cached", "lint", "resilience"})
+_REQUEST_KEYS = frozenset({"cached", "lint"})
 
 
 def _entry_of(response: dict) -> dict:
@@ -544,20 +523,13 @@ def _entry(outcome: BatchOutcome) -> dict:
 class LabelingEngine:
     """Validate, cache and execute labeling requests, singly or in batches.
 
-    Resilience knobs (all optional; the defaults serve fault-free traffic
-    with negligible overhead):
+    Knobs (all optional):
 
-    ``fault_plan``
-        a :class:`~repro.resilience.FaultPlan` activated per item, keyed by
-        the corpus fingerprint — the chaos harness's entry point;
-    ``retry``
-        the :class:`~repro.resilience.RetryPolicy` wrapping every item;
-        transient failures (injected faults, flaky I/O) heal here;
-    ``breaker``
-        a :class:`~repro.resilience.BreakerPolicy` applied *per corpus
-        fingerprint*: a corpus that keeps failing trips its own breaker and
-        fails fast with ``retry_after`` while other corpora are untouched;
-        ``None`` disables breaking;
+    ``cache_size``
+        entries the memory tier (an :class:`LRUCache` of entry bytes) and
+        the request-key memo each hold; ``0`` disables both;
+    ``jobs``
+        the default thread count of :meth:`label_batch`;
     ``verify``
         ``"strict"`` re-checks every freshly computed labeling against the
         paper-invariant oracles (:mod:`repro.testing.oracles`) before it is
@@ -565,10 +537,13 @@ class LabelingEngine:
     ``comparator``
         the comparator every overlay-free request uses, shared across all
         threads; built at construction when not given.  Passing one lets
-        test/chaos sweeps reuse warm caches across engines.
+        tests reuse warm caches across engines.
     ``executor``
         ``"thread"`` or ``"process"``, and nothing else; both compute every
-        miss in this process.  Kept only so existing callers still start.
+        miss in this process.  Kept only so existing callers still start;
+    ``disk_cache``
+        a :class:`~repro.service.diskcache.DiskCache`, or a directory to
+        open one in, under this engine's :meth:`engine_fingerprint`.
     """
 
     #: How many lexicon-overlay comparators to keep warm; overlays beyond
@@ -579,19 +554,12 @@ class LabelingEngine:
     #: any change to the response dict's shape or semantics.
     RESPONSE_FORMAT = 2
 
-    #: Bound on distinct per-fingerprint breakers kept live.
-    MAX_BREAKERS = 512
-
     def __init__(
         self,
         cache_size: int = 128,
         jobs: int = 1,
-        fault_plan: FaultPlan | None = None,
-        retry: RetryPolicy | None = None,
-        breaker: BreakerPolicy | None = BreakerPolicy(),
         verify: str = "off",
         comparator: SemanticComparator | None = None,
-        clock=time.monotonic,
         executor: str = "thread",
         disk_cache=None,
     ) -> None:
@@ -599,22 +567,16 @@ class LabelingEngine:
 
         if verify not in ("off", "strict"):
             raise ValueError("verify must be 'off' or 'strict'")
-        self.cache = ResultCache(capacity=cache_size)
+        self.cache = LRUCache(capacity=cache_size)
         # Request key -> corpus fingerprint (see LabelingRequest.from_payload).
         self._request_keys = LRUCache(capacity=cache_size)
         self.default_jobs = normalize_jobs(jobs)
         validate_executor(executor)
-        self.fault_plan = fault_plan
-        self.retry = retry or RetryPolicy()
-        self.breaker_policy = breaker
         self.verify = verify
-        self._clock = clock
-        self._breakers: dict[str, CircuitBreaker] = {}
         self._lock = threading.Lock()
         self.counters = Counters(
             "requests", "errors", "computations",
             "oracle_checks", "oracle_failures", "truncated_closures",
-            "breakers_shed",
         )
         self._started = time.time()
         self.comparator = (
@@ -680,8 +642,8 @@ class LabelingEngine:
             entry, keys = self._label_request(request)
         else:
             # The deadline helper thread must inherit the caller's context
-            # (active trace scope, fault scope) — ThreadPoolExecutor does
-            # not propagate contextvars on its own.
+            # (the active trace scope) — ThreadPoolExecutor does not
+            # propagate contextvars on its own.
             ctx = contextvars.copy_context()
             outcome = execute_batch(
                 [lambda: ctx.run(self._label_request, request)],
@@ -689,9 +651,8 @@ class LabelingEngine:
                 timeout=request.timeout,
             )[0]
             if not outcome.ok:
-                # Preserve the original type (CircuitOpenError,
-                # TransientFault, OracleError, ...) so the HTTP layer maps
-                # it faithfully.
+                # Preserve the original type (TimeoutError, OracleError,
+                # ...) so the HTTP layer maps it faithfully.
                 raise outcome.exception
             entry, keys = outcome.value
         if request_id is not None:
@@ -699,76 +660,23 @@ class LabelingEngine:
         return _splice(entry, keys)
 
     def _label_request(self, request: LabelingRequest) -> tuple[bytes, dict]:
-        """One item, with the full resilience stack around the pipeline.
-
-        Breaker check → fault scope → bounded retry → provenance.  Returns
-        the entry's bytes and the keys this request adds to them.  The
-        ``resilience`` key is attached only when something actually
-        happened (a retry or an injected fault), so fault-free responses
-        stay byte-identical to those of an engine with no plan at all.
-        """
-        self.counters.add("requests")
-        breaker = self._breaker_for(request.fingerprint)
-        if breaker is not None:
-            allowed = self._breaker_op(breaker, breaker.allow)
-            if not allowed:
-                obs_event("breaker.rejected", state=breaker.state)
-                raise CircuitOpenError(request.fingerprint, breaker.retry_after())
-        numbers = itertools.count(1)
-
-        def attempt() -> tuple[bytes, dict]:
-            with obs_span("engine.attempt", attempt=next(numbers)):
-                return self._label_once(request)
-
-        def sleep(delay: float) -> None:
-            obs_event("retry.backoff", delay_ms=round(delay * 1000.0, 3))
-            time.sleep(delay)
-
-        with fault_scope(self.fault_plan, request.fingerprint) as scope:
-            try:
-                (entry, keys), attempts = self.retry.call(
-                    attempt, key=request.fingerprint, sleep=sleep
-                )
-            except Exception as exc:
-                self.counters.add("errors")
-                if breaker is not None and not isinstance(exc, RequestError):
-                    self._breaker_op(breaker, breaker.record_failure)
-                if scope is not None and scope.events:
-                    exc.fault_events = [e.to_dict() for e in scope.events]
-                raise
-            events = list(scope.events) if scope is not None else []
-        if breaker is not None:
-            self._breaker_op(breaker, breaker.record_success)
-        if attempts > 1 or events:
-            keys["resilience"] = {
-                "attempts": attempts,
-                "faults": [event.to_dict() for event in events],
-            }
-        return entry, keys
-
-    @staticmethod
-    def _breaker_op(breaker: CircuitBreaker, op: Callable):
-        """Run one breaker operation; trace state transitions as span events."""
-        before = breaker.state
-        result = op()
-        after = breaker.state
-        if after != before:
-            obs_event("breaker.transition", **{"from": before, "to": after})
-        return result
-
-    def _label_once(self, request: LabelingRequest) -> tuple[bytes, dict]:
-        """Lookup, else compute and store — the unit the retry policy repeats.
+        """Lookup, else compute and store: one item, counted.
 
         The entry's bytes and the per-request keys, in the order each
         response has: a miss's ``lint`` then ``cached``, a hit's ``cached``
         then ``lint``.
         """
-        entry = self._lookup(request)
-        if entry is not None:
-            return entry, self._hit(request, entry)
-        self.counters.add("computations")
-        response = compute(request, self._comparator_for(request), self.verify)
-        entry = self._store(request, response)
+        self.counters.add("requests")
+        try:
+            entry = self._lookup(request)
+            if entry is not None:
+                return entry, self._hit(request, entry)
+            self.counters.add("computations")
+            response = compute(request, self._comparator_for(request), self.verify)
+            entry = self._store(request, response)
+        except Exception:
+            self.counters.add("errors")
+            raise
         return entry, {k: v for k, v in response.items() if k in _REQUEST_KEYS}
 
     def _lookup(self, request: LabelingRequest) -> bytes | None:
@@ -778,9 +686,6 @@ class LabelingEngine:
         Memory first, then disk — a disk hit's bytes are served and put
         into the memory LRU as they are.
         """
-        spec = maybe_inject("cache.get", key=request.fingerprint)
-        if spec is not None and spec.kind == "corrupt":
-            self.cache.corrupt(request.fingerprint)
         with obs_span("cache.lookup") as sp:
             entry, outcome = self.cache.get(request.fingerprint), "memory"
             if entry is None and self.disk is not None:
@@ -815,7 +720,7 @@ class LabelingEngine:
         A stored response's truncated groups add to
         ``naming.truncated_closures``.
         The stored entry leaves out the request-specific keys (lint, the
-        ``cached`` flag); retry provenance is attached only after this.
+        ``cached`` flag).
         Returns the entry's bytes, encoded once and stored in both tiers.
         """
         report = response.pop("_oracle", None)
@@ -831,27 +736,6 @@ class LabelingEngine:
         if self.disk is not None:
             self.disk.put(request.fingerprint, entry)
         return entry
-
-    def _breaker_for(self, fingerprint: str) -> CircuitBreaker | None:
-        if self.breaker_policy is None:
-            return None
-        with self._lock:
-            breaker = self._breakers.get(fingerprint)
-            if breaker is None:
-                if len(self._breakers) >= self.MAX_BREAKERS:
-                    # Shed the oldest closed breaker.  An open one is live
-                    # protection, shed (oldest first) only when no closed
-                    # one is left, so the map never outgrows the bound.
-                    shed = next(
-                        (key for key, candidate in self._breakers.items()
-                         if candidate.state == CircuitBreaker.CLOSED),
-                        next(iter(self._breakers)),
-                    )
-                    del self._breakers[shed]
-                    self.counters.add("breakers_shed")
-                breaker = self.breaker_policy.build(clock=self._clock)
-                self._breakers[fingerprint] = breaker
-        return breaker
 
     def _comparator_for(self, request: LabelingRequest) -> SemanticComparator:
         """The comparator for ``request``: the engine's, or one per overlay.
@@ -953,7 +837,6 @@ class LabelingEngine:
         """Engine counters + cache stats (embedded in ``GET /metrics``)."""
         with self._lock:
             overlays = list(self._overlay_comparators.values())
-            breakers = list(self._breakers.values())
         counts = self.counters.snapshot()
         comparators = [self.comparator, *overlays]
         # Each memo section summed over the comparators, rate re-derived.
@@ -967,24 +850,6 @@ class LabelingEngine:
             with_hit_rate(total)
         semantics["comparators"] = len(comparators)
         semantics["overlay_comparators"] = len(overlays)
-        breaker_stats = [b.stats() for b in breakers]
-        resilience = {
-            "retry": {"max_attempts": self.retry.max_attempts},
-            "breakers": {
-                "count": len(breaker_stats),
-                "open": sum(1 for b in breaker_stats if b["state"] != "closed"),
-                "rejections": sum(b["rejections"] for b in breaker_stats),
-                "trips": sum(b["trips"] for b in breaker_stats),
-                "shed": counts["breakers_shed"],
-            },
-            "verify": self.verify,
-            "oracle": {
-                "checks": counts["oracle_checks"],
-                "failures": counts["oracle_failures"],
-            },
-        }
-        if self.fault_plan is not None:
-            resilience["fault_plan"] = self.fault_plan.stats()
         snapshot = {
             "requests": counts["requests"],
             "errors": counts["errors"],
@@ -996,7 +861,13 @@ class LabelingEngine:
             "request_keys": self._request_keys.stats(),
             "naming": {"truncated_closures": counts["truncated_closures"]},
             "semantics": semantics,
-            "resilience": resilience,
+            "resilience": {
+                "verify": self.verify,
+                "oracle": {
+                    "checks": counts["oracle_checks"],
+                    "failures": counts["oracle_failures"],
+                },
+            },
         }
         if self.disk is not None:
             snapshot["disk"] = self.disk.stats()

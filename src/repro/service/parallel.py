@@ -5,8 +5,8 @@ most ``jobs`` threads (:func:`repro.service.engine.execute_batch`), and each
 cache miss's ``compute`` runs in the item's own thread, the path
 ``POST /label`` takes.
 
-* :func:`default_jobs` — the documented CPU-derived default the ``batch``,
-  ``serve`` and ``chaos`` CLI subcommands share.
+* :func:`default_jobs` — the documented CPU-derived default the ``batch``
+  and ``serve`` CLI subcommands share.
 * :func:`normalize_jobs` — the one check of a ``jobs`` knob.
 * :func:`validate_executor` — ``repro serve --executor`` and
   ``LabelingEngine(executor=)`` still accept ``thread`` or ``process`` and

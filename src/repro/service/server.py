@@ -41,11 +41,11 @@ behind ``GET /trace/<id>`` and, with ``serve --trace-log DIR``, in a
 CRC-checked span log.
 
 Both POST endpoints pass through a bounded admission queue
-(:class:`repro.resilience.AdmissionController`): work beyond the
+(:class:`repro.service.admission.AdmissionController`): work beyond the
 concurrency cap queues, and a full queue sheds with **HTTP 429** plus a
-``Retry-After`` header / ``retry_after`` field.  An open circuit breaker
-or an exhausted transient failure maps to **HTTP 503** (with structured
-fault provenance for the latter) — see ``docs/resilience.md``.
+``Retry-After`` header / ``retry_after`` field.  A per-request timeout
+answers **HTTP 504**, and a failure inside the pipeline **HTTP 500** —
+see ``docs/resilience.md``.
 
 Built on ``socketserver.ThreadingTCPServer`` so the package keeps its
 no-dependency guarantee; one daemon thread per connection runs the
@@ -81,7 +81,7 @@ from http import HTTPStatus
 from .. import __version__
 from ..obs import Trace, TraceLog, new_request_id
 from ..perf import Counters
-from ..resilience import AdmissionController
+from .admission import AdmissionController
 from .cache import LRUCache, json_bytes
 from .engine import BatchOutcome, LabelingEngine, RequestError, parse_batch
 from .wire import MAX_LINE, LineTooLong, TooManyHeaders, read_headers
@@ -98,7 +98,7 @@ _REQUEST_ID = re.compile(r"[!-~]{1,128}")
 #: HTTP status for each error type of :meth:`BatchOutcome.failure`.
 _ERROR_STATUS = {
     "invalid_request": 400, "payload_too_large": 413, "overloaded": 429,
-    "internal": 500, "circuit_open": 503, "transient": 503, "timeout": 504,
+    "internal": 500, "timeout": 504,
 }
 
 
@@ -455,10 +455,10 @@ class _Handler(socketserver.StreamRequestHandler):
         try:
             status, payload = fn()
         except Exception as exc:  # noqa: BLE001 - the server must answer
-            # The batch classifier names the type (and its retry_after /
-            # resilience detail); the type picks the status.  A shed (429)
-            # or open breaker (503) also states Retry-After as a header,
-            # the structured backpressure clients key their backoff on.
+            # The batch classifier names the type (and a shed's
+            # retry_after); the type picks the status.  A shed (429) also
+            # states Retry-After as a header, the structured backpressure
+            # clients key their backoff on.
             outcome = BatchOutcome.failure(exc)
             status = _ERROR_STATUS[outcome.error_type]
             payload = {

@@ -1,20 +1,12 @@
-"""repro.testing — paper-invariant oracles and the chaos harness.
+"""repro.testing — paper-invariant oracles.
 
 :mod:`.oracles` turns the paper's correctness contracts (horizontal
 consistency within solved groups, vertical generality down the tree,
 idempotence of ``label_corpus``) into reusable checkers that run from
-pytest, from the engine's ``verify="strict"`` mode, and over every
-successful item of a chaos sweep.
-
-:mod:`.chaos` is the sweep itself: seeded :class:`~repro.resilience.FaultPlan`
-after plan driven through the full engine + batch stack, asserting that
-every response stays well-formed, fault-free items are byte-identical to a
-no-fault baseline, and surviving results still satisfy the oracles.  The
-``repro chaos`` CLI command, ``tests/test_resilience.py`` and
-``benchmarks/test_bench_resilience.py`` all drive this one harness.
+pytest and from the engine's ``verify="strict"`` mode.  A serving process
+loads this package only when strict mode computes a labeling.
 """
 
-from .chaos import run_chaos_sweep
 from .oracles import (
     OracleError,
     OracleReport,
@@ -37,7 +29,6 @@ __all__ = [
     "check_label_idempotence",
     "check_tree_dict",
     "check_vertical_generality",
-    "run_chaos_sweep",
     "verify_labeling",
     "wordnet_strict_hypernym",
 ]

@@ -5,9 +5,8 @@ naming solutions) and its Section-4/6 construction imply properties any
 *correct* labeling must have, independent of which labels were chosen.
 This module states them as reusable oracles that run over a finished
 :class:`~repro.core.result.LabelingResult` — from pytest (regression
-suites), from the chaos harness (every successful chaos item must still
-satisfy the paper), or inside the engine (``verify="strict"`` re-checks
-every fresh result before it is served or cached).
+suites) or inside the engine (``verify="strict"`` re-checks every fresh
+result before it is served or cached).
 
 Oracles
 -------
@@ -299,15 +298,15 @@ def check_tree_dict(tree: dict, comparator: SemanticComparator) -> list[OracleVi
 # ----------------------------------------------------------------------
 
 #: Response keys that legitimately vary between otherwise identical runs.
-_VOLATILE_KEYS = ("cached", "resilience")
+_VOLATILE_KEYS = ("cached",)
 
 
 def canonical_response(response: dict) -> dict:
     """A response stripped of run-volatile fields (timing, cache flags).
 
     Two correct runs over the same payload must produce *identical*
-    canonical responses — this is the byte-identity the chaos suite and
-    the idempotence oracle compare.
+    canonical responses — this is the byte-identity the regression suites
+    and the idempotence oracle compare.
     """
     clean = copy.deepcopy(response)
     for volatile in _VOLATILE_KEYS:
@@ -325,7 +324,7 @@ def check_label_idempotence(
 
     ``engine_factory(cache_size=...)`` defaults to building fresh
     :class:`~repro.service.engine.LabelingEngine` instances; injectable so
-    the chaos/regression suites can share warm comparators.
+    the regression suites can share warm comparators.
     """
     if engine_factory is None:
         from ..service.engine import LabelingEngine

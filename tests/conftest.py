@@ -112,6 +112,13 @@ def book_document_with(path: tuple = (), value=None) -> dict:
     return document
 
 
+def rot_disk_entries(directory) -> None:
+    """Change one byte of every entry a disk cache under ``directory``
+    holds, keeping each record's CRC: the damage bit rot does."""
+    for segment in directory.glob("segment-*.jsonl"):
+        segment.write_bytes(segment.read_bytes().replace(b'{"ok":true', b'{"ok":True'))
+
+
 def regular_group(clusters: list[str], name: str = "g") -> Group:
     return Group(
         name=name,

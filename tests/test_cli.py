@@ -199,27 +199,3 @@ class TestLintCommand:
         page = tmp_path / "empty.html"
         page.write_text("<p>no form</p>")
         assert main(["lint", str(page)]) == 1
-
-
-class TestChaosCommand:
-    def test_chaos_parser_defaults(self):
-        from repro.service.parallel import default_jobs
-
-        args = build_parser().parse_args(["chaos"])
-        assert args.command == "chaos"
-        assert (args.plans, args.seed, args.rate) == (10, 0, 0.1)
-        assert args.jobs == default_jobs()
-
-    def test_chaos_smoke_writes_report(self, tmp_path, capsys):
-        out_path = tmp_path / "chaos.json"
-        code = main([
-            "chaos", "--plans", "2", "--rate", "0.2",
-            "--domains", "airline", "-o", str(out_path),
-        ])
-        printed = capsys.readouterr().out
-        assert code == 0
-        assert "degradation contract held" in printed
-        report = json.loads(out_path.read_text())
-        assert report["ok"] is True
-        assert report["plans"] == 2
-        assert report["anomalies"] == []

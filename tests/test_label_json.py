@@ -1,10 +1,10 @@
 """``LabelingEngine.label_json`` is ``label``'s answer as the server writes it.
 
 ``label_json`` splices the per-request keys (``cached``, ``lint``,
-``resilience``, ``request_id``) onto a stored entry's bytes; ``label`` is
-its decoded dict.  For every way an answer is made — a miss, a memory hit,
-a disk hit after a restart, lint, a timeout, a corrupted memory entry, a
-retried transient fault — the bytes must decode to exactly ``label``'s
+``request_id``) onto a stored entry's bytes; ``label`` is its decoded
+dict.  For every way an answer is made — a miss, a memory hit, a disk hit
+after a restart, lint, a timeout, a restart over a damaged disk record —
+the bytes must decode to exactly ``label``'s
 dict plus ``request_id``, key order included.  A hit is compared on one
 engine, answered both ways from the same entry.  A computed answer comes
 from two engines in the same state, one each way; its
@@ -22,14 +22,13 @@ from repro.core.label import LabelAnalyzer
 from repro.core.semantics import SemanticComparator
 from repro.datasets import DOMAINS
 from repro.lexicon.data import build_default_wordnet
-from repro.resilience import FaultPlan, FaultSpec, RetryPolicy
 from repro.service.engine import LabelingEngine
 from repro.service.server import LabelingServer
 
+from .conftest import rot_disk_entries
+
 #: A request id with both characters JSON must escape.
 RID = 'a"b\\c'
-
-FAST_RETRY = RetryPolicy(base_delay_s=0.0005, max_delay_s=0.002)
 
 
 @pytest.fixture(scope="module")
@@ -54,49 +53,43 @@ def untimed(response: dict) -> dict:
     }}
 
 
-def _corrupt_plan() -> FaultPlan:
-    # The first fire lands before anything is cached (a no-op); the second
-    # tampers with the stored entry, which is then recomputed.
-    return FaultPlan([FaultSpec(point="cache.get", kind="corrupt", max_fires=2)])
-
-
-def _transient_plan() -> FaultPlan:
-    return FaultPlan([FaultSpec(point="engine.execute", kind="error", max_fires=1)])
-
-
-# name -> (engine keyword arguments, payload changes, requests before the
-# compared one, whether the compared answer is computed, not a hit).
+# name -> (whether the engine has a disk tier, payload changes, requests
+# before the compared one, whether the compared answer is computed, not a
+# hit).
 SCENARIOS = {
-    "miss": ({}, {}, 0, True),
-    "memory-hit": ({}, {}, 1, False),
-    "lint-miss": ({}, {"lint": True}, 0, True),
-    "lint-hit": ({}, {"lint": True}, 1, False),
-    "timeout": ({}, {"timeout": 60}, 1, False),
-    "corrupt-entry": ({"fault_plan": "corrupt"}, {}, 1, True),
-    "transient-retry": ({"fault_plan": "transient"}, {}, 0, True),
+    "miss": (False, {}, 0, True),
+    "memory-hit": (False, {}, 1, False),
+    "lint-miss": (False, {"lint": True}, 0, True),
+    "lint-hit": (False, {"lint": True}, 1, False),
+    "timeout": (False, {"timeout": 60}, 1, False),
+    # The stored record rots, then the engine restarts: nothing in memory,
+    # the damaged record is skipped, and the entry is recomputed.
+    "corrupt-entry": (True, {}, 1, True),
 }
-_PLANS = {"corrupt": _corrupt_plan, "transient": _transient_plan}
-
-
-def _engine(comparator, options: dict) -> LabelingEngine:
-    options = dict(options)
-    if "fault_plan" in options:
-        options["fault_plan"] = _PLANS[options["fault_plan"]]()
-    return LabelingEngine(
-        cache_size=8, retry=FAST_RETRY, comparator=comparator, **options
-    )
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 @pytest.mark.parametrize("domain", DOMAINS)
-def test_label_json_is_label_plus_request_id(comparator, domain, scenario):
-    options, changes, before, computed = SCENARIOS[scenario]
+def test_label_json_is_label_plus_request_id(comparator, tmp_path, domain, scenario):
+    disk, changes, before, computed = SCENARIOS[scenario]
     payload = {"domain": domain, "seed": 0, **changes}
-    as_bytes = _engine(comparator, options)
-    as_dict = _engine(comparator, options) if computed else as_bytes
-    for engine in {as_bytes, as_dict}:
+
+    def engine(name: str) -> LabelingEngine:
+        return LabelingEngine(
+            cache_size=8, comparator=comparator,
+            disk_cache=tmp_path / name if disk else None,
+        )
+
+    as_bytes = engine("bytes")
+    as_dict = engine("dict") if computed else as_bytes
+    for each in {as_bytes, as_dict}:
         for _ in range(before):
-            engine.label_json(payload)
+            each.label_json(payload)
+    if disk:
+        for name in ("bytes", "dict"):
+            rot_disk_entries(tmp_path / name)
+        as_bytes, as_dict = engine("bytes"), engine("dict")
+        assert as_bytes.disk.stats()["corrupt_records"] == 1
     body = as_bytes.label_json(payload, RID)
     response = as_dict.label(payload)
     assert body == json.dumps(json.loads(body), separators=(",", ":")).encode()
@@ -105,8 +98,6 @@ def test_label_json_is_label_plus_request_id(comparator, domain, scenario):
         got, want = untimed(got), untimed(want)
     assert ordered(got) == ordered(want)
     assert got["cached"] is not computed
-    if scenario in ("corrupt-entry", "transient-retry"):
-        assert got["resilience"]["faults"]
     if "lint" in changes:
         keys = [key for key in got if key in ("cached", "lint")]
         assert keys == (["lint", "cached"] if computed else ["cached", "lint"])

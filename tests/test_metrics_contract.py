@@ -13,8 +13,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.server import LabelingServer
 
 _COUNTS = {"hits": None, "misses": None, "evictions": None}
-_LRU = {**_COUNTS, "corruptions": None, "size": None, "capacity": None,
-        "hit_rate": None}
+_LRU = {**_COUNTS, "size": None, "capacity": None, "hit_rate": None}
 
 EXPECTED_TREE = {
     "http": {
@@ -46,9 +45,6 @@ EXPECTED_TREE = {
             "overlay_comparators": None,
         },
         "resilience": {
-            "retry": {"max_attempts": None},
-            "breakers": {"count": None, "open": None, "rejections": None,
-                         "trips": None, "shed": None},
             "verify": None,
             "oracle": {"checks": None, "failures": None},
         },

@@ -163,7 +163,6 @@ class TestIdempotence:
         response = {
             "ok": True,
             "cached": True,
-            "resilience": {"attempts": 2, "faults": []},
             "stats": {"leaves": 4, "elapsed_ms": 12.5},
         }
         clean = canonical_response(response)

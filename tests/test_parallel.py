@@ -18,7 +18,6 @@ import pytest
 from repro.cli import build_parser
 from repro.core.pipeline import label_corpus
 from repro.datasets.registry import DOMAINS
-from repro.resilience import FaultPlan
 from repro.service.engine import LabelingEngine, execute_batch
 from repro.service.parallel import (
     EXECUTORS,
@@ -77,8 +76,7 @@ def test_cli_jobs_defaults_are_unified():
     parser = build_parser()
     batch = parser.parse_args(["batch", "x.json"])
     serve = parser.parse_args(["serve"])
-    chaos = parser.parse_args(["chaos"])
-    assert batch.jobs == serve.jobs == chaos.jobs == default_jobs()
+    assert batch.jobs == serve.jobs == default_jobs()
 
 
 def test_cli_executor_flags_exist():
@@ -123,7 +121,7 @@ def test_process_batch_preserves_order_and_isolation(monkeypatch):
     )
     domains = ["airline", "book", "auto", "hotels", "book", "carrental"]
     payloads = [{"domain": d, "seed": 7 + i} for i, d in enumerate(domains)]
-    results = LabelingEngine(breaker=None, executor="process").label_batch(
+    results = LabelingEngine(executor="process").label_batch(
         payloads, jobs=2
     )
     assert [r["ok"] for r in results] == [True, False, True, True, False, True]
@@ -157,8 +155,8 @@ PAYLOADS = [
 
 
 def test_label_batch_process_matches_thread():
-    thread_engine = LabelingEngine(breaker=None)
-    process_engine = LabelingEngine(breaker=None, executor="process")
+    thread_engine = LabelingEngine()
+    process_engine = LabelingEngine(executor="process")
     thread_results = thread_engine.label_batch(PAYLOADS, jobs=1)
     process_results = process_engine.label_batch(PAYLOADS, jobs=2)
     assert len(thread_results) == len(process_results)
@@ -173,7 +171,7 @@ def test_strict_verification_runs_on_the_process_path():
     payloads = [{"domain": "auto", "seed": 5}, {"domain": "book", "seed": 5}]
     checks = {}
     for jobs, executor in ((1, "thread"), (2, "thread"), (2, "process")):
-        engine = LabelingEngine(verify="strict", breaker=None, executor=executor)
+        engine = LabelingEngine(verify="strict", executor=executor)
         results = engine.label_batch(payloads, jobs=jobs)
         assert all(r["ok"] for r in results)
         checks[jobs, executor] = engine.stats()["resilience"]["oracle"]["checks"]
@@ -188,11 +186,11 @@ def test_process_batch_uses_the_request_lexicon_overlay():
         {"domain": "auto", "seed": 5, "lexicon": overlay, "lint": True},
         {"domain": "book", "seed": 5},
     ]
-    plain = LabelingEngine(breaker=None).label({"domain": "auto", "seed": 5})
-    single = LabelingEngine(breaker=None).label(payloads[0])
+    plain = LabelingEngine().label({"domain": "auto", "seed": 5})
+    single = LabelingEngine().label(payloads[0])
     assert single["field_labels"] != plain["field_labels"]
-    sequential = LabelingEngine(breaker=None).label_batch(payloads, jobs=1)
-    process_engine = LabelingEngine(breaker=None, executor="process")
+    sequential = LabelingEngine().label_batch(payloads, jobs=1)
+    process_engine = LabelingEngine(executor="process")
     process = process_engine.label_batch(payloads, jobs=2)
     for expected, got in zip(sequential, process):
         assert _strip_timing(expected) == _strip_timing(got)
@@ -207,9 +205,9 @@ def test_strict_verification_survives_a_broken_pool(no_pool):
     # A pool would fail to start; none is built, and strict verification
     # checks each labeling in this process.
     payloads = [{"domain": "auto", "seed": 5}, {"domain": "book", "seed": 5}]
-    thread = LabelingEngine(verify="strict", breaker=None)
+    thread = LabelingEngine(verify="strict")
     thread.label_batch(payloads, jobs=2)
-    engine = LabelingEngine(verify="strict", breaker=None, executor="process")
+    engine = LabelingEngine(verify="strict", executor="process")
     results = engine.label_batch(payloads, jobs=2)
     assert all(r["ok"] for r in results)
     checks = engine.stats()["resilience"]["oracle"]["checks"]
@@ -219,13 +217,13 @@ def test_strict_verification_survives_a_broken_pool(no_pool):
 def test_process_batch_duplicates_come_from_the_stored_entry():
     # A concurrent request may evict an entry between the put and a later
     # get; a duplicate must still be answered, from what was just stored.
-    from repro.service.cache import ResultCache
+    from repro.service.cache import LRUCache
 
-    class ForgetfulCache(ResultCache):
+    class ForgetfulCache(LRUCache):
         def get(self, key):
             return None
 
-    engine = LabelingEngine(breaker=None)
+    engine = LabelingEngine()
     engine.cache = ForgetfulCache(capacity=4)
     payload = {"domain": "airline", "seed": 0}
     results = engine.label_batch([payload, payload], jobs=2)
@@ -234,7 +232,7 @@ def test_process_batch_duplicates_come_from_the_stored_entry():
 
 
 def test_label_batch_process_default_executor_knob():
-    engine = LabelingEngine(breaker=None, jobs=2, executor="process")
+    engine = LabelingEngine(jobs=2, executor="process")
     assert engine.stats()["default_executor"] == "thread"
     results = engine.label_batch([{"domain": "job", "seed": 0}] * 2)
     assert results[0]["ok"] and results[1]["cached"] is True
@@ -258,7 +256,7 @@ def test_process_engine_batch_computes_here(no_pool):
 
 
 def test_thread_batch_computes_a_repeat_once():
-    engine = LabelingEngine(breaker=None)
+    engine = LabelingEngine()
     payload = {"domain": "auto", "seed": 9}
     results = engine.label_batch([payload, {"domain": "nope"}, payload], jobs=2)
     assert engine.stats()["computations"] == 1
@@ -268,45 +266,14 @@ def test_thread_batch_computes_a_repeat_once():
 
 
 # ----------------------------------------------------------------------
-# compute in this process (jobs<=1, fault plan) + shared-comparator safety.
+# compute in this process (jobs<=1).
 # ----------------------------------------------------------------------
 
 
 def test_process_backend_falls_back_on_single_job(no_pool):
-    engine = LabelingEngine(breaker=None, executor="process")
+    engine = LabelingEngine(executor="process")
     results = engine.label_batch([{"domain": "job", "seed": 0}], jobs=1)
     assert results[0]["ok"]
-
-
-def test_process_backend_falls_back_under_fault_plan(no_pool):
-    """Under a fault plan a comparator shared across the batch threads
-    must keep its memos exact: the chaos harness's batches run this way.
-    """
-    from repro.core.semantics import SemanticComparator
-
-    comparator = SemanticComparator()
-    plan = FaultPlan((), seed=0)  # active but empty: never fires
-    engine = LabelingEngine(
-        breaker=None, fault_plan=plan, comparator=comparator, executor="process"
-    )
-    payloads = [
-        {"domain": name, "seed": 0} for name in ("airline", "auto", "book", "job")
-    ]
-    results = engine.label_batch(payloads, jobs=4)
-    assert all(r["ok"] for r in results)
-
-    # Same responses as a fresh sequential engine (the plan never fired).
-    reference = LabelingEngine(breaker=None).label_batch(payloads, jobs=1)
-    for expected, got in zip(reference, results):
-        assert _strip_timing(expected) == _strip_timing(got)
-
-    # The shared comparator's relation memo stayed coherent under the
-    # thread fan-out: its counters add up.
-    relations = comparator.cache_stats()["relations"]
-    assert relations["hits"] + relations["misses"] > 0
-    assert relations["hit_rate"] == round(
-        relations["hits"] / (relations["hits"] + relations["misses"]), 4
-    )
 
 
 # ----------------------------------------------------------------------

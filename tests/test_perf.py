@@ -224,7 +224,7 @@ def test_a_miss_leaves_no_naming_state_behind():
     import tracemalloc
 
     domains = list(DOMAINS)
-    engine = LabelingEngine(cache_size=0, breaker=None)
+    engine = LabelingEngine(cache_size=0)
     for index, domain in enumerate(domains):
         engine.label({"domain": domain, "seed": 1000 + index})
     lexical_memos = [

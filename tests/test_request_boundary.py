@@ -52,14 +52,14 @@ def _status(client: ServiceClient, body) -> tuple[int, dict]:
 
 class TestRejectedInput:
     def test_malformed_corpus_never_feeds_a_breaker(self):
-        # Before the boundary five of these raised in compute (HTTP 500)
-        # and the sixth met the corpus's open breaker (503).
+        # Before the boundary these raised in compute (HTTP 500) and fed
+        # the corpus's failure count; now none reaches the engine.
         engine = LabelingEngine()
         for _ in range(7):
             with pytest.raises(RequestError, match="malformed corpus"):
                 engine.label({"corpus": LABEL_5})
         stats = engine.stats()
-        assert stats["resilience"]["breakers"]["count"] == 0
+        assert stats["requests"] == 0
         assert stats["errors"] == 0 and stats["computations"] == 0
 
     def test_malformed_corpus_over_http(self):
@@ -68,7 +68,7 @@ class TestRejectedInput:
             statuses = [_status(client, {"corpus": LABEL_5})[0] for _ in range(7)]
             engine = client.metrics()["engine"]
         assert statuses == [400] * 7
-        assert engine["resilience"]["breakers"]["count"] == 0
+        assert engine["requests"] == 0
         assert engine["errors"] == 0
 
     @pytest.mark.parametrize(

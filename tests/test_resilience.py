@@ -1,54 +1,38 @@
-"""Fault injection, retry, breaker, admission, cache integrity — and chaos.
+"""What keeps the service answering: admission control, the memory tier,
+failure isolation, the disk tier's damage check and strict oracles.
 
-The property suite at the bottom runs 200+ seeded fault plans through the
-full engine/batch stack over small synthetic corpora and asserts the
-degradation contract on every one: batch responses stay well-formed, no
-item is silently dropped, and fault-free (or healed) items are
-byte-identical to a no-fault run.  A smaller smoke sweep exercises all
-seven seed domains.
+The labeling pipeline is deterministic and does no I/O, so a failure
+inside it is the corpus's answer: it is reported in the item's slot, never
+retried, and a repeat recomputes the same error.  Failures are made here by
+patching the seams the engine calls (``repro.service.engine.label_corpus``,
+a disk segment), not by injecting faults into product code.
 """
 
 from __future__ import annotations
 
 import json
+import random
 import threading
 import time
 
 import pytest
 
+import repro.service.engine as engine_mod
 from repro.core.label import LabelAnalyzer
 from repro.core.semantics import SemanticComparator
+from repro.datasets.registry import DOMAINS
 from repro.lexicon.data import build_default_wordnet
-from repro.resilience import (
-    INJECTION_POINTS,
-    AdmissionController,
-    BreakerPolicy,
-    CircuitBreaker,
-    CircuitOpenError,
-    FaultPlan,
-    FaultSpec,
-    InjectedFault,
-    OverloadedError,
-    RetryPolicy,
-    TransientFault,
-    active_scope,
-    fault_scope,
-    maybe_inject,
-)
 from repro.schema.serialize import corpus_to_dict
-from repro.service.cache import LRUCache, ResultCache, json_bytes
+from repro.service.admission import AdmissionController, OverloadedError
+from repro.service.cache import LRUCache, json_bytes
 from repro.service.engine import LabelingEngine
-from repro.testing.chaos import run_chaos_sweep
 from repro.testing.oracles import canonical_response
 
-from .conftest import build_group_corpus
-
-#: A backoff curve that keeps the suite fast without changing semantics.
-FAST_RETRY = RetryPolicy(base_delay_s=0.0005, max_delay_s=0.002)
+from .conftest import build_group_corpus, rot_disk_entries
 
 
 @pytest.fixture(scope="module")
-def chaos_comparator():
+def comparator():
     """A module-private comparator, so its caches start cold here."""
     return SemanticComparator(LabelAnalyzer(build_default_wordnet()))
 
@@ -79,288 +63,6 @@ def small_corpus_payloads() -> list[dict]:
         interfaces, mapping = build_group_corpus(rows, clusters)
         payloads.append({"corpus": corpus_to_dict(interfaces, mapping)})
     return payloads
-
-
-# ----------------------------------------------------------------------
-# FaultPlan: deterministic selection.
-# ----------------------------------------------------------------------
-
-
-class TestFaultPlan:
-    def test_selection_is_deterministic(self):
-        def run() -> list[tuple[str, str]]:
-            plan = FaultPlan(
-                [FaultSpec(point="engine.execute", kind="error", rate=0.5,
-                           max_fires=None)],
-                seed=7,
-            )
-            fired = []
-            for key in (f"k{i}" for i in range(40)):
-                hit = plan.fires("engine.execute", key)
-                if hit is not None:
-                    fired.append((hit[1].point, hit[1].key))
-            return fired
-
-        first, second = run(), run()
-        assert first == second
-        assert 0 < len(first) < 40  # rate 0.5 selects some, not all
-
-    def test_selection_independent_of_call_order(self):
-        def fired_keys(keys) -> set[str]:
-            plan = FaultPlan(
-                [FaultSpec(point="cache.get", kind="corrupt", rate=0.4,
-                           max_fires=None)],
-                seed=3,
-            )
-            return {k for k in keys if plan.fires("cache.get", k)}
-
-        keys = [f"key-{i}" for i in range(30)]
-        assert fired_keys(keys) == fired_keys(reversed(keys))
-
-    def test_rate_bounds(self):
-        always = FaultPlan(
-            [FaultSpec(point="pipeline.merge", kind="latency", rate=1.0,
-                       max_fires=None)]
-        )
-        never = FaultPlan(
-            [FaultSpec(point="pipeline.merge", kind="latency", rate=0.0)]
-        )
-        assert all(always.fires("pipeline.merge", f"k{i}") for i in range(10))
-        assert not any(never.fires("pipeline.merge", f"k{i}") for i in range(10))
-
-    def test_max_fires_budget_heals(self):
-        plan = FaultPlan(
-            [FaultSpec(point="engine.execute", kind="error", rate=1.0,
-                       max_fires=2)]
-        )
-        hits = [plan.fires("engine.execute", "same-key") for _ in range(4)]
-        assert [h is not None for h in hits] == [True, True, False, False]
-        # Budgets are per key: a different key gets its own two.
-        assert plan.fires("engine.execute", "other-key") is not None
-
-    def test_wrong_point_never_fires(self):
-        plan = FaultPlan(
-            [FaultSpec(point="engine.execute", kind="error", rate=1.0)]
-        )
-        assert plan.fires("lexicon.query", "k") is None
-
-    def test_wildcard_point(self):
-        plan = FaultPlan([FaultSpec(point="*", kind="latency", rate=1.0,
-                                    max_fires=None)])
-        for point in INJECTION_POINTS:
-            assert plan.fires(point, "k") is not None
-
-    def test_random_plan_is_reproducible(self):
-        a, b = FaultPlan.random(11, rate=0.2), FaultPlan.random(11, rate=0.2)
-        assert [(s.point, s.kind) for s in a.specs] == [
-            (s.point, s.kind) for s in b.specs
-        ]
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown fault kind"):
-            FaultSpec(point="engine.execute", kind="explode")
-        with pytest.raises(ValueError, match="rate"):
-            FaultSpec(point="engine.execute", kind="error", rate=1.5)
-
-    def test_stats_accounting(self):
-        plan = FaultPlan(
-            [FaultSpec(point="engine.execute", kind="error", rate=1.0,
-                       max_fires=None)],
-            seed=5,
-        )
-        for i in range(3):
-            plan.fires("engine.execute", f"k{i}")
-        stats = plan.stats()
-        assert stats["injected"] == 3
-        assert stats["by_kind"] == {"error": 3}
-        assert stats["by_point"] == {"engine.execute": 3}
-
-
-# ----------------------------------------------------------------------
-# Fault scope + maybe_inject.
-# ----------------------------------------------------------------------
-
-
-class TestMaybeInject:
-    def test_no_scope_is_a_noop(self):
-        assert active_scope() is None
-        assert maybe_inject("engine.execute") is None
-
-    def test_none_plan_scope_is_a_noop(self):
-        with fault_scope(None, "key") as scope:
-            assert scope is None
-            assert maybe_inject("engine.execute") is None
-
-    def test_error_kind_raises_injected_fault(self):
-        plan = FaultPlan(
-            [FaultSpec(point="engine.execute", kind="error", rate=1.0)]
-        )
-        with fault_scope(plan, "item-1") as scope:
-            with pytest.raises(InjectedFault) as excinfo:
-                maybe_inject("engine.execute")
-            assert isinstance(excinfo.value, TransientFault)
-            assert excinfo.value.event.point == "engine.execute"
-        assert [e.kind for e in scope.events] == ["error"]
-
-    def test_latency_kind_sleeps(self):
-        plan = FaultPlan(
-            [FaultSpec(point="pipeline.merge", kind="latency", rate=1.0,
-                       latency_s=0.02)]
-        )
-        with fault_scope(plan, "item"):
-            start = time.perf_counter()
-            spec = maybe_inject("pipeline.merge")
-            assert spec is not None and spec.kind == "latency"
-            assert time.perf_counter() - start >= 0.015
-
-    def test_corrupt_kind_returned_to_call_site(self):
-        plan = FaultPlan([FaultSpec(point="cache.get", kind="corrupt", rate=1.0)])
-        with fault_scope(plan, "item"):
-            spec = maybe_inject("cache.get")
-        assert spec.kind == "corrupt"  # no exception: caller applies it
-
-    def test_scopes_are_thread_local(self):
-        plan = FaultPlan(
-            [FaultSpec(point="engine.execute", kind="error", rate=1.0)]
-        )
-        seen = {}
-
-        def worker():
-            seen["other-thread"] = active_scope()
-
-        with fault_scope(plan, "item"):
-            thread = threading.Thread(target=worker)
-            thread.start()
-            thread.join()
-            assert active_scope() is not None
-        assert seen["other-thread"] is None
-
-
-# ----------------------------------------------------------------------
-# Retry policy.
-# ----------------------------------------------------------------------
-
-
-class TestRetryPolicy:
-    def test_success_first_try(self):
-        value, attempts = FAST_RETRY.call(lambda: 42)
-        assert (value, attempts) == (42, 1)
-
-    def test_transient_failure_heals(self):
-        calls = {"n": 0}
-
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
-                raise TransientFault("blip")
-            return "ok"
-
-        value, attempts = FAST_RETRY.call(flaky, sleep=lambda _s: None)
-        assert (value, attempts) == ("ok", 3)
-
-    def test_non_retryable_propagates_immediately(self):
-        calls = {"n": 0}
-
-        def broken():
-            calls["n"] += 1
-            raise ValueError("systematic")
-
-        with pytest.raises(ValueError):
-            FAST_RETRY.call(broken, sleep=lambda _s: None)
-        assert calls["n"] == 1
-
-    def test_exhaustion_reraises_with_attempt_count(self):
-        def always_fails():
-            raise TransientFault("permanent")
-
-        with pytest.raises(TransientFault) as excinfo:
-            FAST_RETRY.call(always_fails, sleep=lambda _s: None)
-        assert excinfo.value.retry_attempts == FAST_RETRY.max_attempts
-
-    def test_jitter_is_deterministic_and_bounded(self):
-        policy = RetryPolicy(base_delay_s=0.1, multiplier=2.0, max_delay_s=1.0,
-                             jitter=0.25)
-        d1, d2 = policy.delay_for(2, "key-a"), policy.delay_for(2, "key-a")
-        assert d1 == d2
-        nominal = 0.2
-        assert nominal * 0.75 <= d1 <= nominal * 1.25
-        # distinct keys de-synchronize
-        assert policy.delay_for(2, "key-b") != d1
-
-    def test_backoff_caps_at_max_delay(self):
-        policy = RetryPolicy(base_delay_s=0.1, multiplier=10.0, max_delay_s=0.3,
-                             jitter=0.0)
-        assert policy.delay_for(5) == 0.3
-
-
-# ----------------------------------------------------------------------
-# Circuit breaker.
-# ----------------------------------------------------------------------
-
-
-class FakeClock:
-    def __init__(self):
-        self.now = 100.0
-
-    def __call__(self) -> float:
-        return self.now
-
-
-class TestCircuitBreaker:
-    def make(self, threshold=3, reset=10.0):
-        clock = FakeClock()
-        breaker = CircuitBreaker(failure_threshold=threshold, reset_after_s=reset,
-                                 clock=clock)
-        return breaker, clock
-
-    def test_trips_after_threshold(self):
-        breaker, __ = self.make(threshold=3)
-        for __ in range(2):
-            breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-        assert breaker.retry_after() > 0
-
-    def test_success_resets_the_failure_streak(self):
-        breaker, __ = self.make(threshold=3)
-        breaker.record_failure()
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_half_open_probe_success_closes(self):
-        breaker, clock = self.make(threshold=1, reset=10.0)
-        breaker.record_failure()
-        assert not breaker.allow()
-        clock.now += 11
-        assert breaker.allow()  # the probe
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-        assert not breaker.allow()  # only one probe at a time
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.allow()
-
-    def test_half_open_probe_failure_reopens(self):
-        breaker, clock = self.make(threshold=1, reset=10.0)
-        breaker.record_failure()
-        clock.now += 11
-        assert breaker.allow()
-        breaker.record_failure()
-        assert breaker.state == CircuitBreaker.OPEN
-        assert not breaker.allow()
-        assert breaker.stats()["trips"] == 2
-
-    def test_policy_builds_independent_breakers(self):
-        policy = BreakerPolicy(failure_threshold=2, reset_after_s=5.0)
-        a, b = policy.build(), policy.build()
-        a.record_failure()
-        a.record_failure()
-        assert a.state == CircuitBreaker.OPEN
-        assert b.state == CircuitBreaker.CLOSED
 
 
 # ----------------------------------------------------------------------
@@ -409,60 +111,39 @@ class TestAdmissionController:
 
 
 # ----------------------------------------------------------------------
-# Result cache integrity.
+# The memory tier.
 # ----------------------------------------------------------------------
 
 
 class TestResultCacheIntegrity:
+    """The engine's memory tier: an :class:`LRUCache` whose entries are
+    immutable JSON bytes, so a hit is exactly what was stored."""
+
     def test_roundtrip(self):
-        cache = ResultCache(capacity=4)
+        cache = LRUCache(capacity=4)
         value = {"ok": True, "fingerprint": "k", "field_labels": {"c": "x"}}
         cache.put("k", json_bytes(value))
         assert cache.get("k") == b'{"ok":true,"fingerprint":"k","field_labels":{"c":"x"}}'
-        assert json.loads(cache.get("k")) == value
-        assert cache.stats()["corruptions"] == 0
-
-    def test_corrupted_entry_is_evicted_and_missed(self):
-        cache = ResultCache(capacity=4)
-        value = {"ok": True, "fingerprint": "k", "field_labels": {"c": "x"}}
-        cache.put("k", json_bytes(value))
-        assert cache.corrupt("k")
-        assert cache.get("k") is None  # never served
-        assert "k" not in cache
-        stats = cache.stats()
-        assert stats["corruptions"] == 1
-        assert stats["misses"] >= 1
-
-    def test_recompute_after_corruption_restores_entry(self):
-        cache = ResultCache(capacity=4)
-        value = {"ok": True, "fingerprint": "k"}
-        cache.put("k", json_bytes(value))
-        cache.corrupt("k")
-        assert cache.get("k") is None
-        cache.put("k", json_bytes(value))  # the engine's recompute path
         assert json.loads(cache.get("k")) == value
 
     def test_every_hit_is_a_fresh_copy(self):
         # A hit is the stored bytes: immutable, so what a caller decodes
         # from one and then changes never reaches the cache.
-        cache = ResultCache(capacity=4)
+        cache = LRUCache(capacity=4)
         cache.put("k", json_bytes({"fingerprint": "k", "field_labels": {"c": "x"}}))
         first = json.loads(cache.get("k"))
         first["field_labels"]["c"] = "changed"
         assert json.loads(cache.get("k")) == {"fingerprint": "k", "field_labels": {"c": "x"}}
         assert isinstance(cache.get("k"), bytes)
 
-    def test_corrupt_missing_key_is_false(self):
-        assert ResultCache(capacity=4).corrupt("absent") is False
-
     def test_capacity_zero_disables(self):
-        cache = ResultCache(capacity=0)
+        cache = LRUCache(capacity=0)
         cache.put("k", b'{"ok":true}')
         assert cache.get("k") is None
         assert len(cache) == 0
 
     def test_lru_eviction_still_applies(self):
-        cache = ResultCache(capacity=2)
+        cache = LRUCache(capacity=2)
         for key in ("a", "b", "c"):
             cache.put(key, json_bytes({"fingerprint": key}))
         assert cache.get("a") is None
@@ -470,221 +151,101 @@ class TestResultCacheIntegrity:
         assert cache.stats()["evictions"] == 1
 
     def test_plain_lru_unchanged(self):
-        cache = LRUCache(capacity=2)
-        cache.put("a", 1)
-        assert cache.get("a") == 1  # no checksumming on the base class
+        engine = LabelingEngine(cache_size=2)
+        assert type(engine.cache) is LRUCache
+        assert set(engine.cache.stats()) == {
+            "hits", "misses", "evictions", "hit_rate", "size", "capacity",
+        }
 
 
 # ----------------------------------------------------------------------
-# Engine + resilience, end to end.
+# Engine failures, end to end.
 # ----------------------------------------------------------------------
+
+
+def failing_on(monkeypatch, interface_name: str) -> list[str]:
+    """Make ``label_corpus`` raise for corpora holding ``interface_name``;
+    returns the list the failing calls are recorded in."""
+    real, failures = engine_mod.label_corpus, []
+
+    def label_corpus(interfaces, mapping, **kwargs):
+        if any(qi.name == interface_name for qi in interfaces):
+            failures.append(interface_name)
+            raise RuntimeError(f"cannot label {interface_name}")
+        return real(interfaces, mapping, **kwargs)
+
+    monkeypatch.setattr(engine_mod, "label_corpus", label_corpus)
+    return failures
 
 
 class TestEngineResilience:
     def payload(self):
         return small_corpus_payloads()[0]
 
-    def test_transient_fault_heals_and_carries_provenance(self, chaos_comparator):
-        baseline = canonical_response(
-            LabelingEngine(cache_size=0, comparator=chaos_comparator).label(
-                self.payload()
-            )
-        )
-        plan = FaultPlan(
-            [FaultSpec(point="engine.execute", kind="error", rate=1.0,
-                       max_fires=1)]
-        )
-        engine = LabelingEngine(cache_size=0, fault_plan=plan, retry=FAST_RETRY,
-                                comparator=chaos_comparator)
-        response = engine.label(self.payload())
-        assert response["ok"]
-        assert response["resilience"]["attempts"] == 2
-        assert response["resilience"]["faults"] == [
-            {"point": "engine.execute", "kind": "error"}
-        ]
-        assert canonical_response(response) == baseline
-
-    def test_no_fault_response_has_no_resilience_key(self, chaos_comparator):
-        plan = FaultPlan(
-            [FaultSpec(point="engine.execute", kind="error", rate=0.0)]
-        )
-        engine = LabelingEngine(cache_size=0, fault_plan=plan, retry=FAST_RETRY,
-                                comparator=chaos_comparator)
+    def test_no_fault_response_has_no_resilience_key(self, comparator):
+        engine = LabelingEngine(cache_size=8, comparator=comparator)
         assert "resilience" not in engine.label(self.payload())
-
-    def test_permanent_fault_degrades_with_provenance(self, chaos_comparator):
-        plan = FaultPlan(
-            [FaultSpec(point="pipeline.merge", kind="error", rate=1.0,
-                       max_fires=None)]
-        )
-        engine = LabelingEngine(cache_size=0, fault_plan=plan, retry=FAST_RETRY,
-                                comparator=chaos_comparator)
         [entry] = engine.label_batch([self.payload()])
-        assert entry["ok"] is False
-        assert entry["error_type"] == "transient"
-        assert entry["resilience"]["attempts"] == FAST_RETRY.max_attempts
-        assert all(
-            f == {"point": "pipeline.merge", "kind": "error"}
-            for f in entry["resilience"]["faults"]
-        )
+        assert entry["cached"] is True and "resilience" not in entry
+
+    def test_permanent_fault_degrades_with_provenance(
+        self, comparator, monkeypatch
+    ):
+        failures = failing_on(monkeypatch, "aa")
+        engine = LabelingEngine(cache_size=8, comparator=comparator)
+        first, second = (engine.label_batch([self.payload()]) for _ in range(2))
+        for [entry] in (first, second):
+            assert entry["ok"] is False
+            assert entry["error_type"] == "internal"
+            assert entry["error"] == "RuntimeError: cannot label aa"
+            assert set(entry) == {"ok", "error", "error_type", "elapsed_ms"}
+        # A failure is never stored: the repeat computed (and failed) again.
+        assert failures == ["aa", "aa"]
+        stats = engine.stats()
+        assert (stats["computations"], stats["errors"]) == (2, 2)
+        assert stats["cache"]["size"] == 0
 
     def test_fault_free_items_in_faulted_batch_are_byte_identical(
-        self, chaos_comparator
+        self, comparator, monkeypatch
     ):
         payloads = small_corpus_payloads()
-        plain = LabelingEngine(cache_size=0, comparator=chaos_comparator)
+        plain = LabelingEngine(cache_size=0, comparator=comparator)
         baseline = [canonical_response(plain.label(p)) for p in payloads]
-        plan = FaultPlan.random(seed=4, rate=0.3, max_fires=1)
-        engine = LabelingEngine(cache_size=8, fault_plan=plan, retry=FAST_RETRY,
-                                comparator=chaos_comparator)
+        failing_on(monkeypatch, "100auto")  # the second corpus
+        engine = LabelingEngine(cache_size=8, comparator=comparator)
         responses = engine.label_batch(payloads, jobs=2)
         assert len(responses) == len(payloads)
-        for response, expected in zip(responses, baseline):
-            assert response["ok"], response
-            assert canonical_response(response) == expected
+        assert responses[1]["ok"] is False
+        assert responses[1]["error_type"] == "internal"
+        for index in (0, 2):
+            assert responses[index]["ok"], responses[index]
+            assert canonical_response(responses[index]) == baseline[index]
 
-    def test_breaker_opens_per_fingerprint(self, chaos_comparator):
-        plan = FaultPlan(
-            [FaultSpec(point="pipeline.merge", kind="error", rate=1.0,
-                       max_fires=None)]
-        )
-        clock = FakeClock()
-        engine = LabelingEngine(
-            cache_size=0,
-            fault_plan=plan,
-            retry=RetryPolicy(max_attempts=1),
-            breaker=BreakerPolicy(failure_threshold=2, reset_after_s=30.0),
-            comparator=chaos_comparator,
-            clock=clock,
-        )
-        failing, healthy = small_corpus_payloads()[:2]
-        for __ in range(2):
-            with pytest.raises(TransientFault):
-                engine.label(failing)
-        with pytest.raises(CircuitOpenError) as excinfo:
-            engine.label(failing)
-        assert excinfo.value.retry_after > 0
-        # The other corpus has its own breaker: it faults (plan hits every
-        # fingerprint) but is not short-circuited.
-        with pytest.raises(TransientFault):
-            engine.label(healthy)
-        stats = engine.stats()["resilience"]["breakers"]
-        assert stats["open"] >= 1 and stats["rejections"] >= 1
-
-    def test_breaker_recovers_after_reset_window(self, chaos_comparator):
-        plan = FaultPlan(
-            [FaultSpec(point="engine.execute", kind="error", rate=1.0,
-                       max_fires=2)]
-        )
-        clock = FakeClock()
-        engine = LabelingEngine(
-            cache_size=0,
-            fault_plan=plan,
-            retry=RetryPolicy(max_attempts=1),
-            breaker=BreakerPolicy(failure_threshold=2, reset_after_s=10.0),
-            comparator=chaos_comparator,
-            clock=clock,
-        )
-        payload = self.payload()
-        for __ in range(2):
-            with pytest.raises(TransientFault):
-                engine.label(payload)
-        with pytest.raises(CircuitOpenError):
-            engine.label(payload)
-        clock.now += 11  # window elapses; the fault budget is exhausted too
-        response = engine.label(payload)  # the half-open probe succeeds
-        assert response["ok"]
-        assert engine.stats()["resilience"]["breakers"]["open"] == 0
-
-    def test_breakers_stay_bounded_when_every_one_is_open(
-        self, chaos_comparator
+    def test_corrupt_cache_fault_recomputes_identical(
+        self, comparator, tmp_path
     ):
-        plan = FaultPlan(
-            [FaultSpec(point="engine.execute", kind="error", rate=1.0,
-                       max_fires=None)]
-        )
-        engine = LabelingEngine(
-            cache_size=0,
-            fault_plan=plan,
-            retry=RetryPolicy(max_attempts=1),
-            breaker=BreakerPolicy(failure_threshold=1, reset_after_s=30.0),
-            comparator=chaos_comparator,
-            clock=FakeClock(),
-        )
-        engine.MAX_BREAKERS = 3
-        for seed in range(7):
-            with pytest.raises(TransientFault):
-                engine.label({"domain": "airline", "seed": seed})
-        breakers = engine.stats()["resilience"]["breakers"]
-        assert (breakers["count"], breakers["open"]) == (3, 3)
-        assert breakers["shed"] == 4
-        # The newest fingerprint kept its open breaker.
-        with pytest.raises(CircuitOpenError):
-            engine.label({"domain": "airline", "seed": 6})
-
-    def test_breaker_shedding_prefers_the_oldest_closed_one(
-        self, chaos_comparator
-    ):
-        engine = LabelingEngine(
-            cache_size=0,
-            breaker=BreakerPolicy(failure_threshold=1, reset_after_s=30.0),
-            comparator=chaos_comparator,
-            clock=FakeClock(),
-        )
-        engine.MAX_BREAKERS = 3
-        engine._breaker_for("a").record_failure()
-        engine._breaker_for("b")
-        engine._breaker_for("c").record_failure()
-        engine._breaker_for("d")
-        assert list(engine._breakers) == ["a", "c", "d"]
-        engine._breakers["d"].record_failure()
-        engine._breaker_for("e")
-        assert list(engine._breakers) == ["c", "d", "e"]
-        assert engine.stats()["resilience"]["breakers"]["shed"] == 2
-
-    def test_batch_classifies_circuit_open(self, chaos_comparator):
-        plan = FaultPlan(
-            [FaultSpec(point="pipeline.merge", kind="error", rate=1.0,
-                       max_fires=None)]
-        )
-        engine = LabelingEngine(
-            cache_size=0,
-            fault_plan=plan,
-            retry=RetryPolicy(max_attempts=1),
-            breaker=BreakerPolicy(failure_threshold=1, reset_after_s=30.0),
-            comparator=chaos_comparator,
-        )
         payload = self.payload()
-        # Same payload twice, sequentially: the first trips, the second is
-        # rejected by the open breaker.
-        entries = engine.label_batch([payload, payload], jobs=1)
-        assert entries[0]["error_type"] == "transient"
-        assert entries[1]["error_type"] == "circuit_open"
-        assert entries[1]["retry_after"] > 0
-
-    def test_corrupt_cache_fault_recomputes_identical(self, chaos_comparator):
-        payload = self.payload()
-        # max_fires=2: the first fire lands before anything is cached (a
-        # no-op); the second tampers with the stored entry.
-        plan = FaultPlan(
-            [FaultSpec(point="cache.get", kind="corrupt", rate=1.0, max_fires=2)]
-        )
-        engine = LabelingEngine(cache_size=8, fault_plan=plan, retry=FAST_RETRY,
-                                comparator=chaos_comparator)
+        engine = LabelingEngine(disk_cache=tmp_path, comparator=comparator)
         first = engine.label(payload)
+        engine.close()
         assert first["cached"] is False
-        # The corrupt fault fires on this lookup; the checksum catches it
-        # and the entry is recomputed rather than served.
-        second = engine.label(payload)
+        # Rot the stored record (one byte of its entry changed, its CRC
+        # kept), then restart: the memory tier is empty, the disk tier
+        # skips the damaged record, and the entry is recomputed.
+        rot_disk_entries(tmp_path)
+        restarted = LabelingEngine(disk_cache=tmp_path, comparator=comparator)
+        assert restarted.disk.stats()["corrupt_records"] == 1
+        second = restarted.label(payload)
         assert second["cached"] is False
-        assert engine.cache.stats()["corruptions"] == 1
+        assert restarted.stats()["computations"] == 1
         assert canonical_response(second) == canonical_response(first)
-        third = engine.label(payload)  # fault budget spent: a clean hit now
+        third = restarted.label(payload)
+        restarted.close()
         assert third["cached"] is True
 
-    def test_verify_strict_counts_oracle_checks(self, chaos_comparator):
+    def test_verify_strict_counts_oracle_checks(self, comparator):
         engine = LabelingEngine(cache_size=0, verify="strict",
-                                comparator=chaos_comparator)
+                                comparator=comparator)
         assert engine.label(self.payload())["ok"]
         oracle = engine.stats()["resilience"]["oracle"]
         assert oracle["checks"] > 0 and oracle["failures"] == 0
@@ -695,74 +256,120 @@ class TestEngineResilience:
 
 
 # ----------------------------------------------------------------------
-# The chaos property suite: 200+ seeded plans over small corpora.
+# Seeded failure plans: many batches, each with its own failing items.
 # ----------------------------------------------------------------------
 
 
+def _corpus_key(payload: dict) -> str:
+    """What a failure plan picks an item by: its domain, or its interfaces."""
+    if "domain" in payload:
+        return payload["domain"]
+    return ",".join(sorted(qi["name"] for qi in payload["corpus"]["interfaces"]))
+
+
+def run_failure_plans(
+    payloads: list[dict],
+    *,
+    plans: int,
+    seed: int,
+    rate: float,
+    jobs: int,
+    cache_size: int,
+    comparator,
+) -> dict:
+    """Run ``plans`` seeded batches over ``payloads`` and check each slot.
+
+    Plan ``i`` fails each item with probability ``rate`` (drawn from
+    ``random.Random(seed + i)``) by making ``label_corpus`` raise for it.
+    Every plan sends its batch twice to a fresh engine: the second pass
+    answers the healthy items from the cache and recomputes the failing
+    ones.  A failing item must answer the ``internal`` error in its own
+    slot, and every other item the canonical response of a clean run.
+    """
+    keys = [_corpus_key(payload) for payload in payloads]
+    clean = LabelingEngine(cache_size=0, comparator=comparator)
+    baseline = [canonical_response(clean.label(payload)) for payload in payloads]
+    report = {"items": 0, "ok_items": 0, "failed_items": 0,
+              "identical_items": 0, "anomalies": []}
+    real = engine_mod.label_corpus
+    for plan in range(plans):
+        rng = random.Random(seed + plan)
+        failing = {key for key in keys if rng.random() < rate}
+
+        def label_corpus(interfaces, mapping, **kwargs):
+            key = kwargs.get("domain") or ",".join(
+                sorted(qi.name for qi in interfaces)
+            )
+            if key in failing:
+                raise RuntimeError(f"cannot label {key}")
+            return real(interfaces, mapping, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_mod, "label_corpus", label_corpus)
+            engine = LabelingEngine(cache_size=cache_size, comparator=comparator)
+            passes = [engine.label_batch(payloads, jobs=jobs) for _ in range(2)]
+        for entries in passes:
+            if len(entries) != len(payloads):
+                report["anomalies"].append((plan, "dropped items", len(entries)))
+                continue
+            for key, entry, want in zip(keys, entries, baseline):
+                report["items"] += 1
+                if key in failing:
+                    report["failed_items"] += 1
+                    if (entry.get("ok"), entry.get("error_type"), entry.get("error")) != (
+                        False, "internal", f"RuntimeError: cannot label {key}"
+                    ):
+                        report["anomalies"].append((plan, key, entry))
+                elif entry.get("ok"):
+                    report["ok_items"] += 1
+                    if canonical_response(entry) == want:
+                        report["identical_items"] += 1
+                    else:
+                        report["anomalies"].append((plan, key, "differs from clean"))
+                else:
+                    report["anomalies"].append((plan, key, entry))
+        stats = engine.stats()
+        if stats["errors"] != 2 * len([k for k in keys if k in failing]):
+            report["anomalies"].append((plan, "errors", stats["errors"]))
+    return report
+
+
 class TestChaosProperty:
-    def test_two_hundred_seeded_plans_uphold_the_contract(self, chaos_comparator):
-        report = run_chaos_sweep(
+    def test_two_hundred_seeded_plans_uphold_the_contract(self, comparator):
+        report = run_failure_plans(
+            small_corpus_payloads(),
             plans=200,
             seed=1000,
             rate=0.15,
             jobs=2,
-            payloads=small_corpus_payloads(),
             cache_size=8,
-            comparator=chaos_comparator,
-            latency_s=0.0005,
-            retry=FAST_RETRY,
+            comparator=comparator,
         )
         assert report["anomalies"] == []
-        assert report["items"] == 200 * 3
+        assert report["items"] == 200 * 3 * 2
         # Every response is accounted for: ok + failed covers every item.
         assert report["ok_items"] + report["failed_items"] == report["items"]
-        # The sweep actually exercised the machinery.
-        assert report["injected_faults"] > 0
-        assert report["recovered_items"] > 0
-        # Every successful item reproduced the no-fault labeling exactly.
+        # The plans exercised both outcomes.
+        assert report["failed_items"] > 0 and report["ok_items"] > 0
+        # Every successful item reproduced the clean labeling exactly.
         assert report["identical_items"] == report["ok_items"]
-
-    def test_sweep_is_reproducible(self):
-        # Determinism holds for identical initial state: a fresh lexicon per
-        # run and sequential execution.  (``lexicon.query`` faults fire on
-        # memo *misses*, so a pre-warmed comparator or thread interleaving
-        # legitimately changes how many injection opportunities arrive.)
-        def sweep():
-            return run_chaos_sweep(
-                plans=12,
-                seed=77,
-                rate=0.25,
-                jobs=1,
-                payloads=small_corpus_payloads(),
-                cache_size=8,
-                comparator=SemanticComparator(
-                    LabelAnalyzer(build_default_wordnet())
-                ),
-                latency_s=0.0005,
-                retry=FAST_RETRY,
-            )
-
-        first, second = sweep(), sweep()
-        assert first["per_plan"] == second["per_plan"]
-        assert first["injected_faults"] == second["injected_faults"]
-        assert first["anomalies"] == second["anomalies"] == []
 
 
 class TestChaosSmokeAllDomains:
-    def test_seed_domain_smoke_sweep(self, chaos_comparator):
-        """<=10 plans over all seven seed domains (the tier-1 smoke)."""
-        report = run_chaos_sweep(
+    def test_seed_domain_smoke_sweep(self, comparator):
+        """A few plans over all seven seed domains."""
+        report = run_failure_plans(
+            [{"domain": domain, "seed": 0} for domain in sorted(DOMAINS)],
             plans=5,
             seed=0,
             rate=0.1,
             jobs=2,
             cache_size=16,
-            comparator=chaos_comparator,
-            latency_s=0.0005,
-            retry=FAST_RETRY,
+            comparator=comparator,
         )
         assert report["anomalies"] == []
-        assert report["items_per_plan"] == 7
+        assert report["items"] == 5 * 7 * 2
+        assert report["failed_items"] > 0
         assert report["identical_items"] == report["ok_items"]
 
 

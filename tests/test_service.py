@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import json
+import threading
 import time
+import types
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro.datasets.registry as registry
+import repro.service.engine as engine_mod
 from repro.core.label import LabelAnalyzer
 from repro.core.semantics import SemanticComparator
 from repro.datasets.registry import DOMAINS, load_domain
 from repro.lexicon.io import wordnet_from_dict
-from repro.resilience import FaultPlan, FaultSpec
 from repro.schema.serialize import corpus_to_dict
 from repro.service.cache import LRUCache
 from repro.service.client import ServiceClient, ServiceError
@@ -119,15 +123,22 @@ class TestEngine:
     def engine(self):
         return LabelingEngine(cache_size=8)
 
-    def test_timeout_bounds_the_callers_wait(self):
-        plan = FaultPlan(
-            [FaultSpec(point="engine.execute", kind="latency", rate=1.0, latency_s=2.0)]
-        )
-        engine = LabelingEngine(fault_plan=plan, breaker=None)
+    def test_timeout_bounds_the_callers_wait(self, monkeypatch):
+        real, release = engine_mod.label_corpus, threading.Event()
+
+        def slow_label_corpus(*args, **kwargs):
+            release.wait(timeout=2.0)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "label_corpus", slow_label_corpus)
+        engine = LabelingEngine()
         start = time.perf_counter()
-        with pytest.raises(TimeoutError):
-            engine.label({"domain": "book", "timeout": 0.2})
-        assert time.perf_counter() - start < 1.0
+        try:
+            with pytest.raises(TimeoutError):
+                engine.label({"domain": "book", "timeout": 0.2})
+            assert time.perf_counter() - start < 1.0
+        finally:
+            release.set()  # let the abandoned thread finish
 
     def test_domain_request(self, engine):
         response = engine.label({"domain": "job", "seed": 0})
@@ -199,6 +210,77 @@ class TestEngine:
         assert responses[1]["error_type"] == "invalid_request"
         assert "atlantis" in responses[1]["error"]
         assert responses[2]["error_type"] == "invalid_request"
+
+
+#: An engine clock that always reads 0, so ``elapsed_ms`` is 0.0 in every
+#: slot and two runs over the same corpora can be compared byte for byte.
+_STOPPED_CLOCK = types.SimpleNamespace(perf_counter=lambda: 0.0, time=time.time)
+
+
+class TestFailureIsolation:
+    """A failure inside the pipeline degrades its own slot and nothing else.
+
+    The pipeline is deterministic, so a failing corpus fails the same way
+    every time it is sent: each repeat recomputes and answers the same
+    ``internal`` error.
+    """
+
+    @pytest.fixture(scope="class")
+    def clean(self, comparator):
+        """The 7-domain batch's slots from a run with no failure."""
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_mod, "time", _STOPPED_CLOCK)
+            engine = LabelingEngine(cache_size=0, comparator=comparator)
+            return [
+                json.dumps(entry).encode()
+                for entry in engine.label_batch(_SEVEN_DOMAINS, jobs=2)
+            ]
+
+    @settings(max_examples=20, deadline=None)
+    @given(failing=st.sets(st.sampled_from(sorted(DOMAINS))))
+    def test_failing_items_degrade_in_their_slots(self, comparator, clean, failing):
+        real = engine_mod.label_corpus
+
+        def label_corpus(interfaces, mapping, **kwargs):
+            if kwargs["domain"] in failing:
+                raise RuntimeError(f"cannot label {kwargs['domain']}")
+            return real(interfaces, mapping, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine_mod, "time", _STOPPED_CLOCK)
+            patch.setattr(engine_mod, "label_corpus", label_corpus)
+            engine = LabelingEngine(cache_size=0, comparator=comparator)
+            entries = engine.label_batch(_SEVEN_DOMAINS, jobs=2)
+        assert len(entries) == len(DOMAINS)
+        for domain, entry, want in zip(DOMAINS, entries, clean):
+            if domain in failing:
+                assert entry == {
+                    "ok": False,
+                    "error": f"RuntimeError: cannot label {domain}",
+                    "error_type": "internal",
+                    "elapsed_ms": 0.0,
+                }
+            else:
+                assert json.dumps(entry).encode() == want
+        assert engine.stats()["errors"] == len(failing)
+
+    def test_a_deterministic_failure_repeats_as_itself(self):
+        # Car Rental seed 2 violates an oracle (an internal node takes a
+        # label a leaf below it carries), so strict mode fails it every time.
+        engine = LabelingEngine(verify="strict", cache_size=0)
+        answers = []
+        for _ in range(7):
+            [entry] = engine.label_batch([{"domain": "carrental", "seed": 2}])
+            entry.pop("elapsed_ms")
+            answers.append(entry)
+        assert answers == [answers[0]] * 7
+        assert answers[0]["error_type"] == "internal"
+        assert answers[0]["error"].startswith("OracleError: ")
+        stats = engine.stats()
+        assert (stats["computations"], stats["errors"]) == (7, 7)
+
+
+_SEVEN_DOMAINS = [{"domain": domain, "seed": 0} for domain in DOMAINS]
 
 
 def _mutate(response: dict) -> None:
@@ -414,8 +496,8 @@ class TestRequestKeyMemo:
         return engine
 
     def test_memo_hit_equals_cold_and_cacheless_responses(self):
-        engine = LabelingEngine(breaker=None)
-        cacheless = LabelingEngine(cache_size=0, breaker=None)
+        engine = LabelingEngine()
+        cacheless = LabelingEngine(cache_size=0)
         payloads = [{"domain": d, "seed": s} for d in DOMAINS for s in (0, 1)]
         cold = [engine.label(payload) for payload in payloads]
         for payload, first in zip(payloads, cold):
@@ -490,7 +572,7 @@ class TestRequestKeyMemo:
         # A memo hit whose result another request evicted before its lookup
         # (two requests racing on a full cache) builds its corpus and
         # recomputes, on a batch thread as on the calling one.
-        engine = LabelingEngine(cache_size=1, breaker=None)
+        engine = LabelingEngine(cache_size=1)
         first = engine.label({"domain": "airline"})
         # A corpus payload evicts airline's result but not its memo key.
         engine.label({"corpus": corpus_to_dict(_BOOK.interfaces, _BOOK.mapping)})

@@ -2,8 +2,9 @@
 
 The server reads and writes HTTP/1.1 itself, and ``repro.service``
 imports its submodules on first use, so ``repro serve`` never loads
-``http.server``, ``http.client``, ``ssl`` or ``email``.  Checked in a fresh
-interpreter, since this test process has loaded them already.
+``http.server``, ``http.client``, ``ssl`` or ``email``; nor does it load
+``repro.testing``, so test-only code stays off the serving path.  Checked
+in a fresh interpreter, since this test process has loaded them already.
 """
 
 from __future__ import annotations
@@ -16,7 +17,12 @@ from pathlib import Path
 
 import repro
 
-_STACKS = ["ssl", "http.client", "http.server", "email.parser", "email.utils"]
+#: Modules a serving process must not load: the stdlib HTTP stack, and
+#: the test-only oracles package (loaded only by ``verify="strict"``).
+_STACKS = [
+    "ssl", "http.client", "http.server", "email.parser", "email.utils",
+    "repro.testing",
+]
 
 _SERVE = """
 import json, socket, sys
